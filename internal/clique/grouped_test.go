@@ -237,7 +237,7 @@ func TestExactAgreesOnGroupedInstances(t *testing.T) {
 			return rng.Intn(3) == 0
 		})
 		got := FindGrouped(g, groups, Options{})
-		exact := FindExact(g, n*c)
+		exact := refFindExact(g, n*c)
 		if len(got) > len(exact) {
 			t.Fatalf("grouped found %d members, exact maximum is %d", len(got), len(exact))
 		}

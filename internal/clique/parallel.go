@@ -1,10 +1,10 @@
-// Parallel search engines. Both keep results byte-identical to their
-// sequential counterparts via a deterministic reduction (DESIGN.md section
-// 8g): work is split into the same partitions the sequential search visits
-// in a fixed order, partial results are computed by pure per-partition
-// functions, and the merge consumes them in partition order regardless of
-// which worker finished first. Shared atomic bounds only ever skip work the
-// merge provably discards.
+// Parallel Find. It keeps results byte-identical to the sequential search
+// via a deterministic reduction (DESIGN.md section 8g): work is split into
+// the same partitions the sequential search visits in a fixed order, partial
+// results are computed by pure per-partition functions, and the merge
+// consumes them in partition order regardless of which worker finished
+// first. The shared atomic stop index only ever skips work the merge
+// provably discards.
 package clique
 
 import (
@@ -347,156 +347,4 @@ func intersectInto(scratch *graph.Bitset, a, b []int) []int {
 		}
 	}
 	return out
-}
-
-// FindExactParallel is FindExact across workers goroutines with byte-
-// identical results. The sequential search's root branches (first node
-// chosen, earlier roots excluded from the subtree) are its partitions:
-// workers steal root indices, explore each subtree depth-first, and publish
-// the best size found to a shared atomic bound.
-//
-// Cross-partition pruning must not change which clique is found first, so a
-// subtree is cut on the shared bound only when it cannot *reach* it
-// (members + upper bound < bound, strictly) — subtrees that could tie are
-// still explored, because an earlier partition's tie beats a later
-// partition's find in the sequential order. The bound is capped at target:
-// the sequential search stops at the first target-sized clique, so the first
-// partition to reach target wins the merge, and earlier partitions must keep
-// looking for a still-earlier achiever. Within a partition the sequential
-// count and coloring bounds apply unchanged.
-func FindExactParallel(g *Graph, target, workers int) []int {
-	if workers <= 1 {
-		return FindExact(g, target)
-	}
-	if target > g.n {
-		target = g.n
-	}
-	roots := rootBranches(g)
-	results := make([][]int, len(roots))
-	var next, stop atomic.Int64
-	var shared atomic.Int64 // best clique size found by any partition
-	stop.Store(int64(len(roots)))
-	runWorkers(workers, func(int) {
-		ar := newArena(g)
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(roots) {
-				return
-			}
-			if int64(i) > stop.Load() {
-				continue
-			}
-			root := ar.get()
-			if !root.canAdd(roots[i]) {
-				ar.recycleAll()
-				continue
-			}
-			root.add(roots[i])
-			for _, v := range roots[:i] {
-				root.cand.Clear(v)
-			}
-			best := exactDFS(g, ar, root, target, &shared)
-			results[i] = best
-			if len(best) > 0 {
-				casMax(&shared, int64(len(best)))
-			}
-			if len(best) >= target {
-				casMin(&stop, int64(i))
-			}
-			ar.recycleAll()
-		}
-	})
-	// Deterministic reduction: replay the sequential best-update loop over the
-	// per-root results in root order; strict improvement keeps the earliest
-	// partition's clique on ties, exactly as the sequential DFS would.
-	var best []int
-	for _, r := range results {
-		if len(r) > len(best) {
-			best = r
-		}
-		if len(best) >= target {
-			break
-		}
-	}
-	return best
-}
-
-// rootBranches returns the sequential FindExact's first-level candidate
-// order: every node, in increasing id (the root state's cand is full).
-func rootBranches(g *Graph) []int {
-	roots := make([]int, g.n)
-	for i := range roots {
-		roots[i] = i
-	}
-	return roots
-}
-
-// exactDFS explores one root partition. localBest mirrors the sequential
-// bound; shared only cuts subtrees that cannot reach the globally known best
-// size (see FindExactParallel).
-func exactDFS(g *Graph, ar *arena, root *state, target int, shared *atomic.Int64) []int {
-	var best []int
-	var dfs func(s *state)
-	dfs = func(s *state) {
-		if len(s.members) > len(best) {
-			best = append([]int(nil), s.members...)
-		}
-		if len(best) >= target {
-			return
-		}
-		avail := s.cand.Count()
-		if len(s.members)+avail <= len(best) {
-			return
-		}
-		bound := int(shared.Load())
-		if bound > target {
-			bound = target
-		}
-		if len(s.members)+avail < bound {
-			return
-		}
-		need := len(best) + 1 - len(s.members)
-		if lower := bound - len(s.members); lower > need {
-			// The subtree must reach `bound` to matter globally; color up to
-			// the stricter requirement so the cap stays useful.
-			need = lower
-		}
-		if cb := colorBound(g, s.cand, ar, need); len(s.members)+cb <= len(best) || len(s.members)+cb < bound {
-			return
-		}
-		var cands []int
-		s.cand.ForEach(func(u int) bool {
-			if !s.inC.Has(u) {
-				cands = append(cands, u)
-			}
-			return true
-		})
-		for i, u := range cands {
-			if !s.canAdd(u) {
-				continue
-			}
-			child := s.clone()
-			child.add(u)
-			for _, v := range cands[:i] {
-				child.cand.Clear(v)
-			}
-			dfs(child)
-			ar.put(child)
-			if len(best) >= target {
-				return
-			}
-		}
-	}
-	dfs(root)
-	return best
-}
-
-// casMax raises v to x if x is larger (lock-free running maximum).
-func casMax(v *atomic.Int64, x int64) {
-	for {
-		cur := v.Load()
-		if x <= cur || v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
 }

@@ -63,63 +63,3 @@ func TestFindParallelSharedPoolMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestFindExactParallelMatchesSequential(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewSource(int64(13000 + trial)))
-		var g *Graph
-		if trial%2 == 0 {
-			g = randomFlatGraph(rng, 8+rng.Intn(10), 2+rng.Intn(4), 0.55, 0.5)
-		} else {
-			g = randomClusterGraph(rng, 8+rng.Intn(10), 1+rng.Intn(3), 2+rng.Intn(3), 0.6)
-		}
-		seq := FindExact(g, g.N())
-		for _, target := range targetsFor(g, len(seq)) {
-			want := FindExact(g, target)
-			for _, w := range workerCounts {
-				got := FindExactParallel(g, target, w)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d target %d workers %d: got %v, sequential %v",
-						trial, target, w, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestColorBoundNeverPrunesMaximum is the soundness property behind both the
-// sequential and shared-bound pruning: the greedy-coloring upper bound on a
-// candidate set is never below the true maximum feasible clique inside it,
-// so a branch holding the true maximum always survives the prune test.
-// FindExact (which prunes on the bound) must therefore return exactly what
-// the unpruned reference search returns.
-func TestColorBoundNeverPrunesMaximum(t *testing.T) {
-	for trial := 0; trial < 60; trial++ {
-		rng := rand.New(rand.NewSource(int64(15000 + trial)))
-		var g *Graph
-		if trial%2 == 0 {
-			g = randomFlatGraph(rng, 6+rng.Intn(12), 1+rng.Intn(4), 0.3+0.5*rng.Float64(), 0.5)
-		} else {
-			g = randomClusterGraph(rng, 6+rng.Intn(12), 1+rng.Intn(3), 2+rng.Intn(3), 0.6)
-		}
-		ref := refFindExact(g, g.N())
-
-		ar := newArena(g)
-		full := ar.get().cand // fresh state: every node is a candidate
-		if cb := colorBound(g, full, ar, g.N()); cb < len(ref) {
-			t.Fatalf("trial %d: coloring bound %d below true maximum clique %v", trial, cb, ref)
-		}
-		// The capped form used by the prune tests must saturate, never
-		// undercut: with limit <= true maximum it must return its limit.
-		if len(ref) > 0 {
-			if cb := colorBound(g, full, ar, len(ref)); cb != len(ref) {
-				t.Fatalf("trial %d: capped coloring bound %d != limit %d", trial, cb, len(ref))
-			}
-		}
-
-		got := FindExact(g, g.N())
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("trial %d: FindExact with coloring bound %v != unpruned reference %v", trial, got, ref)
-		}
-	}
-}

@@ -59,8 +59,7 @@ type Options struct {
 	// Seed drives all stochastic decisions (0 is a valid seed). There is no
 	// other randomness: two runs with equal options are identical.
 	Seed int64
-	// MinII raises the II the escalation starts from (0: MII). The portfolio
-	// runner pins MinII == MaxII to race seeds at one fixed II.
+	// MinII raises the II the escalation starts from (0: MII).
 	MinII int
 	// MaxII caps II escalation (0: MII + 8).
 	MaxII int

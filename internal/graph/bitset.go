@@ -152,26 +152,6 @@ func (b *Bitset) IntersectCount(other *Bitset) int {
 	return total
 }
 
-// IntersectCountUpTo returns |b ∩ other|, stopping early once the count
-// reaches limit (the exact value is returned while it is below limit). The
-// grouped clique search uses it for forward checking, where only "zero, one,
-// or several live candidates" matters.
-func (b *Bitset) IntersectCountUpTo(other *Bitset, limit int) int {
-	if b.n != other.n {
-		panic("graph: bitset capacity mismatch")
-	}
-	total := 0
-	for i := range b.words {
-		if w := b.words[i] & other.words[i]; w != 0 {
-			total += bits.OnesCount64(w)
-			if total >= limit {
-				return limit
-			}
-		}
-	}
-	return total
-}
-
 // AndInto overwrites b with x ∩ y and returns the half-open word range of
 // the result, as WordBounds would — one pass where CopyFrom + And +
 // WordBounds would take three.
@@ -209,10 +189,12 @@ func (b *Bitset) WordBounds() (lo, hi int) {
 	return lo, hi
 }
 
-// IntersectCountUpToIn is IntersectCountUpTo restricted to the word range
-// [loWord, hiWord), which must lie within both bitsets' word arrays. Members
-// of the intersection outside the range are not counted; callers pass b's
-// own WordBounds so nothing is missed.
+// IntersectCountUpToIn returns |b ∩ other| counted over the word range
+// [loWord, hiWord), stopping early once the count reaches limit (the exact
+// value is returned while it is below limit). The range must lie within both
+// bitsets' word arrays; members outside it are not counted, so callers pass
+// b's own WordBounds. The grouped clique search uses it for forward
+// checking, where only "zero, one, or several live candidates" matters.
 func (b *Bitset) IntersectCountUpToIn(other *Bitset, limit, loWord, hiWord int) int {
 	if b.n != other.n {
 		panic("graph: bitset capacity mismatch")

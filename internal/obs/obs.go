@@ -261,9 +261,9 @@ func (m *MemSink) DurByName() map[string]time.Duration {
 }
 
 // SumByName sums the named integer field across all recorded events, grouped
-// by event name — the counter aggregation the /metrics exporter and the
-// experiments harness total Point events with. Events lacking the field
-// contribute nothing (and create no entry on their own).
+// by event name — the counter aggregation the experiments harness totals
+// Point events with. Events lacking the field contribute nothing (and
+// create no entry on their own).
 func (m *MemSink) SumByName(key string) map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -289,7 +289,7 @@ func (m *MemSink) CountByName() map[string]int64 {
 
 // Tee returns a sink fanning every event out to each non-nil sink, in order.
 // It is how one emit stream feeds both a persistent trace (JSONLSink) and a
-// live aggregation (MemSink) — the regimapd metrics path. Tee of zero or one
+// live aggregation — the regimapd metrics path. Tee of zero or one
 // usable sink returns that sink (or nil) directly, keeping the fan-out cost
 // off degenerate configurations.
 func Tee(sinks ...Sink) Sink {

@@ -8,10 +8,10 @@ import (
 	"regimap/internal/engine"
 )
 
-// The portfolio runners are engines too: "portfolio" races the "regimap"
-// engine over a speculative II window, "dresc-portfolio" races seed-
-// diversified "dresc" runs. Both ignore engine.Options.MinII — a portfolio
-// owns its own II escalation — and fold MaxII into the base search's ceiling.
+// The portfolio is an engine too: "portfolio" races the "regimap" engine
+// over a speculative II window. It ignores engine.Options.MinII — the
+// portfolio owns its own II escalation — and folds MaxII into the base
+// search's ceiling.
 
 type engineMapper struct{}
 
@@ -47,43 +47,4 @@ func (engineMapper) Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, eo engine
 		Stats:   st,
 		Elapsed: st.Elapsed,
 	}, err
-}
-
-type drescEngineMapper struct{}
-
-func init() { engine.Register(drescEngineMapper{}) }
-
-func (drescEngineMapper) Name() string { return "dresc-portfolio" }
-
-func (drescEngineMapper) Describe() string {
-	return "DRESC raced as seed-diversified annealing runs per II (deterministic lowest-index winner)"
-}
-
-func (drescEngineMapper) Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, eo engine.Options) (*engine.Result, error) {
-	var opts DRESCOptions
-	switch extra := eo.Extra.(type) {
-	case nil:
-	case DRESCOptions:
-		opts = extra
-	default:
-		return nil, &engine.BadOptionsError{Engine: "dresc-portfolio", Want: "portfolio.DRESCOptions", Got: eo.Extra}
-	}
-	if eo.MaxII > 0 {
-		opts.Base.MaxII = eo.MaxII
-	}
-	p, st, err := MapDRESC(ctx, d, c, opts)
-	if st == nil {
-		return nil, err
-	}
-	res := &engine.Result{
-		MII:     st.MII,
-		II:      st.II,
-		Rounds:  st.Attempts,
-		Stats:   st,
-		Elapsed: st.Elapsed,
-	}
-	if p != nil {
-		res.Artifact = p
-	}
-	return res, err
 }

@@ -36,7 +36,6 @@ import (
 	"regimap/internal/arch"
 	"regimap/internal/core"
 	"regimap/internal/dfg"
-	"regimap/internal/dresc"
 	"regimap/internal/engine"
 	"regimap/internal/exact"
 	"regimap/internal/maperr"
@@ -344,92 +343,12 @@ func (x *exactRacer) wait() (*mapping.Mapping, int, exact.Certificate) {
 	return x.m, x.ii, x.cert
 }
 
-// DRESCOptions configures a DRESC portfolio: K annealing runs differing only
-// in their RNG seed race at each II.
-type DRESCOptions struct {
-	// Attempts is K (<=1: a single run).
-	Attempts int
-	// Base configures attempt 0; attempt i anneals with Seed Base.Seed+i.
-	// Base.MinII is ignored — the portfolio owns II escalation.
-	Base dresc.Options
-}
-
-// MapDRESC races K seed-diversified DRESC annealing runs per II with the same
-// deterministic lowest-index tiebreak as Map. Annealing quality depends on
-// the seed, so — like Map's Explore mode — a wider DRESC portfolio can reach
-// an II a single run misses; results are reproducible for a fixed
-// (Attempts, Base.Seed) but not invariant in K.
-func MapDRESC(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts DRESCOptions) (*dresc.Placement, *Stats, error) {
-	start := time.Now()
-	if err := d.Validate(); err != nil {
-		return nil, nil, err
-	}
-	k := opts.Attempts
-	if k <= 1 {
-		k = 1
-	}
-	tr := obs.From(ctx).Named("dresc-portfolio", d.Name)
-	pes, memRows := c.MIIResources()
-	stats := &Stats{MII: d.MII(pes, memRows), Winner: -1}
-	tr.Point1("mii", "mii", int64(stats.MII))
-	done := func() {
-		stats.Elapsed = time.Since(start)
-		tr.Point("map.done", "ii", int64(stats.II), "mii", int64(stats.MII), "attempts", int64(stats.Attempts))
-	}
-	maxII := opts.Base.MaxII
-	if maxII <= 0 {
-		maxII = stats.MII + 8 // mirror dresc.Map's default ceiling
-	}
-	anneal := engine.MustLookup("dresc")
-	var panics []error
-	for ii := stats.MII; ii <= maxII; ii++ {
-		if err := ctx.Err(); err != nil {
-			done()
-			return nil, stats, maperr.Aborted(err, "portfolio: mapping %s aborted: %v", d.Name, err)
-		}
-		stats.Races++
-		sp := tr.Start("portfolio.window")
-		p, winner, crashed := race(ctx, k, stats, func(actx context.Context, attempt int) (*dresc.Placement, int) {
-			o := opts.Base
-			o.Seed += int64(attempt)
-			res, err := anneal.Map(actx, d, c, engine.Options{MinII: ii, MaxII: ii, Extra: o})
-			moves := 0
-			if res != nil {
-				moves = res.Rounds
-			}
-			if err != nil || res == nil {
-				return nil, moves
-			}
-			p, _ := res.Artifact.(*dresc.Placement)
-			return p, moves
-		})
-		sp.Field("lo", int64(ii))
-		sp.Field("width", 1)
-		sp.Field("racers", int64(k))
-		sp.FieldBool("ok", p != nil)
-		sp.End()
-		panics = append(panics, crashed...)
-		if p != nil {
-			stats.II = ii
-			stats.Winner = winner
-			done()
-			return p, stats, nil
-		}
-	}
-	done()
-	if err := ctx.Err(); err != nil {
-		return nil, stats, maperr.Aborted(err, "portfolio: mapping %s aborted: %v", d.Name, err)
-	}
-	causes := append([]error{maperr.ErrNoMapping}, panics...)
-	return nil, stats, maperr.Wrap(causes, "portfolio: no DRESC mapping for %s on %s up to II=%d (%d attempts/II)", d.Name, c, maxII, k)
-}
-
 // race runs k racers concurrently and resolves the deterministic winner: the
 // lowest racer index that succeeded. Callers order indices by preference
 // (lower II first, base search before scouts). When racer i succeeds, racers
 // with higher indices are cancelled at once (they cannot win); the race
 // returns as soon as every index below the best success has resolved,
-// cancelling whatever else is still running. It returns the zero value when
+// cancelling whatever else is still running. It returns a nil mapping when
 // no racer succeeds. Every racer goroutine has exited by the time race
 // returns, so callers never leak work past a window.
 //
@@ -437,12 +356,11 @@ func MapDRESC(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts DRESCOptions) 
 // panic is recovered into a *maperr.WorkerPanicError on the result channel,
 // the racer counts as failed, and the collected panic errors are returned so
 // the caller can surface them if the whole race comes up empty.
-func race[T any](ctx context.Context, k int, stats *Stats, run func(ctx context.Context, attempt int) (T, int)) (T, int, []error) {
-	var zero T
-	runSafe := func(actx context.Context, i int) (res T, rounds int, err error) {
+func race(ctx context.Context, k int, stats *Stats, run func(ctx context.Context, attempt int) (*mapping.Mapping, int)) (*mapping.Mapping, int, []error) {
+	runSafe := func(actx context.Context, i int) (res *mapping.Mapping, rounds int, err error) {
 		defer func() {
 			if v := recover(); v != nil {
-				res, rounds = zero, 0
+				res, rounds = nil, 0
 				err = &maperr.WorkerPanicError{
 					Worker: fmt.Sprintf("portfolio racer %d", i),
 					Value:  v,
@@ -458,17 +376,16 @@ func race[T any](ctx context.Context, k int, stats *Stats, run func(ctx context.
 		stats.Attempts += rounds
 		if err != nil {
 			stats.Panics++
-			return zero, -1, []error{err}
+			return nil, -1, []error{err}
 		}
-		if isNil(res) {
-			return zero, -1, nil
+		if res == nil {
+			return nil, -1, nil
 		}
 		return res, 0, nil
 	}
 	type outcome struct {
 		index  int
-		result T
-		ok     bool
+		result *mapping.Mapping
 		rounds int
 		err    error
 	}
@@ -482,17 +399,16 @@ func race[T any](ctx context.Context, k int, stats *Stats, run func(ctx context.
 		go func(i int, actx context.Context) {
 			defer wg.Done()
 			res, rounds, err := runSafe(actx, i)
-			results <- outcome{index: i, result: res, ok: err == nil && !isNil(res), rounds: rounds, err: err}
+			results <- outcome{index: i, result: res, rounds: rounds, err: err}
 		}(i, actx)
 	}
 
 	done := make([]bool, k)
-	success := make([]T, k)
 	cancelled := make([]bool, k)
 	var panics []error
 	best := k
 	winner := -1
-	var won T
+	var won *mapping.Mapping
 	for remaining := k; remaining > 0; remaining-- {
 		o := <-results
 		done[o.index] = true
@@ -501,9 +417,8 @@ func race[T any](ctx context.Context, k int, stats *Stats, run func(ctx context.
 			stats.Panics++
 			panics = append(panics, o.err)
 		}
-		if o.ok && o.index < best {
-			best = o.index
-			success[o.index] = o.result
+		if o.result != nil && o.index < best {
+			best, won = o.index, o.result
 			for j := best + 1; j < k; j++ {
 				if !done[j] && !cancelled[j] {
 					cancelled[j] = true
@@ -521,7 +436,7 @@ func race[T any](ctx context.Context, k int, stats *Stats, run func(ctx context.
 				}
 			}
 			if decided {
-				won, winner = success[best], best
+				winner = best
 				break
 			}
 		}
@@ -545,22 +460,9 @@ func race[T any](ctx context.Context, k int, stats *Stats, run func(ctx context.
 		}
 	}
 	if winner < 0 {
-		return zero, -1, panics
+		return nil, -1, panics
 	}
 	return won, winner, panics
-}
-
-// isNil reports whether a result of pointer type is nil (race's success
-// test; T is always a pointer in this package).
-func isNil[T any](v T) bool {
-	switch x := any(v).(type) {
-	case *mapping.Mapping:
-		return x == nil
-	case *dresc.Placement:
-		return x == nil
-	default:
-		return false
-	}
 }
 
 // Variant derives scout s's mapper configuration for Explore mode. Scout 0

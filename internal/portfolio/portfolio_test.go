@@ -10,7 +10,6 @@ import (
 	"regimap/internal/arch"
 	"regimap/internal/core"
 	"regimap/internal/dfg"
-	"regimap/internal/dresc"
 	"regimap/internal/kernels"
 	"regimap/internal/sim"
 )
@@ -165,39 +164,6 @@ func TestExploreReproducibleAndNeverWorse(t *testing.T) {
 	}
 	if err := sim.Check(m1, 4); err != nil {
 		t.Fatalf("explore winner mis-executes: %v", err)
-	}
-}
-
-// TestDRESCPortfolioDeterministic races annealing seeds and checks the
-// winner repeats and verifies.
-func TestDRESCPortfolioDeterministic(t *testing.T) {
-	k, ok := kernels.ByName("sphinx_dot")
-	if !ok {
-		t.Skip("sphinx_dot kernel missing")
-	}
-	c := arch.NewMesh(4, 4, 4)
-	quick := dresc.Options{Seed: 1, MovesPerTemperature: 6 * 16, Cooling: 0.8}
-	p1, s1, err := MapDRESC(context.Background(), k.Build(), c, DRESCOptions{Attempts: 3, Base: quick})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.Verify(c); err != nil {
-		t.Fatalf("winning placement invalid: %v", err)
-	}
-	p2, s2, err := MapDRESC(context.Background(), k.Build(), c, DRESCOptions{Attempts: 3, Base: quick})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.II != s2.II || s1.Winner != s2.Winner {
-		t.Fatalf("DRESC portfolio diverged: II %d/%d winner %d/%d", s1.II, s2.II, s1.Winner, s2.Winner)
-	}
-	if len(p1.PE) != len(p2.PE) {
-		t.Fatal("placements differ in size")
-	}
-	for v := range p1.PE {
-		if p1.PE[v] != p2.PE[v] || p1.Time[v] != p2.Time[v] {
-			t.Fatalf("placements diverge at op %d", v)
-		}
 	}
 }
 

@@ -148,20 +148,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		return s.execute(ctx, eng, d, c, eo)
 	}, cacheableErr)
 
-	// Count the query against the cache, except for sheds and queue aborts:
-	// those never reached an engine, so they are neither a hit nor a
-	// computation. (memo.hit covers collapsed duplicates too — they were
-	// answered without running a mapping, which is what the ratio tracks.)
-	switch {
-	case errors.Is(err, errShed), errors.Is(err, errDraining):
-	case outcome == memo.Hit:
-		s.counters.Point1("memo.hit", "n", 1)
-	case outcome == memo.Collapsed && err == nil:
-		s.counters.Point1("memo.hit", "n", 1)
-		s.counters.Point1("memo.collapse", "n", 1)
-	case outcome == memo.Miss:
-		s.counters.Point1("memo.miss", "n", 1)
-	}
+	s.countCacheOutcome(outcome, err)
 
 	if err != nil {
 		code = writeError(w, err)

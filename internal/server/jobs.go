@@ -168,12 +168,7 @@ func (s *Server) runJob(ctx context.Context, raw []byte, engineName string) ([]b
 	val, outcome, err := s.cache.Do(ctx, key, func() (any, error) {
 		return s.compute(ctx, eng, d, c, eo)
 	}, cacheableErr)
-	switch {
-	case outcome == memo.Hit, outcome == memo.Collapsed && err == nil:
-		s.counters.Point1("memo.hit", "n", 1)
-	case outcome == memo.Miss:
-		s.counters.Point1("memo.miss", "n", 1)
-	}
+	s.countCacheOutcome(outcome, err)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -393,4 +394,63 @@ func TestCancellationNotCached(t *testing.T) {
 	if n := ctxfolder.calls.Load(); n != 2 {
 		t.Fatalf("engine ran %d times, want 2", n)
 	}
+}
+
+// TestJobCollapseCounted: a job whose request is already in flight on
+// /v1/map waits for that computation instead of running the engine again,
+// and counts as a collapsed cache hit, the same as a collapsed /v1/map.
+func TestJobCollapseCounted(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, JobWorkers: 1, DegradeWatermark: -1})
+	gate, started := blocker.arm()
+	const req = `{"kernel":"fir8","mapper":"blocktest","max_ii":11}`
+
+	mapDone := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/map", "application/json", strings.NewReader(req))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+		mapDone <- err
+	}()
+	<-started // the /v1/map leader is inside the engine
+	ack := submitJob(t, ts, req, http.StatusAccepted)
+	waitFor(t, func() bool { return waitingOnFlight("(*Server).runJob") })
+	close(gate)
+
+	if err := <-mapDone; err != nil {
+		t.Fatalf("in-flight /v1/map: %v", err)
+	}
+	if job := pollJob(t, ts, ack.ID); job.State != "done" {
+		t.Fatalf("collapsed job = %+v", job)
+	}
+	if n := blocker.starts.Load(); n != 1 {
+		t.Fatalf("engine ran %d times, want 1", n)
+	}
+	_, metrics := get(t, ts, "/metrics")
+	for name, want := range map[string]int64{
+		"regimapd_cache_collapsed_total": 1,
+		"regimapd_cache_hits_total":      1,
+		"regimapd_cache_misses_total":    1,
+	} {
+		if got := metricValue(t, metrics, name); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// waitingOnFlight reports whether a goroutine whose stack holds fn is
+// parked in memo.Cache.Do, waiting for an in-flight leader. The cache has no
+// hook for that moment, so the test reads the goroutine dump.
+func waitingOnFlight(fn string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, " [select") && strings.Contains(g, "memo.(*Cache).Do") && strings.Contains(g, fn) {
+			return true
+		}
+	}
+	return false
 }

@@ -20,16 +20,10 @@ var latencyBuckets = []float64{
 
 // metrics aggregates the server's Prometheus-exported state. Request totals
 // and the latency histogram are plain atomics on the hot path; the counter
-// family (shed, panic, cache hit/miss/collapse) arrives as obs Points in an
-// internal MemSink, which each /metrics scrape drains via SumByName into the
-// cumulative totals — so the sink stays bounded no matter how long the
-// daemon runs, and the exporter totals counters through the same aggregation
-// the experiments harness uses instead of re-deriving them by hand.
+// family (shed, panic, cache hit/miss/collapse) arrives as obs Points in a
+// counterSink that /metrics reads.
 type metrics struct {
-	sink *obs.MemSink // counter Points land here (via the server's Tee)
-
-	mu     sync.Mutex       // guards totals and the drain
-	totals map[string]int64 // cumulative counter sums by event name
+	counters *counterSink // counter Points land here (via the server's Tee)
 
 	codesMu sync.Mutex
 	codes   map[int]*atomic.Int64 // requests by HTTP status
@@ -41,10 +35,9 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	return &metrics{
-		sink:    &obs.MemSink{},
-		totals:  map[string]int64{},
-		codes:   map[int]*atomic.Int64{},
-		buckets: make([]atomic.Int64, len(latencyBuckets)),
+		counters: &counterSink{totals: map[string]int64{}},
+		codes:    map[int]*atomic.Int64{},
+		buckets:  make([]atomic.Int64, len(latencyBuckets)),
 	}
 }
 
@@ -70,17 +63,32 @@ func (m *metrics) observe(code int, d time.Duration) {
 	m.count.Add(1)
 }
 
-// counterTotals drains the point sink into the cumulative totals and returns
-// a snapshot.
-func (m *metrics) counterTotals() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for name, n := range m.sink.SumByName("n") {
-		m.totals[name] += n
+// counterSink totals the "n" field of every event by event name. Emit adds
+// each point to its total under one lock, so a scrape sees every point
+// emitted before it, and memory is bounded by the number of distinct
+// counter names however long the daemon goes unscraped. Events without an
+// "n" field contribute nothing.
+type counterSink struct {
+	mu     sync.Mutex
+	totals map[string]int64
+}
+
+func (c *counterSink) Emit(e *obs.Event) {
+	n, ok := e.FieldVal("n")
+	if !ok {
+		return
 	}
-	m.sink.Reset()
-	out := make(map[string]int64, len(m.totals))
-	for k, v := range m.totals {
+	c.mu.Lock()
+	c.totals[e.Name] += n
+	c.mu.Unlock()
+}
+
+// snapshot returns a copy of the totals.
+func (c *counterSink) snapshot() map[string]int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]int64, len(c.totals))
+	for k, v := range c.totals {
 		out[k] = v
 	}
 	return out
@@ -90,7 +98,7 @@ func (m *metrics) counterTotals() map[string]int64 {
 // 0.0.4), hand-rolled: the repository takes no dependencies.
 func (s *Server) writeMetrics(w io.Writer) {
 	m := s.met
-	totals := m.counterTotals()
+	totals := m.counters.snapshot()
 	cs := s.cache.Stats()
 
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }

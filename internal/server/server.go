@@ -70,10 +70,10 @@ type Config struct {
 	// regardless of this setting.
 	CliqueWorkers int
 	// DRESCRestarts races this many seed-derived annealing chains per II
-	// inside each dresc-engine run (<=1: single chain). Unlike the worker
-	// knobs it changes which placement is produced, so it is part of the
-	// server's configuration identity: all cached results were computed
-	// under it.
+	// inside each DRESC run — the dresc engine and the resilient ladder's
+	// DRESC rung (<=1: single chain). Unlike the worker knobs it changes
+	// which placement is produced, so it is part of the server's
+	// configuration identity: all cached results were computed under it.
 	DRESCRestarts int
 	// DRESCWorkers bounds the goroutines racing those chains (0: GOMAXPROCS).
 	// Wall-clock only; placements are byte-identical at any value, so the
@@ -187,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 		adm:      newAdmission(cfg.Workers, cfg.Queue),
 		met:      met,
 		trace:    obs.New(cfg.TraceSink).Named("regimapd", ""),
-		counters: obs.New(obs.Tee(met.sink, cfg.TraceSink)).Named("regimapd", ""),
+		counters: obs.New(obs.Tee(met.counters, cfg.TraceSink)).Named("regimapd", ""),
 		arenas:   clique.NewPool(),
 	}
 	mgr, err := jobs.Open(cfg.WALDir, s.runJob, jobs.Config{
@@ -369,6 +369,24 @@ func cacheableErr(err error) bool {
 		!errors.Is(err, context.DeadlineExceeded)
 }
 
+// countCacheOutcome counts one query against the cache, for /v1/map and
+// jobs alike. Sheds and queue aborts are not counted: they never reached an
+// engine, so they are neither a hit nor a computation. memo.hit covers
+// collapsed duplicates too — they were answered without running a mapping,
+// which is what the hit ratio tracks — and memo.collapse counts them apart.
+func (s *Server) countCacheOutcome(outcome memo.Outcome, err error) {
+	switch {
+	case errors.Is(err, errShed), errors.Is(err, errDraining):
+	case outcome == memo.Hit:
+		s.counters.Point1("memo.hit", "n", 1)
+	case outcome == memo.Collapsed && err == nil:
+		s.counters.Point1("memo.hit", "n", 1)
+		s.counters.Point1("memo.collapse", "n", 1)
+	case outcome == memo.Miss:
+		s.counters.Point1("memo.miss", "n", 1)
+	}
+}
+
 // execute is the synchronous cache-miss leader path: admission, then the
 // guarded engine call.
 func (s *Server) execute(ctx context.Context, m engine.Mapper, d *dfg.DFG, c *arch.CGRA, eo engine.Options) (res any, err error) {
@@ -462,18 +480,22 @@ func (s *Server) resolve(req *MapRequest) (d *dfg.DFG, c *arch.CGRA, eng engine.
 		return nil, nil, nil, eo, "", fmt.Errorf("bad II bounds [%d, %d]", req.MinII, req.MaxII)
 	}
 	eo = engine.Options{MinII: req.MinII, MaxII: req.MaxII}
-	if mapperName == "regimap" {
+	// Restart racing is deterministic per (seed, restarts), so handing DRESC
+	// — alone or as the resilient ladder's last rung — the server's chain
+	// configuration keeps the cache coherent the same way the clique
+	// workers do for regimap.
+	drescOpts := dresc.Options{Restarts: s.cfg.DRESCRestarts, Workers: s.cfg.DRESCWorkers}
+	switch mapperName {
+	case "regimap":
 		// Hand the engine the server's clique configuration: the worker
 		// count and the process-wide arena pool, so repeated requests reuse
 		// search state instead of reallocating it. Byte-identical results
 		// at any worker count keep the cache coherent.
 		eo.Extra = core.Options{Clique: clique.Options{Workers: s.cfg.CliqueWorkers, Arenas: s.arenas}}
-	}
-	if mapperName == "dresc" {
-		// Restart racing is deterministic per (seed, restarts), so handing
-		// the engine the server's chain configuration keeps the cache
-		// coherent the same way the clique workers do for regimap.
-		eo.Extra = dresc.Options{Restarts: s.cfg.DRESCRestarts, Workers: s.cfg.DRESCWorkers}
+	case "dresc":
+		eo.Extra = drescOpts
+	case "resilient":
+		eo.Extra = resilient.Options{DRESC: drescOpts}
 	}
 
 	if req.Faults != "" {
@@ -485,12 +507,10 @@ func (s *Server) resolve(req *MapRequest) (d *dfg.DFG, c *arch.CGRA, eng engine.
 			return nil, nil, nil, eo, "", ferr
 		}
 		faults = fs.String()
-		if mapperName == "resilient" {
+		if ro, ok := eo.Extra.(resilient.Options); ok {
 			// The ladder owns fault application and transient retry.
-			eo.Extra = resilient.Options{
-				Faults: fs,
-				DRESC:  dresc.Options{Restarts: s.cfg.DRESCRestarts, Workers: s.cfg.DRESCWorkers},
-			}
+			ro.Faults = fs
+			eo.Extra = ro
 		} else {
 			faulted, ferr := fs.Apply(c)
 			if ferr != nil {

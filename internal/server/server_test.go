@@ -22,6 +22,7 @@ import (
 	"regimap/internal/kernels"
 	"regimap/internal/maperr"
 	"regimap/internal/mapping"
+	"regimap/internal/resilient"
 )
 
 // blockEngine is a controllable test mapper: every Map call signals started,
@@ -667,6 +668,84 @@ func TestExactEngineOverHTTP(t *testing.T) {
 		}
 		if !strings.Contains(string(blob), "exact") {
 			t.Fatalf("bad-engine body does not list the registry: %s", blob)
+		}
+	}
+}
+
+// TestMetricsCountersExactUnderScrape emits counter points from several
+// goroutines while /metrics is scraped in a loop: every point must reach the
+// exported totals exactly once, whatever the interleaving (CI runs the
+// package under -race).
+func TestMetricsCountersExactUnderScrape(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	scrape := func() []byte {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Body.Bytes()
+	}
+
+	const emitters, perEmitter = 4, 2000
+	stop := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				scrapes <- n
+				return
+			default:
+			}
+			scrape()
+			n++
+		}
+	}()
+	var wg sync.WaitGroup
+	for e := 0; e < emitters; e++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perEmitter; i++ {
+				s.counters.Point1("memo.hit", "n", 1)
+				s.counters.Point1("server.shed", "n", 2)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-scrapes; n == 0 {
+		t.Fatal("no scrape overlapped the emitters")
+	}
+
+	metrics := scrape()
+	if got := metricValue(t, metrics, "regimapd_cache_hits_total"); got != emitters*perEmitter {
+		t.Fatalf("cache hits = %d, want %d", got, emitters*perEmitter)
+	}
+	if got := metricValue(t, metrics, "regimapd_shed_total"); got != 2*emitters*perEmitter {
+		t.Fatalf("shed = %d, want %d", got, 2*emitters*perEmitter)
+	}
+}
+
+// TestResolveResilientGetsDRESCConfig: the resilient ladder's DRESC rung
+// runs with the server's restart configuration on a healthy fabric as well
+// as on a faulted one.
+func TestResolveResilientGetsDRESCConfig(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, DRESCRestarts: 3, DRESCWorkers: 2})
+	for _, faults := range []string{"", "pe 1,1"} {
+		_, _, _, eo, _, err := s.resolve(&MapRequest{Kernel: "fir8", Mapper: "resilient", Faults: faults})
+		if err != nil {
+			t.Fatalf("faults %q: resolve: %v", faults, err)
+		}
+		ro, ok := eo.Extra.(resilient.Options)
+		if !ok {
+			t.Fatalf("faults %q: Extra = %T, want resilient.Options", faults, eo.Extra)
+		}
+		if ro.DRESC.Restarts != s.cfg.DRESCRestarts || ro.DRESC.Workers != s.cfg.DRESCWorkers {
+			t.Fatalf("faults %q: DRESC = %+v, want Restarts %d Workers %d",
+				faults, ro.DRESC, s.cfg.DRESCRestarts, s.cfg.DRESCWorkers)
+		}
+		if (ro.Faults != nil) != (faults != "") {
+			t.Fatalf("faults %q: resilient fault set = %v", faults, ro.Faults)
 		}
 	}
 }

@@ -166,7 +166,7 @@ type (
 
 // Every Map* entry point below is a thin shim over the unified engine
 // registry (regimap/internal/engine): the wrapper looks its engine up by name
-// ("regimap", "ems", "dresc", "portfolio", "dresc-portfolio", "resilient"),
+// ("regimap", "ems", "dresc", "exact", "portfolio", "resilient"),
 // dispatches through the common Mapper interface, and narrows the result back
 // to the concrete types this package's API promises. Mapper packages register
 // themselves at init time via engine.Register — adding a backend means
@@ -211,8 +211,6 @@ type (
 	PortfolioOptions = portfolio.Options
 	// PortfolioStats reports a portfolio run (winner index, races, cancels).
 	PortfolioStats = portfolio.Stats
-	// DRESCPortfolioOptions configures MapDRESCPortfolio.
-	DRESCPortfolioOptions = portfolio.DRESCOptions
 )
 
 // MapPortfolio races the REGIMap search over an Attempts-wide speculative II
@@ -225,14 +223,6 @@ type (
 // reaches, trading that invariance for quality.
 func MapPortfolio(ctx context.Context, d *DFG, c *CGRA, opts PortfolioOptions) (*Mapping, *PortfolioStats, error) {
 	return mapVia[portfolio.Stats](ctx, "portfolio", d, c, opts)
-}
-
-// MapDRESCPortfolio races seed-diversified DRESC annealing runs per II with
-// the same deterministic tiebreak as MapPortfolio. Unlike the REGIMap
-// portfolio's default mode, annealing seeds change search quality, so a
-// wider DRESC portfolio can reach a lower II than a single run.
-func MapDRESCPortfolio(ctx context.Context, d *DFG, c *CGRA, opts DRESCPortfolioOptions) (*DRESCPlacement, *PortfolioStats, error) {
-	return placeVia[portfolio.Stats](ctx, "dresc-portfolio", d, c, opts)
 }
 
 // Baseline mapper types.
@@ -250,18 +240,6 @@ type (
 	EMSStats = ems.Stats
 )
 
-// placeVia dispatches a Placement-producing engine (DRESC and its portfolio)
-// and narrows its artifact and stats.
-func placeVia[S any](ctx context.Context, name string, d *DFG, c *CGRA, extra any) (*DRESCPlacement, *S, error) {
-	res, err := engine.MustLookup(name).Map(ctx, d, c, engine.Options{Extra: extra})
-	if res == nil {
-		return nil, nil, err
-	}
-	p, _ := res.Artifact.(*dresc.Placement)
-	st, _ := res.Stats.(*S)
-	return p, st, err
-}
-
 // MapDRESC runs the DRESC baseline: simulated-annealing placement and
 // routing over the register-explicit modulo routing resource graph.
 func MapDRESC(d *DFG, c *CGRA, opts DRESCOptions) (*DRESCPlacement, *DRESCStats, error) {
@@ -269,9 +247,16 @@ func MapDRESC(d *DFG, c *CGRA, opts DRESCOptions) (*DRESCPlacement, *DRESCStats,
 }
 
 // MapDRESCContext is MapDRESC with cancellation, honored at annealing-epoch
-// and II-escalation boundaries.
+// and II-escalation boundaries. DRESCOptions.Restarts races that many
+// seed-derived annealing chains per II.
 func MapDRESCContext(ctx context.Context, d *DFG, c *CGRA, opts DRESCOptions) (*DRESCPlacement, *DRESCStats, error) {
-	return placeVia[dresc.Stats](ctx, "dresc", d, c, opts)
+	res, err := engine.MustLookup("dresc").Map(ctx, d, c, engine.Options{Extra: opts})
+	if res == nil {
+		return nil, nil, err
+	}
+	p, _ := res.Artifact.(*DRESCPlacement)
+	st, _ := res.Stats.(*DRESCStats)
+	return p, st, err
 }
 
 // Exact mapper types.
