@@ -537,8 +537,8 @@ func Find(g *Graph, target int, opts Options) (best []int) {
 		order = order[:maxSeeds]
 	}
 
-	ar, release := opts.acquireArena(g)
-	defer release()
+	ar := opts.Arenas.acquire(g)
+	defer opts.Arenas.release(ar)
 	var found [][]int
 	consider := func(s *state) bool {
 		c := append([]int(nil), s.members...)

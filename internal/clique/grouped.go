@@ -74,8 +74,8 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 	}
 	fc := newForwardChecker(g.n)
 
-	ar, release := opts.acquireArena(g)
-	defer release()
+	ar := opts.Arenas.acquire(g)
+	defer opts.Arenas.release(ar)
 	pending := make([]bool, len(groups))
 	inFailed := make([]bool, len(groups))
 	for round := 0; round < rounds; round++ {

@@ -3,40 +3,54 @@
 // the same partitions the sequential search visits in a fixed order, partial
 // results are computed by pure per-partition functions, and the merge
 // consumes them in partition order regardless of which worker finished
-// first. The shared atomic stop index only ever skips work the merge
+// first. par.First's lowest-index reduction only ever skips work the merge
 // provably discards.
 package clique
 
 import (
+	"context"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"regimap/internal/graph"
+	"regimap/internal/par"
 )
 
 // Pool shares search arenas across requests and workers. regimapd installs
 // one pool per process so the clique engine's states and bitsets are reused
 // across mapping requests instead of reallocated; parallel searches draw one
-// arena per worker from it. Arenas are bucketed by node capacity and fully
-// wiped on reuse, so pooling is invisible to results.
+// arena per worker from it. An arena is reused only for a graph of its own
+// node count and is fully wiped on reuse, so pooling is invisible to
+// results. The pool keeps at most poolCap idle arenas, dropping the least
+// recently released first, so a long-lived pool fed graphs of ever-new sizes
+// stays bounded.
 type Pool struct {
 	mu   sync.Mutex
-	free map[int][]*arena
+	free []*arena // idle arenas, least recently released first
 }
 
-// NewPool returns an empty arena pool, safe for concurrent use.
-func NewPool() *Pool { return &Pool{free: map[int][]*arena{}} }
+// poolCap bounds a Pool's idle arenas: room for several concurrent
+// requests' worker arenas at one graph size.
+const poolCap = 64
 
+// NewPool returns an empty arena pool, safe for concurrent use.
+func NewPool() *Pool { return &Pool{} }
+
+// acquire returns the most recently released arena sized for g, or a fresh
+// one. A nil pool always allocates.
 func (p *Pool) acquire(g *Graph) *arena {
 	if p == nil {
 		return newArena(g)
 	}
-	p.mu.Lock()
-	list := p.free[g.n]
 	var ar *arena
-	if k := len(list); k > 0 {
-		ar, p.free[g.n] = list[k-1], list[:k-1]
+	p.mu.Lock()
+	for i := len(p.free) - 1; i >= 0; i-- {
+		if p.free[i].g.n == g.n {
+			ar = p.free[i]
+			p.free = slices.Delete(p.free, i, i+1)
+			break
+		}
 	}
 	p.mu.Unlock()
 	if ar == nil {
@@ -46,12 +60,17 @@ func (p *Pool) acquire(g *Graph) *arena {
 	return ar
 }
 
+// release returns an arena to the pool, evicting the least recently released
+// one when the pool is full. A nil pool or arena is a no-op.
 func (p *Pool) release(ar *arena) {
 	if p == nil || ar == nil {
 		return
 	}
 	p.mu.Lock()
-	p.free[ar.g.n] = append(p.free[ar.g.n], ar)
+	if len(p.free) == poolCap {
+		p.free = slices.Delete(p.free, 0, 1)
+	}
+	p.free = append(p.free, ar)
 	p.mu.Unlock()
 }
 
@@ -87,65 +106,25 @@ func (a *arena) rebind(g *Graph) {
 	a.free = append(a.free[:0], a.all...)
 }
 
-// acquireArena hands the search an arena — pooled when the caller installed
-// Options.Arenas, private otherwise — plus its release.
-func (o Options) acquireArena(g *Graph) (*arena, func()) {
-	if o.Arenas == nil {
-		return newArena(g), func() {}
-	}
-	ar := o.Arenas.acquire(g)
-	return ar, func() { o.Arenas.release(ar) }
-}
-
-// canceled reports whether the caller's context was cancelled. Workers poll
-// it between partitions; a cancelled search returns a best-effort (possibly
-// non-deterministic) result, which is fine because core.Map discards the
-// whole attempt on cancellation.
-func (o Options) canceled() bool {
-	return o.Ctx != nil && o.Ctx.Err() != nil
-}
-
-// runWorkers runs fn on n goroutines and waits for all of them.
-func runWorkers(n int, fn func(w int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// casMin lowers v to x if x is smaller (lock-free running minimum).
-func casMin(v *atomic.Int64, x int64) {
-	for {
-		cur := v.Load()
-		if x >= cur || v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-
 // findParallel is Find across Options.Workers goroutines with byte-identical
-// results.
+// results. Both phases run on par.First.
 //
 // Seed phase: each seed's grow/swap is a pure function of (graph, seed,
-// target), so workers steal seed indices from an atomic counter, write into
-// a per-index slot, and the merge replays the sequential loop over the slots
-// in seed order. The shared `stop` bound is the earliest seed index whose
-// clique reached the target: the sequential loop returns there, so later
-// indices are skipped — indices at or before it are always fully computed.
+// target), so seed i is First's candidate i: it writes into a per-index
+// slot and succeeds when its clique reaches the target. First returns the
+// earliest such seed — where the sequential loop returns — and skips only
+// later seeds, so the merge replaying the sequential loop over the slots in
+// seed order only ever reads fully computed slots.
 //
 // Intersection phase: the sequential pair enumeration feeds on its own
 // output (each considered clique joins the pair pool), so it is replayed
 // exactly, with the expensive grow/swap of each pair seed memoized. When the
 // replay reaches a pair not yet memoized, it speculatively collects every
 // further pair reachable over the current clique pool within the remaining
-// budget, computes them in one parallel wave, and restarts the replay. Each
-// wave memoizes at least the blocking pair, so the replay terminates, and
-// only memoized pure results ever influence the outcome.
+// budget, computes them in one parallel wave (a First whose candidates never
+// succeed, so every pair runs), and restarts the replay. Each wave memoizes
+// at least the blocking pair, so the replay terminates, and only memoized
+// pure results ever influence the outcome.
 func findParallel(g *Graph, target int, opts Options) (best []int) {
 	workers := opts.Workers
 	maxSeeds := opts.MaxSeeds
@@ -159,12 +138,17 @@ func findParallel(g *Graph, target int, opts Options) (best []int) {
 	if target > g.n {
 		target = g.n
 	}
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 
 	sp := opts.Trace.Start("clique.parallel")
-	pairs, waves := 0, 0
+	seeds, pairs, waves := 0, 0, 0
 	defer func() {
 		sp.Field("nodes", int64(g.n))
 		sp.Field("workers", int64(workers))
+		sp.Field("seeds", int64(seeds))
 		sp.Field("pairs", int64(pairs))
 		sp.Field("waves", int64(waves))
 		sp.Field("best", int64(len(best)))
@@ -180,51 +164,43 @@ func findParallel(g *Graph, target int, opts Options) (best []int) {
 		order = order[:maxSeeds]
 	}
 
+	// One arena per worker slot, drawn on first use and shared by both
+	// phases: First runs a slot's candidates on one goroutine at a time.
+	arenas := make([]*arena, workers)
+	arenaFor := func(w int) *arena {
+		if arenas[w] == nil {
+			arenas[w] = opts.Arenas.acquire(g)
+		}
+		return arenas[w]
+	}
+	defer func() {
+		for _, ar := range arenas {
+			opts.Arenas.release(ar)
+		}
+	}()
+
 	// Seed phase.
 	type seedRes struct {
 		ok      bool // seed was feasible (the sequential loop calls consider)
 		members []int
 	}
 	results := make([]seedRes, len(order))
-	var next, stop atomic.Int64
-	stop.Store(int64(len(order)))
-	runWorkers(workers, func(w int) {
-		ar, release := opts.acquireArena(g)
-		defer release()
-		wsp := opts.Trace.Start("clique.partition")
-		done := 0
-		defer func() {
-			wsp.Field("worker", int64(w))
-			wsp.Field("seeds", int64(done))
-			wsp.End()
-		}()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(order) || opts.canceled() {
-				return
-			}
-			if int64(i) > stop.Load() {
-				continue // the merge provably stops before this index
-			}
-			s := ar.get()
-			if !s.canAdd(order[i]) {
-				ar.recycleAll()
-				done++
-				continue
-			}
-			s.add(order[i])
-			s.grow(target)
-			if !opts.DisableSwap {
-				s = swapImprove(s, target)
-			}
-			results[i] = seedRes{ok: true, members: append([]int(nil), s.members...)}
-			if len(s.members) >= target {
-				casMin(&stop, int64(i))
-			}
-			ar.recycleAll()
-			done++
+	stop := par.First(ctx, len(order), workers, func(_ context.Context, w, i int) bool {
+		ar := arenaFor(w)
+		defer ar.recycleAll()
+		s := ar.get()
+		if !s.canAdd(order[i]) {
+			return false
 		}
+		s.add(order[i])
+		s.grow(target)
+		if !opts.DisableSwap {
+			s = swapImprove(s, target)
+		}
+		results[i] = seedRes{ok: true, members: append([]int(nil), s.members...)}
+		return len(s.members) >= target
 	})
+	seeds = min(stop+1, len(order))
 
 	var found [][]int
 	for i := range results {
@@ -301,31 +277,21 @@ func findParallel(g *Graph, target int, opts Options) (best []int) {
 		if complete {
 			return result
 		}
-		if opts.canceled() {
-			return best
-		}
 		waves++
-		var cursor atomic.Int64
-		runWorkers(workers, func(w int) {
-			ar, release := opts.acquireArena(g)
-			defer release()
-			for {
-				k := int(cursor.Add(1)) - 1
-				if k >= len(missing) || opts.canceled() {
-					return
-				}
-				s := rebuild(ar, missing[k].seed)
-				s.grow(target)
-				if !opts.DisableSwap {
-					s = swapImprove(s, target)
-				}
-				missing[k].result = append([]int(nil), s.members...)
-				ar.recycleAll()
+		par.First(ctx, len(missing), workers, func(_ context.Context, w, k int) bool {
+			ar := arenaFor(w)
+			s := rebuild(ar, missing[k].seed)
+			s.grow(target)
+			if !opts.DisableSwap {
+				s = swapImprove(s, target)
 			}
+			missing[k].result = append([]int(nil), s.members...)
+			ar.recycleAll()
+			return false // every pair of the wave runs
 		})
 		for k := range missing {
 			if missing[k].result == nil {
-				return best // cancelled mid-wave
+				return best // cancelled: a best-effort answer core.Map discards
 			}
 			memo[[2]int{missing[k].i, missing[k].j}] = missing[k].result
 		}

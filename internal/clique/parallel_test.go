@@ -63,3 +63,21 @@ func TestFindParallelSharedPoolMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolRetentionBounded: a long-lived pool fed graphs of ever-new sizes
+// keeps at most poolCap idle arenas, and still hands a released arena back
+// for a graph of its size.
+func TestPoolRetentionBounded(t *testing.T) {
+	pool := NewPool()
+	var last *arena
+	for n := 1; n <= 1000; n++ {
+		last = pool.acquire(&Graph{n: n})
+		pool.release(last)
+	}
+	if got := len(pool.free); got > poolCap {
+		t.Fatalf("pool retains %d arenas after 1000 distinct sizes, want at most %d", got, poolCap)
+	}
+	if got := pool.acquire(&Graph{n: 1000}); got != last {
+		t.Fatal("pool did not reuse the arena released for the same size")
+	}
+}

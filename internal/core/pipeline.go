@@ -4,13 +4,13 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 
 	"regimap/internal/arch"
 	"regimap/internal/clique"
 	"regimap/internal/dfg"
 	"regimap/internal/mapping"
 	"regimap/internal/obs"
+	"regimap/internal/par"
 	"regimap/internal/sched"
 )
 
@@ -335,148 +335,91 @@ func routeBudgetFor(n int) int {
 	return n
 }
 
-// findPlacement runs the clique search: the group-aware constructive pass
-// first (one candidate per operation, most-constrained first), falling back
-// to the paper's generic greedy/swap/intersection heuristic when it comes up
-// short. Both return feasible cliques; the larger wins.
+// findPlacement runs the clique search as an ordered list of placement
+// passes: the group-aware constructive pass under three orders (one
+// candidate per operation), then the paper's generic
+// greedy/swap/intersection heuristic. Each pass builds its own order, and
+// the first pass that places every operation wins; when none does, the
+// largest partial placement wins, the earlier pass breaking ties. Every pass
+// is a pure function of the frozen compatibility graph, so par.First returns
+// the same placement whether it runs the passes inline (opts.Workers <= 1)
+// or races them — the ROADMAP's "parallel clique search inside one
+// attempt". The generic pass additionally splits its own seed partitions
+// across opts.Workers (see clique.Find).
 func findPlacement(cg *Compat, target int, times []int, opts clique.Options, tr *obs.Tracer) []int {
 	opts.Trace = tr
-	if opts.Workers > 1 {
-		return findPlacementParallel(cg, target, times, opts)
-	}
-	// First pass: place operations in schedule order so each lands next to
-	// its already-placed producers (cluster growth); the promote-on-failure
-	// rounds still reorder the stragglers.
-	var sol []int
-	if opts.GroupOrder == nil && len(times) == target {
-		order := make([]int, target)
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(i, j int) bool {
-			if times[order[i]] != times[order[j]] {
-				return times[order[i]] < times[order[j]]
-			}
-			return order[i] < order[j]
-		})
-		scheduled := opts
-		scheduled.GroupOrder = order
-		sol = clique.FindGrouped(cg.G, cg.byOp, scheduled)
-		if len(sol) >= target {
-			return sol
-		}
-	}
-	// Second pass: depth-first dataflow order, so chains (address streams,
-	// reduction spines) are placed contiguously and can fold onto one PE
-	// across consecutive slots.
+	passes := make([]func(o clique.Options) []int, 0, 4)
 	if len(times) == target {
-		dfs := opts
-		dfs.GroupOrder = dfsOrder(cg.d)
-		if alt := clique.FindGrouped(cg.G, cg.byOp, dfs); len(alt) > len(sol) {
-			sol = alt
-			if len(sol) >= target {
-				return sol
-			}
+		if opts.GroupOrder == nil {
+			// Schedule order, so each operation lands next to its already-
+			// placed producers (cluster growth); the promote-on-failure
+			// rounds still reorder the stragglers.
+			passes = append(passes, func(o clique.Options) []int {
+				o.GroupOrder = scheduleOrder(times)
+				return clique.FindGrouped(cg.G, cg.byOp, o)
+			})
 		}
+		// Depth-first dataflow order, so chains (address streams, reduction
+		// spines) are placed contiguously and can fold onto one PE across
+		// consecutive slots.
+		passes = append(passes, func(o clique.Options) []int {
+			o.GroupOrder = dfsOrder(cg.d)
+			return clique.FindGrouped(cg.G, cg.byOp, o)
+		})
 	}
-	// Third pass: most-constrained-first order (FindGrouped's default).
-	if alt := clique.FindGrouped(cg.G, cg.byOp, opts); len(alt) > len(sol) {
-		sol = alt
-		if len(sol) >= target {
-			return sol
-		}
-	}
+	// Most-constrained-first order (FindGrouped's default).
+	passes = append(passes, func(o clique.Options) []int {
+		return clique.FindGrouped(cg.G, cg.byOp, o)
+	})
 	// The generic greedy/swap/intersection heuristic explores more of the
 	// graph but scales with its square; beyond a few hundred nodes the
 	// grouped passes plus the outer learning loop are the better use of time.
 	if cg.Nodes() <= 384 {
-		if opts.SeedOrder == nil {
-			// The graph caches the degree sort, so repeated placements of an
-			// unchanged (or partially-rebuilt) graph sort at most once.
-			opts.SeedOrder = cg.G.DegreeOrder()
-		}
-		if alt := clique.Find(cg.G, target, opts); len(alt) > len(sol) {
-			return alt
+		passes = append(passes, func(o clique.Options) []int {
+			if o.SeedOrder == nil {
+				// The graph caches the degree sort, so repeated placements of
+				// an unchanged (or partially-rebuilt) graph sort at most once.
+				o.SeedOrder = cg.G.DegreeOrder()
+			}
+			return clique.Find(cg.G, target, o)
+		})
+	}
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sols := make([][]int, len(passes))
+	if won := par.First(ctx, len(passes), opts.Workers, func(ctx context.Context, _, i int) bool {
+		o := opts
+		o.Ctx = ctx
+		sols[i] = passes[i](o)
+		return len(sols[i]) >= target
+	}); won < len(passes) {
+		return sols[won]
+	}
+	var sol []int
+	for _, alt := range sols {
+		if len(alt) > len(sol) {
+			sol = alt
 		}
 	}
 	return sol
 }
 
-// findPlacementParallel is findPlacement with the four placement passes run
-// speculatively on their own goroutines — the ROADMAP's "parallel clique
-// search inside one attempt". Each pass is a pure function of the (frozen)
-// compatibility graph, so the sequential early-exit cascade is simply
-// replayed over the completed results, returning exactly what the sequential
-// code returns; the only cost is wasted work on passes the sequential path
-// would have skipped. The generic heuristic pass additionally splits its own
-// seed partitions across opts.Workers (see clique.Find).
-func findPlacementParallel(cg *Compat, target int, times []int, opts clique.Options) []int {
-	type slot struct {
-		run bool
-		sol []int
+// scheduleOrder returns the operations sorted by schedule time, id breaking
+// ties.
+func scheduleOrder(times []int) []int {
+	order := make([]int, len(times))
+	for i := range order {
+		order[i] = i
 	}
-	var res [4]slot
-	var wg sync.WaitGroup
-	launch := func(i int, fn func() []int) {
-		res[i].run = true
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res[i].sol = fn()
-		}()
-	}
-	runFind := cg.Nodes() <= 384
-	if runFind && opts.SeedOrder == nil {
-		// Sort (and cache) the degree order before any goroutine launches:
-		// the cache write must not race the concurrent searches, and the
-		// closures capture opts itself.
-		opts.SeedOrder = cg.G.DegreeOrder()
-	}
-	if opts.GroupOrder == nil && len(times) == target {
-		order := make([]int, target)
-		for i := range order {
-			order[i] = i
+	sort.SliceStable(order, func(i, j int) bool {
+		if times[order[i]] != times[order[j]] {
+			return times[order[i]] < times[order[j]]
 		}
-		sort.SliceStable(order, func(i, j int) bool {
-			if times[order[i]] != times[order[j]] {
-				return times[order[i]] < times[order[j]]
-			}
-			return order[i] < order[j]
-		})
-		scheduled := opts
-		scheduled.GroupOrder = order
-		launch(0, func() []int { return clique.FindGrouped(cg.G, cg.byOp, scheduled) })
-	}
-	if len(times) == target {
-		dfs := opts
-		dfs.GroupOrder = dfsOrder(cg.d)
-		launch(1, func() []int { return clique.FindGrouped(cg.G, cg.byOp, dfs) })
-	}
-	launch(2, func() []int { return clique.FindGrouped(cg.G, cg.byOp, opts) })
-	if runFind {
-		launch(3, func() []int { return clique.Find(cg.G, target, opts) })
-	}
-	wg.Wait()
-
-	var sol []int
-	if res[0].run {
-		sol = res[0].sol
-		if len(sol) >= target {
-			return sol
-		}
-	}
-	for _, s := range res[1:3] {
-		if s.run && len(s.sol) > len(sol) {
-			sol = s.sol
-			if len(sol) >= target {
-				return sol
-			}
-		}
-	}
-	if res[3].run && len(res[3].sol) > len(sol) {
-		return res[3].sol
-	}
-	return sol
+		return order[i] < order[j]
+	})
+	return order
 }
 
 // dfsOrder returns the operations in depth-first dataflow order, starting

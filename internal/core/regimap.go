@@ -35,13 +35,13 @@ type Options struct {
 	// MinII raises the II the escalation starts from (0: MII). The portfolio
 	// runner pins MinII == MaxII to race diversified attempts at one fixed II.
 	MinII int
-	// MaxII caps II escalation (0: MII + 32).
+	// MaxII caps II escalation (0: MII + 16; see MaxIIFor).
 	MaxII int
 	// MaxAttemptsPerII bounds schedule/place rounds at one II (0: |V|/2+16).
 	MaxAttemptsPerII int
 	// MaxTotalAttempts bounds schedule/place rounds across the whole II
 	// escalation, capping worst-case compile time on unmappable kernels
-	// (0: 12|V|+48).
+	// (0: 8|V|+32).
 	MaxTotalAttempts int
 	// DisableReschedule turns off learning from failure: a placement failure
 	// immediately escalates II, like the exploratory mappers the paper
@@ -57,6 +57,15 @@ type Options struct {
 	Compat CompatOptions
 	// Clique tunes the clique search.
 	Clique clique.Options
+}
+
+// MaxIIFor returns the highest II the escalation tries for a kernel whose
+// MII is mii: MaxII when set, MII + 16 otherwise.
+func (o Options) MaxIIFor(mii int) int {
+	if o.MaxII > 0 {
+		return o.MaxII
+	}
+	return mii + 16
 }
 
 // Stats reports how a mapping attempt went.
@@ -121,14 +130,8 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 			return nil, stats, maperr.NoMapping("core: no mapping for %s on %s: no bus can issue memory operations", d.Name, c)
 		}
 	}
-	maxII := opts.MaxII
-	if maxII <= 0 {
-		maxII = stats.MII + 16
-	}
-	startII := stats.MII
-	if opts.MinII > startII {
-		startII = opts.MinII
-	}
+	maxII := opts.MaxIIFor(stats.MII)
+	startII := max(stats.MII, opts.MinII)
 	maxAttempts := opts.MaxAttemptsPerII
 	if maxAttempts <= 0 {
 		maxAttempts = d.N()/2 + 16

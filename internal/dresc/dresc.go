@@ -30,14 +30,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"regimap/internal/arch"
 	"regimap/internal/dfg"
 	"regimap/internal/maperr"
 	"regimap/internal/obs"
+	"regimap/internal/par"
 	"regimap/internal/sched"
 )
 
@@ -172,7 +171,24 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*Placemen
 		if restarts <= 1 {
 			p = annealAtII(ctx, states[0], ii, opts, rng, stats)
 		} else {
-			p = raceAtII(ctx, states, ii, opts, restarts, stats)
+			// par.First replays "run chains 0..K-1 in order, stop at the first
+			// success": chains at or below the winner always run to
+			// completion, so merging stats over exactly those chains is
+			// worker-count-invariant.
+			results := make([]*Placement, restarts)
+			chainStats := make([]Stats, restarts)
+			won := par.First(ctx, restarts, workers, func(ctx context.Context, w, i int) bool {
+				rng := rand.New(rand.NewSource(chainSeed(opts.Seed, ii, i)))
+				results[i] = annealAtII(ctx, states[w], ii, opts, rng, &chainStats[i])
+				return results[i] != nil
+			})
+			for i := 0; i <= won && i < restarts; i++ {
+				stats.Moves += chainStats[i].Moves
+				stats.Accepts += chainStats[i].Accepts
+			}
+			if won < restarts {
+				p = results[won]
+			}
 		}
 		sp.Field("ii", int64(ii))
 		sp.Field("moves", int64(stats.Moves-moves))
@@ -207,62 +223,6 @@ func chainSeed(seed int64, ii, chain int) int64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return int64(x)
-}
-
-// raceAtII runs K seed-derived annealing chains at a fixed II across the
-// worker pool and returns the success of the lowest chain index, replicating
-// "run chains 0..K-1 in order, stop at the first success" (the portfolio /
-// parallel-clique reduction): a stop index lets workers skip chains above a
-// known success, chains below it always run to completion, and stats are
-// merged from exactly the chains the sequential order would have executed.
-func raceAtII(ctx context.Context, states []*state, ii int, opts Options, restarts int, stats *Stats) *Placement {
-	results := make([]*Placement, restarts)
-	chainStats := make([]Stats, restarts)
-	var next atomic.Int64
-	var stop atomic.Int64
-	stop.Store(int64(restarts))
-	var wg sync.WaitGroup
-	for w := 0; w < len(states); w++ {
-		wg.Add(1)
-		go func(st *state) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= restarts {
-					return
-				}
-				if int64(i) > stop.Load() {
-					continue // a lower chain already succeeded
-				}
-				rng := rand.New(rand.NewSource(chainSeed(opts.Seed, ii, i)))
-				if p := annealAtII(ctx, st, ii, opts, rng, &chainStats[i]); p != nil {
-					results[i] = p
-					for {
-						cur := stop.Load()
-						if int64(i) >= cur || stop.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				}
-			}
-		}(states[w])
-	}
-	wg.Wait()
-	winner := int(stop.Load())
-	last := restarts - 1
-	if winner < restarts {
-		last = winner
-	}
-	// Chains 0..last always ran (the skip condition only passes indices
-	// above the final stop index), so this merge is worker-count-invariant.
-	for i := 0; i <= last; i++ {
-		stats.Moves += chainStats[i].Moves
-		stats.Accepts += chainStats[i].Accepts
-	}
-	if winner < restarts {
-		return results[winner]
-	}
-	return nil
 }
 
 // state is one annealing chain's working configuration, arena-style: every

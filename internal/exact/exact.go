@@ -145,146 +145,6 @@ type Stats struct {
 	Elapsed time.Duration
 }
 
-// Run is a stepwise exact search: each Step decides one II, ascending from
-// the start of the escalation window, accumulating the certificate as it
-// goes. The portfolio races a Run against the heuristics one II at a time so
-// it can stop escalating the moment the heuristic answer makes further IIs
-// pointless; Map is the run-to-completion convenience wrapper. A Run is not
-// safe for concurrent use.
-type Run struct {
-	d    *dfg.DFG
-	c    *arch.CGRA
-	opts Options
-
-	cert   Certificate
-	lo, hi int
-	next   int
-	contig bool
-	m      *mapping.Mapping
-	err    error
-	done   bool
-	start  time.Time
-}
-
-// NewRun validates the instance and positions the escalation window. The
-// returned Run is always non-nil: on error it is already finished and its
-// certificate (empty but well-formed) is still readable.
-func NewRun(d *dfg.DFG, c *arch.CGRA, opts Options) (*Run, error) {
-	r := &Run{
-		d: d, c: c, opts: opts, start: time.Now(),
-		cert: Certificate{LowerBoundClass: LowerBoundMII, RouteHops: opts.routeHops()},
-	}
-	if err := d.Validate(); err != nil {
-		r.fail(err)
-		return r, err
-	}
-	pes, memSlots := c.MIIResources()
-	if pes == 0 || (d.MemOps() > 0 && memSlots == 0) {
-		err := maperr.NoMapping("exact: %s has no usable resources for %s", c, d.Name)
-		r.fail(err)
-		return r, err
-	}
-	mii := d.MII(pes, memSlots)
-	r.cert.MII = mii
-	r.cert.ProvenLowerBound = mii
-	r.lo = mii
-	if opts.MinII > r.lo {
-		r.lo = opts.MinII
-	}
-	r.hi = opts.MaxII
-	if r.hi <= 0 {
-		r.hi = mii + 8
-	}
-	if r.hi < r.lo {
-		r.hi = r.lo
-	}
-	r.next = r.lo
-	r.contig = r.lo == mii
-	return r, nil
-}
-
-func (r *Run) fail(err error) { r.err, r.done = err, true }
-
-// Done reports whether the run has finished (mapping found, window
-// exhausted, or terminal error).
-func (r *Run) Done() bool { return r.done }
-
-// NextII is the II the next Step will decide (meaningless once Done).
-func (r *Run) NextII() int { return r.next }
-
-// Mapping is the proven mapping, nil until a Step returns a SAT verdict.
-func (r *Run) Mapping() *mapping.Mapping { return r.m }
-
-// Err is the terminal error, if the run failed.
-func (r *Run) Err() error { return r.err }
-
-// Certificate snapshots the proof accumulated so far.
-func (r *Run) Certificate() Certificate {
-	c := r.cert
-	c.PerII = append([]Verdict(nil), r.cert.PerII...)
-	return c
-}
-
-// Stats snapshots the certificate plus elapsed wall-clock.
-func (r *Run) Stats() *Stats {
-	return &Stats{Cert: r.Certificate(), Elapsed: time.Since(r.start)}
-}
-
-// Step decides the run's next II. It returns that II's verdict and, once the
-// run can no longer proceed (success included), marks the run done; the
-// terminal error, if any, is both returned and kept in Err.
-func (r *Run) Step(ctx context.Context) (Verdict, error) {
-	if r.done {
-		return Verdict{}, r.err
-	}
-	if r.next > r.hi {
-		r.fail(maperr.NoMapping("exact: no mapping of %s on %s for II in [%d,%d] (proven lower bound %d, class %s)",
-			r.d.Name, r.c, r.lo, r.hi, r.cert.ProvenLowerBound, r.cert.LowerBoundClass))
-		return Verdict{}, r.err
-	}
-	ii := r.next
-	if err := ctx.Err(); err != nil {
-		r.fail(maperr.Aborted(err, "exact: aborted before II=%d", ii))
-		return Verdict{}, r.err
-	}
-	r.next++
-	v, m, err := solveAtII(ctx, r.d, r.c, ii, r.opts)
-	r.cert.PerII = append(r.cert.PerII, v)
-	r.cert.Conflicts += v.Conflicts
-	r.cert.Decisions += v.Decisions
-	r.cert.Restarts += v.Restarts
-	switch v.Status {
-	case "sat":
-		r.cert.BestII = ii
-		if r.contig {
-			r.cert.OptimalII = ii
-		}
-		r.m = m
-		r.done = true
-		return v, nil
-	case "unsat":
-		if r.contig {
-			r.cert.ProvenLowerBound = ii + 1
-			if ii+1 > r.cert.MII {
-				r.cert.LowerBoundClass = LowerBoundChain
-			}
-		}
-	case "unmappable":
-		r.fail(maperr.NoMapping("exact: no PE can execute op %s of %s", v.Note, r.d.Name))
-		return v, r.err
-	default:
-		r.contig = false
-		if err != nil {
-			r.fail(maperr.Aborted(err, "exact: aborted at II=%d", ii))
-			return v, r.err
-		}
-	}
-	if err != nil {
-		r.fail(err)
-	}
-	return v, r.err
-}
-
 // Map searches for a provably best mapping: for II = MII, MII+1, ... it
 // decides satisfiability, stopping at the first SAT (optimal when the run
 // down from MII was gapless) or when the escalation window or context is
@@ -292,11 +152,62 @@ func (r *Run) Step(ctx context.Context) (Verdict, error) {
 // on failure, so callers can report certified lower bounds without a
 // mapping.
 func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.Mapping, *Stats, error) {
-	r, err := NewRun(d, c, opts)
-	for err == nil && !r.done {
-		_, err = r.Step(ctx)
+	start := time.Now()
+	cert := Certificate{LowerBoundClass: LowerBoundMII, RouteHops: opts.routeHops()}
+	stats := func() *Stats { return &Stats{Cert: cert, Elapsed: time.Since(start)} }
+	if err := d.Validate(); err != nil {
+		return nil, stats(), err
 	}
-	return r.m, r.Stats(), r.err
+	pes, memSlots := c.MIIResources()
+	if pes == 0 || (d.MemOps() > 0 && memSlots == 0) {
+		return nil, stats(), maperr.NoMapping("exact: %s has no usable resources for %s", c, d.Name)
+	}
+	mii := d.MII(pes, memSlots)
+	cert.MII, cert.ProvenLowerBound = mii, mii
+	lo := max(mii, opts.MinII)
+	hi := opts.MaxII
+	if hi <= 0 {
+		hi = mii + 8
+	}
+	hi = max(hi, lo)
+	contig := lo == mii // every II below the current one was refuted, down to MII
+	for ii := lo; ii <= hi; ii++ {
+		if err := ctx.Err(); err != nil {
+			return nil, stats(), maperr.Aborted(err, "exact: aborted before II=%d", ii)
+		}
+		v, m, err := solveAtII(ctx, d, c, ii, opts)
+		cert.PerII = append(cert.PerII, v)
+		cert.Conflicts += v.Conflicts
+		cert.Decisions += v.Decisions
+		cert.Restarts += v.Restarts
+		switch v.Status {
+		case "sat":
+			cert.BestII = ii
+			if contig {
+				cert.OptimalII = ii
+			}
+			return m, stats(), nil
+		case "unsat":
+			if contig {
+				cert.ProvenLowerBound = ii + 1
+				if ii+1 > cert.MII {
+					cert.LowerBoundClass = LowerBoundChain
+				}
+			}
+		case "unmappable":
+			return nil, stats(), maperr.NoMapping("exact: no PE can execute op %s of %s", v.Note, d.Name)
+		default:
+			contig = false
+			if err != nil {
+				return nil, stats(), maperr.Aborted(err, "exact: aborted at II=%d", ii)
+			}
+		}
+		if err != nil {
+			return nil, stats(), err
+		}
+	}
+	return nil, stats(), maperr.NoMapping("exact: no mapping of %s on %s for II in [%d,%d] (proven lower bound %d, class %s)",
+		d.Name, c, lo, hi, cert.ProvenLowerBound, cert.LowerBoundClass)
 }
 
 // spanRungs is the ladder of span caps solveAtII escalates through: most

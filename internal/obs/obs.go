@@ -12,23 +12,26 @@
 // the context-free layers (sched, clique). BenchmarkObsNilSink and
 // TestNilTracerZeroAlloc pin the 0 allocs/op contract.
 //
-// Event taxonomy (the Name field; see DESIGN.md section 8e):
+// Event taxonomy (the Name field; see DESIGN.md section 8e) — exactly the
+// events the code emits, with exactly their fields:
 //
 //	mii                 MII analysis           fields: mii
-//	ii.attempt          one II escalation step fields: ii, round
+//	ii.attempt          one II escalation step fields: ii, rounds, ok
 //	pass.schedule       modulo scheduling      fields: length, width, ok
-//	pass.compat         compat-graph build     fields: nodes, edges
+//	pass.precheck       schedule rejected before placement (point) fields: dup or overflow
+//	pass.compat         compat-graph build     fields: nodes, edges (ok=0 when the builder cannot be created)
 //	pass.clique         placement search       fields: placed, target
-//	pass.learn          learn-from-failure     fields: move, inserts, thins
-//	clique.find         generic clique engine  fields: seeds, swaps, intersections, best
-//	clique.grouped      grouped constructive   fields: rounds, promoted, best
+//	pass.learn          learn-from-failure     fields: reschedule (point), or inserts, thins, ok (span)
+//	clique.find         generic clique engine  fields: nodes, seeds, pairs, best, target
+//	clique.parallel     parallel clique engine fields: nodes, workers, seeds, pairs, waves, best, target
+//	clique.grouped      grouped constructive   fields: groups, rounds, failed, best
 //	sched.schedule      one scheduler call     fields: ii, length, ok
 //	dresc.anneal        one II annealing run   fields: ii, moves, accepts, ok
 //	ems.place           one II greedy pass     fields: ii, placements, routes, ok
-//	portfolio.window    one speculative window fields: lo, width, winner
-//	resilient.rung      one ladder rung        fields: rung, round, ii, ok
-//	map.done            end-to-end result      fields: ii, mii, attempts, ok
-//	server.request      one /v1/map request    fields: code, cached, ok
+//	portfolio.window    one speculative window fields: lo, width, racers, ok
+//	resilient.rung      one ladder rung        fields: rung, ii, ok
+//	map.done            end-to-end result      fields: ii, mii, attempts
+//	server.request      one /v1/map request    fields: code, ok, cached
 //	server.shed         queue-full rejection   fields: n
 //	server.panic        recovered handler panic fields: n
 //	memo.hit            result served from cache fields: n
@@ -44,6 +47,7 @@
 //	job.recover         non-terminal job re-queued from the WAL fields: n
 //	breaker.trip        an engine circuit opened fields: n
 //	wal.compact         job WAL folded into a snapshot fields: n
+//	wal.compact_error   WAL compaction failed  fields: n
 //
 // Counter events (the `n` family) carry their increment in the field, so a
 // sink can total them with MemSink.SumByName instead of hand-looping.

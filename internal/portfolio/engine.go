@@ -9,9 +9,8 @@ import (
 )
 
 // The portfolio is an engine too: "portfolio" races the "regimap" engine
-// over a speculative II window. It ignores engine.Options.MinII — the
-// portfolio owns its own II escalation — and folds MaxII into the base
-// search's ceiling.
+// over a speculative II window, folding engine.Options.MinII and MaxII into
+// the base search's window as the "regimap" adapter does.
 
 type engineMapper struct{}
 
@@ -31,6 +30,9 @@ func (engineMapper) Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, eo engine
 		opts = extra
 	default:
 		return nil, &engine.BadOptionsError{Engine: "portfolio", Want: "portfolio.Options", Got: eo.Extra}
+	}
+	if eo.MinII > 0 {
+		opts.Base.MinII = eo.MinII
 	}
 	if eo.MaxII > 0 {
 		opts.Base.MaxII = eo.MaxII

@@ -10,11 +10,11 @@
 // wall-clock on escalation-heavy kernels; it never changes the answer.
 //
 // Determinism is a hard contract: the winner is the racer with the lowest
-// II, ties broken in favor of the un-perturbed base search. Losers are
-// cancelled as soon as they can no longer win: when racer i succeeds, every
-// racer with a higher index (a worse II, or a scout at the same II) is
-// cancelled immediately, and the race resolves once every lower index has
-// finished.
+// II, ties broken in favor of the un-perturbed base search — par.First's
+// lowest-index reduction over racers ordered by II, then scout slot. When
+// racer i succeeds, every racer with a higher index (a worse II, or a scout
+// at the same II) is cancelled at once, and the window resolves once every
+// lower index has finished.
 //
 // Options.Explore adds the second, quality-seeking axis: at every raced II,
 // E extra scouts run budget-widened variants of the base search (see
@@ -29,18 +29,16 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"regimap/internal/arch"
 	"regimap/internal/core"
 	"regimap/internal/dfg"
 	"regimap/internal/engine"
-	"regimap/internal/exact"
 	"regimap/internal/maperr"
 	"regimap/internal/mapping"
 	"regimap/internal/obs"
+	"regimap/internal/par"
 )
 
 // Failure taxonomy (regimap/internal/maperr), re-exported for callers. A
@@ -74,23 +72,9 @@ type Options struct {
 	// Deterministic for a fixed value (0 is a valid seed).
 	Seed int64
 	// Base configures the canonical search raced at every II and is the
-	// template scouts perturb. Base.MinII is ignored — the portfolio owns II
-	// escalation.
+	// template scouts perturb. Base.MinII and Base.MaxII bound the II window
+	// exactly as they bound core.Map's escalation.
 	Base core.Options
-	// Exact, when non-nil, races the exact SAT engine (internal/exact)
-	// beside the heuristic portfolio as an anytime refiner: the heuristics
-	// answer fast, the exact engine escalates II-by-II from MII, and
-	// whichever side settles the lowest II wins. The reduction stays
-	// deterministic — exact always finishes every II strictly below the
-	// heuristic answer (its budgets are conflict counts, so those verdicts
-	// are machine-independent) and the heuristic wins ties on II — with one
-	// caveat: when both sides reach the same II, which side's equally-good
-	// mapping is returned can depend on timing; the II, the perf metric, and
-	// the certificate's verdicts never do. Stats.Exact carries the
-	// certificate either way, so even a heuristic win reports a certified
-	// lower bound. nil (the default) keeps Map byte-identical to the pure
-	// heuristic portfolio.
-	Exact *exact.Options
 }
 
 // Stats reports how a portfolio run went.
@@ -103,16 +87,9 @@ type Stats struct {
 	Winner    int
 	Attempts  int // schedule/place rounds summed over every racer that reported back
 	Races     int // IIs raced, including speculated ones a serial escalation would skip
-	Cancelled int // racer runs cancelled after the winner was decided
+	Cancelled int // racers above the winner that were skipped or cancelled mid-run
 	Panics    int // racer goroutines that panicked (recovered, not crashed)
 	Elapsed   time.Duration
-	// Exact is the certificate the anytime exact racer accumulated, nil
-	// unless Options.Exact was set. It is attached on every outcome — a
-	// heuristic win still reports the certified lower bound.
-	Exact *exact.Certificate
-	// ExactWinner reports that the returned mapping came from the exact
-	// racer (Winner is -1 in that case: no heuristic racer won).
-	ExactWinner bool
 }
 
 // Perf returns the paper's performance metric MII/II (0 on failure).
@@ -125,21 +102,16 @@ func (s *Stats) Perf() float64 {
 
 // Map races the base REGIMap search over a K-wide speculative II window —
 // plus Explore budget-widened scouts per II — and returns the deterministic
-// winner (see the package comment for the tiebreak contract). Cancelling ctx
-// aborts every racer within one schedule/place attempt.
+// winner (see the package comment for the tiebreak contract). The window
+// starts at max(MII, Base.MinII) and stops at core's ceiling for Base.MaxII.
+// Cancelling ctx aborts every racer within one schedule/place attempt.
 func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.Mapping, *Stats, error) {
 	start := time.Now()
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
 	}
-	w := opts.Attempts
-	if w < 1 {
-		w = 1
-	}
-	e := opts.Explore
-	if e < 0 {
-		e = 0
-	}
+	w := max(opts.Attempts, 1)
+	e := max(opts.Explore, 0)
 	perII := 1 + e // base racer plus scouts, per II of the window
 	tr := obs.From(ctx).Named("portfolio", d.Name)
 	pes, memRows := c.MIIResources()
@@ -149,44 +121,19 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 		stats.Elapsed = time.Since(start)
 		tr.Point("map.done", "ii", int64(stats.II), "mii", int64(stats.MII), "attempts", int64(stats.Attempts))
 	}
-	maxII := opts.Base.MaxII
-	if maxII <= 0 {
-		maxII = stats.MII + 16 // mirror core.Map's default ceiling
-	}
+	maxII := opts.Base.MaxIIFor(stats.MII)
 	base := engine.MustLookup("regimap")
 	scouts := make([]core.Options, e)
 	for s := range scouts {
 		scouts[s] = Variant(opts.Base, s+1, opts.Seed)
 	}
-	var xr *exactRacer
-	if opts.Exact != nil {
-		xr = startExact(ctx, d, c, *opts.Exact)
-	}
 	var panics []error
-	for lo := stats.MII; lo <= maxII; lo += w {
+	for lo := max(stats.MII, opts.Base.MinII); lo <= maxII; lo += w {
 		if err := ctx.Err(); err != nil {
-			if xr != nil {
-				_, _, cert := xr.wait()
-				stats.Exact = &cert
-			}
 			done()
 			return nil, stats, maperr.Aborted(err, "portfolio: mapping %s aborted: %v", d.Name, err)
 		}
-		if xr != nil {
-			// Every II below lo has already been raced heuristically and
-			// failed, so an exact mapping at II <= lo can no longer be beaten.
-			if em, eii := xr.best(); em != nil && eii <= lo {
-				_, _, cert := xr.wait()
-				stats.Exact = &cert
-				stats.II, stats.Winner, stats.ExactWinner = eii, -1, true
-				done()
-				return em, stats, nil
-			}
-		}
-		width := w
-		if lo+width-1 > maxII {
-			width = maxII - lo + 1
-		}
+		width := min(w, maxII-lo+1)
 		stats.Races += width
 		// Racer index r maps to II lo + r/perII, slot r%perII (slot 0: the
 		// base search). Lower index therefore means lower II, base before
@@ -215,35 +162,10 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 		sp.End()
 		panics = append(panics, crashed...)
 		if m != nil {
-			iiH := lo + winner/perII
-			if xr != nil {
-				// The heuristic answer bounds the exact escalation: finish
-				// cancels exact work at II >= iiH, waits out the (conflict-
-				// budgeted, hence deterministic) verdicts below it, and the
-				// exact mapping wins only by strictly beating the heuristic.
-				em, eii, cert := xr.finish(iiH)
-				stats.Exact = &cert
-				if em != nil && eii < iiH {
-					stats.II, stats.Winner, stats.ExactWinner = eii, -1, true
-					done()
-					return em, stats, nil
-				}
-			}
-			stats.II = iiH
+			stats.II = lo + winner/perII
 			stats.Winner = winner
 			done()
 			return m, stats, nil
-		}
-	}
-	if xr != nil {
-		// The heuristics came up empty; let the exact racer finish its
-		// escalation window — it may still hold or find the only mapping.
-		em, eii, cert := xr.wait()
-		stats.Exact = &cert
-		if em != nil && ctx.Err() == nil {
-			stats.II, stats.Winner, stats.ExactWinner = eii, -1, true
-			done()
-			return em, stats, nil
 		}
 	}
 	done()
@@ -254,215 +176,53 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 	return nil, stats, maperr.Wrap(causes, "portfolio: no mapping for %s on %s up to II=%d (window %d, %d scouts/II)", d.Name, c, maxII, w, e)
 }
 
-// exactRacer drives one exact.Run on its own goroutine, stepping II-by-II so
-// the race can stop it at the exact moment more escalation became pointless.
-type exactRacer struct {
-	mu         sync.Mutex
-	m          *mapping.Mapping
-	ii         int
-	cert       exact.Certificate
-	stepII     int
-	stepCancel context.CancelFunc
-	heurBest   atomic.Int64 // lowest heuristic II found (0: none yet)
-	done       chan struct{}
-}
-
-// startExact launches the exact escalation. Steps at IIs at or above the
-// heuristic answer are skipped (or cancelled mid-flight); steps below it
-// always run to their conflict budget, which keeps the reduction
-// deterministic.
-func startExact(ctx context.Context, d *dfg.DFG, c *arch.CGRA, o exact.Options) *exactRacer {
-	x := &exactRacer{done: make(chan struct{})}
-	go func() {
-		defer close(x.done)
-		r, err := exact.NewRun(d, c, o)
-		if err != nil {
-			x.mu.Lock()
-			x.cert = r.Certificate()
-			x.mu.Unlock()
-			return
-		}
-		defer func() {
-			x.mu.Lock()
-			x.cert = r.Certificate()
-			if m := r.Mapping(); m != nil {
-				x.m, x.ii = m, x.cert.BestII
-			}
-			x.mu.Unlock()
-		}()
-		for !r.Done() {
-			if bh := x.heurBest.Load(); bh != 0 && int64(r.NextII()) >= bh {
-				break
-			}
-			stepCtx, cancel := context.WithCancel(ctx)
-			x.mu.Lock()
-			x.stepII, x.stepCancel = r.NextII(), cancel
-			x.mu.Unlock()
-			_, err := r.Step(stepCtx)
-			cancel()
-			x.mu.Lock()
-			x.stepCancel = nil
-			x.cert = r.Certificate()
-			if m := r.Mapping(); m != nil {
-				x.m, x.ii = m, x.cert.BestII
-			}
-			x.mu.Unlock()
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return x
-}
-
-// best snapshots the exact racer's mapping so far, if any.
-func (x *exactRacer) best() (*mapping.Mapping, int) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.m, x.ii
-}
-
-// finish tells the racer the heuristics answered at heurII, cancels any
-// in-flight step that can no longer win, waits for the racer to settle, and
-// returns its final state.
-func (x *exactRacer) finish(heurII int) (*mapping.Mapping, int, exact.Certificate) {
-	x.heurBest.Store(int64(heurII))
-	x.mu.Lock()
-	if x.stepCancel != nil && x.stepII >= heurII {
-		x.stepCancel()
-	}
-	x.mu.Unlock()
-	return x.wait()
-}
-
-// wait blocks until the racer goroutine exits and returns its final state.
-func (x *exactRacer) wait() (*mapping.Mapping, int, exact.Certificate) {
-	<-x.done
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.m, x.ii, x.cert
-}
-
-// race runs k racers concurrently and resolves the deterministic winner: the
-// lowest racer index that succeeded. Callers order indices by preference
-// (lower II first, base search before scouts). When racer i succeeds, racers
-// with higher indices are cancelled at once (they cannot win); the race
-// returns as soon as every index below the best success has resolved,
-// cancelling whatever else is still running. It returns a nil mapping when
-// no racer succeeds. Every racer goroutine has exited by the time race
-// returns, so callers never leak work past a window.
+// race runs k racers concurrently through par.First, whose lowest-index
+// reduction is the portfolio's winner rule: callers order indices by
+// preference (lower II first, base search before scouts). It returns the
+// winning mapping and index, or a nil mapping when no racer succeeds.
 //
 // A racer that panics does not crash the process or abort its siblings: the
-// panic is recovered into a *maperr.WorkerPanicError on the result channel,
-// the racer counts as failed, and the collected panic errors are returned so
-// the caller can surface them if the whole race comes up empty.
+// panic is recovered into a *maperr.WorkerPanicError, the racer counts as
+// failed, and the panics are returned in index order so the caller can
+// surface them if the whole race comes up empty.
 func race(ctx context.Context, k int, stats *Stats, run func(ctx context.Context, attempt int) (*mapping.Mapping, int)) (*mapping.Mapping, int, []error) {
-	runSafe := func(actx context.Context, i int) (res *mapping.Mapping, rounds int, err error) {
+	type outcome struct {
+		m      *mapping.Mapping
+		rounds int
+		err    error
+		done   bool // ran to the end: neither skipped nor cancelled
+	}
+	out := make([]outcome, k)
+	winner := par.First(ctx, k, k, func(actx context.Context, _, i int) bool {
+		o := &out[i]
 		defer func() {
 			if v := recover(); v != nil {
-				res, rounds = nil, 0
-				err = &maperr.WorkerPanicError{
+				o.err = &maperr.WorkerPanicError{
 					Worker: fmt.Sprintf("portfolio racer %d", i),
 					Value:  v,
 					Stack:  debug.Stack(),
 				}
 			}
+			o.done = actx.Err() == nil
 		}()
-		res, rounds = run(actx, i)
-		return res, rounds, nil
-	}
-	if k == 1 {
-		res, rounds, err := runSafe(ctx, 0)
-		stats.Attempts += rounds
-		if err != nil {
-			stats.Panics++
-			return nil, -1, []error{err}
-		}
-		if res == nil {
-			return nil, -1, nil
-		}
-		return res, 0, nil
-	}
-	type outcome struct {
-		index  int
-		result *mapping.Mapping
-		rounds int
-		err    error
-	}
-	results := make(chan outcome, k)
-	cancels := make([]context.CancelFunc, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		actx, cancel := context.WithCancel(ctx)
-		cancels[i] = cancel
-		wg.Add(1)
-		go func(i int, actx context.Context) {
-			defer wg.Done()
-			res, rounds, err := runSafe(actx, i)
-			results <- outcome{index: i, result: res, rounds: rounds, err: err}
-		}(i, actx)
-	}
-
-	done := make([]bool, k)
-	cancelled := make([]bool, k)
+		o.m, o.rounds = run(actx, i)
+		return o.m != nil
+	})
 	var panics []error
-	best := k
-	winner := -1
-	var won *mapping.Mapping
-	for remaining := k; remaining > 0; remaining-- {
-		o := <-results
-		done[o.index] = true
+	for i, o := range out {
 		stats.Attempts += o.rounds
 		if o.err != nil {
 			stats.Panics++
 			panics = append(panics, o.err)
 		}
-		if o.result != nil && o.index < best {
-			best, won = o.index, o.result
-			for j := best + 1; j < k; j++ {
-				if !done[j] && !cancelled[j] {
-					cancelled[j] = true
-					stats.Cancelled++
-					cancels[j]()
-				}
-			}
-		}
-		if best < k {
-			decided := true
-			for j := 0; j < best; j++ {
-				if !done[j] {
-					decided = false
-					break
-				}
-			}
-			if decided {
-				winner = best
-				break
-			}
+		if i > winner && !o.done {
+			stats.Cancelled++
 		}
 	}
-	for _, cancel := range cancels {
-		cancel()
-	}
-	wg.Wait() // results is buffered k-deep, so racers always finish their send
-	// Drain outcomes that arrived after the decision so a late panic is still
-	// counted and reported.
-	for drained := false; !drained; {
-		select {
-		case o := <-results:
-			stats.Attempts += o.rounds
-			if o.err != nil {
-				stats.Panics++
-				panics = append(panics, o.err)
-			}
-		default:
-			drained = true
-		}
-	}
-	if winner < 0 {
+	if winner == k {
 		return nil, -1, panics
 	}
-	return won, winner, panics
+	return out[winner].m, winner, panics
 }
 
 // Variant derives scout s's mapper configuration for Explore mode. Scout 0

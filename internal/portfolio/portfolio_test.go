@@ -10,7 +10,9 @@ import (
 	"regimap/internal/arch"
 	"regimap/internal/core"
 	"regimap/internal/dfg"
+	"regimap/internal/engine"
 	"regimap/internal/kernels"
+	"regimap/internal/mapping"
 	"regimap/internal/sim"
 )
 
@@ -24,32 +26,48 @@ func unmappable() (*dfg.DFG, *arch.CGRA) {
 
 // TestDeterministicAcrossK is the acceptance contract: on the whole
 // benchmark suite a K-wide portfolio returns a byte-identical mapping, the
-// same II, and the same winner as a portfolio of one.
+// same II, and the same winner as a portfolio of one — from MII, and from a
+// MinII of MII+2 passed through the engine adapter, where the II must not
+// drop below MinII.
 func TestDeterministicAcrossK(t *testing.T) {
 	c := arch.NewMesh(4, 4, 4)
+	pes, memRows := c.MIIResources()
+	eng := engine.MustLookup("portfolio")
 	for _, k := range kernels.All() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			m1, s1, err1 := Map(context.Background(), k.Build(), c, Options{Attempts: 1})
-			m4, s4, err4 := Map(context.Background(), k.Build(), c, Options{Attempts: 4})
-			if (err1 == nil) != (err4 == nil) {
-				t.Fatalf("K=1 err=%v, K=4 err=%v", err1, err4)
-			}
-			if err1 != nil {
-				return
-			}
-			if s1.II != s4.II {
-				t.Fatalf("K=1 II=%d, K=4 II=%d", s1.II, s4.II)
-			}
-			if s1.Winner != 0 {
-				t.Fatalf("K=1 winner %d, want 0", s1.Winner)
-			}
-			if got, want := m4.String(), m1.String(); got != want {
-				t.Fatalf("K=4 mapping differs from K=1 (winner %d):\n%s\n--- vs ---\n%s", s4.Winner, got, want)
-			}
-			if err := sim.Check(m4, 4); err != nil {
-				t.Fatalf("portfolio winner mis-executes: %v", err)
+			for _, minII := range []int{0, k.Build().MII(pes, memRows) + 2} {
+				run := func(attempts int) (*mapping.Mapping, *Stats, error) {
+					res, err := eng.Map(context.Background(), k.Build(), c, engine.Options{MinII: minII, Extra: Options{Attempts: attempts}})
+					if res == nil {
+						return nil, nil, err
+					}
+					return res.Mapping, res.Stats.(*Stats), err
+				}
+				m1, s1, err1 := run(1)
+				m4, s4, err4 := run(4)
+				if (err1 == nil) != (err4 == nil) {
+					t.Fatalf("MinII %d: K=1 err=%v, K=4 err=%v", minII, err1, err4)
+				}
+				if err1 != nil {
+					continue
+				}
+				if s1.II != s4.II {
+					t.Fatalf("MinII %d: K=1 II=%d, K=4 II=%d", minII, s1.II, s4.II)
+				}
+				if s1.II < minII {
+					t.Fatalf("II %d is below MinII %d", s1.II, minII)
+				}
+				if s1.Winner != 0 {
+					t.Fatalf("MinII %d: K=1 winner %d, want 0", minII, s1.Winner)
+				}
+				if got, want := m4.String(), m1.String(); got != want {
+					t.Fatalf("MinII %d: K=4 mapping differs from K=1 (winner %d):\n%s\n--- vs ---\n%s", minII, s4.Winner, got, want)
+				}
+				if err := sim.Check(m4, 4); err != nil {
+					t.Fatalf("MinII %d: portfolio winner mis-executes: %v", minII, err)
+				}
 			}
 		})
 	}

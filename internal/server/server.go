@@ -55,6 +55,7 @@ import (
 	"regimap/internal/core"
 	"regimap/internal/dresc"
 	_ "regimap/internal/ems"
+	_ "regimap/internal/exact"
 	_ "regimap/internal/portfolio"
 )
 
