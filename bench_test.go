@@ -240,9 +240,9 @@ func BenchmarkBuildCompat(b *testing.B) {
 	}
 }
 
-// BenchmarkCliqueFind measures the weight-constrained clique search on a
-// realistic compatibility graph.
-func BenchmarkCliqueFind(b *testing.B) {
+// benchCompat is the clique benches' realistic compatibility graph: the
+// bench kernel scheduled at MII+1 on the 4x4 mesh.
+func benchCompat(b *testing.B) (*dfg.DFG, *core.Compat) {
 	d := benchKernel()
 	c := arch.NewMesh(4, 4, 4)
 	sc := sched.New(d, 16, 4)
@@ -254,6 +254,13 @@ func BenchmarkCliqueFind(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return d, cg
+}
+
+// BenchmarkCliqueFind measures the weight-constrained clique search on a
+// realistic compatibility graph.
+func BenchmarkCliqueFind(b *testing.B) {
+	d, cg := benchCompat(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clique.Find(cg.G, d.N(), clique.Options{})
@@ -265,17 +272,7 @@ func BenchmarkCliqueFind(b *testing.B) {
 // sequential engine (DESIGN.md section 8g); only wall-clock may differ, so
 // the bench-compare job tracks these series alongside BenchmarkCliqueFind.
 func BenchmarkCliqueFindParallel(b *testing.B) {
-	d := benchKernel()
-	c := arch.NewMesh(4, 4, 4)
-	sc := sched.New(d, 16, 4)
-	res, err := sc.Schedule(sc.MII()+1, sched.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cg, err := core.BuildCompat(d, c, res.Time, res.II, core.CompatOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d, cg := benchCompat(b)
 	for _, w := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			pool := clique.NewPool()
@@ -284,6 +281,22 @@ func BenchmarkCliqueFindParallel(b *testing.B) {
 				clique.Find(cg.G, d.N(), clique.Options{Workers: w, Arenas: pool})
 			}
 		})
+	}
+}
+
+// BenchmarkCliqueFindGrouped measures the group-aware constructive search
+// behind REGIMap's first placement passes, here in its default
+// most-constrained-first order, on the same compatibility graph with one
+// group per operation's candidate bindings.
+func BenchmarkCliqueFindGrouped(b *testing.B) {
+	d, cg := benchCompat(b)
+	groups := make([][]int, d.N())
+	for v := range groups {
+		groups[v] = cg.Candidates(v)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clique.FindGrouped(cg.G, groups, clique.Options{})
 	}
 }
 

@@ -17,8 +17,8 @@
 //
 // The engine is allocation-free on its hot path: every search call owns a
 // search-local arena that pools clique states and their bitsets across
-// seeds, swap-repair rounds, and grouped swap trials (see DESIGN.md's
-// hot-path memory model). Pooling is deterministic — states are fully reset
+// seeds, swap-repair rounds, and grouped swaps (see DESIGN.md's hot-path
+// memory model). Pooling is deterministic — states are fully reset
 // on reuse, so results are byte-identical to fresh allocation (enforced by
 // the reference property tests in reference_test.go).
 package clique
@@ -260,6 +260,7 @@ func (a *arena) get() *state {
 		ar:      a,
 		inC:     graph.NewBitset(a.g.n),
 		cand:    graph.NewBitset(a.g.n),
+		miss1:   graph.NewBitset(a.g.n),
 		dead:    graph.NewBitset(a.g.n),
 		sum:     make([]int, a.g.n),
 		scoreUB: make([]int, a.g.n),
@@ -287,6 +288,7 @@ type state struct {
 	byCluster [][]int // members per weight-interaction class (when installed)
 	inC       *graph.Bitset
 	cand      *graph.Bitset // nodes adjacent to every member
+	miss1     *graph.Bitset // non-members adjacent to every member but one
 	dead      *graph.Bitset // grow's scratch: candidates proven weight-infeasible
 	sum       []int         // node -> outgoing weight into the clique (members only)
 	scoreUB   []int         // grow's scratch: stale upper bound on |adj(u) ∩ cand|
@@ -306,25 +308,7 @@ func (s *state) reset() {
 	s.wMembers = s.wMembers[:0]
 	s.inC.Reset()
 	s.cand.Fill()
-}
-
-// clone copies s into a pooled state (swapInGroup's trial step).
-func (s *state) clone() *state {
-	c := s.ar.get()
-	c.members = append(c.members[:0], s.members...)
-	c.wMembers = append(c.wMembers[:0], s.wMembers...)
-	c.inC.CopyFrom(s.inC)
-	c.cand.CopyFrom(s.cand)
-	for _, m := range s.members {
-		c.sum[m] = s.sum[m]
-		if s.byCluster != nil {
-			cl := s.g.cluster[m]
-			if len(c.byCluster[cl]) == 0 {
-				c.byCluster[cl] = append(c.byCluster[cl][:0], s.byCluster[cl]...)
-			}
-		}
-	}
-	return c
+	s.miss1.Reset()
 }
 
 // canAdd reports whether u keeps the clique feasible. When weight clusters
@@ -389,7 +373,84 @@ func (s *state) add(u int) {
 	}
 	s.members = append(s.members, u)
 	s.inC.Set(u)
-	s.cand.And(s.g.adj[u])
+	// A node u is not adjacent to moves one miss up: candidates outside
+	// adj(u) now miss exactly u, one-miss nodes outside it drop out. u itself
+	// spills out of cand, but it is a member now.
+	s.cand.AndSpill(s.g.adj[u], s.miss1)
+	s.miss1.Clear(u)
+}
+
+// fitsSwap is canAdd(w) against the clique C - x + y without building it,
+// for swapInGroup's trials: the member sums lose x's weight and gain y's
+// (y = -1 adds nobody), and ySum is y's own sum in C - x, as fitsSwap(y, x,
+// -1, 0) returned it. Adjacency is the caller's job. C - x itself needs no
+// check: weights are non-negative, so feasibility is hereditary and every
+// member C keeps still fits.
+func (s *state) fitsSwap(w, x, y, ySum int) (wSum int, ok bool) {
+	g := s.g
+	if g.cap < 0 || !g.anyW {
+		return 0, true
+	}
+	wSum = g.base[w]
+	if s.byCluster != nil {
+		// Only same-cluster members carry weight to or from w.
+		cw := g.cluster[w]
+		dropX := g.cluster[x] == cw
+		addY := y >= 0 && g.cluster[y] == cw
+		for _, v := range s.byCluster[cw] {
+			if v == x {
+				continue
+			}
+			vSum := s.sum[v] + g.Weight(v, w)
+			if dropX {
+				vSum -= g.Weight(v, x)
+			}
+			if addY {
+				vSum += g.Weight(v, y)
+			}
+			if vSum > g.cap {
+				return 0, false
+			}
+			if g.outW[w] {
+				wSum += g.Weight(w, v)
+			}
+		}
+		if addY {
+			if ySum+g.Weight(y, w) > g.cap {
+				return 0, false
+			}
+			if g.outW[w] {
+				wSum += g.Weight(w, y)
+			}
+		}
+		return wSum, wSum <= g.cap
+	}
+	for _, v := range s.wMembers {
+		if v == x {
+			continue
+		}
+		vSum := s.sum[v] - g.Weight(v, x) + g.Weight(v, w)
+		if y >= 0 {
+			vSum += g.Weight(v, y)
+		}
+		if vSum > g.cap {
+			return 0, false
+		}
+	}
+	if y >= 0 && g.outW[y] && ySum+g.Weight(y, w) > g.cap {
+		return 0, false
+	}
+	if g.outW[w] {
+		for _, v := range s.members {
+			if v != x {
+				wSum += g.Weight(w, v)
+			}
+		}
+		if y >= 0 {
+			wSum += g.Weight(w, y)
+		}
+	}
+	return wSum, wSum <= g.cap
 }
 
 // grow extends the clique greedily until no candidate fits, preferring the
@@ -455,18 +516,30 @@ func rebuild(ar *arena, members []int) *state {
 	return s
 }
 
+// The search budgets Options' zero values select. Find and its parallel
+// twin read the first two, FindGrouped the third; the portfolio's Explore
+// scouts widen all three from here.
+const (
+	DefaultMaxSeeds         = 16
+	DefaultMaxIntersections = 32
+	DefaultGroupRounds      = 4
+)
+
 // Options tunes the heuristic search; zero values select the paper's
 // configuration.
 type Options struct {
-	// MaxSeeds bounds how many greedy starts are attempted (<=0: 16).
+	// MaxSeeds bounds how many greedy starts are attempted (<=0:
+	// DefaultMaxSeeds).
 	MaxSeeds int
-	// MaxIntersections bounds the clique-pair intersection phase (<=0: 32).
+	// MaxIntersections bounds the clique-pair intersection phase (<=0:
+	// DefaultMaxIntersections).
 	MaxIntersections int
 	// DisableSwap turns off the one-out swap repair (ablation).
 	DisableSwap bool
 	// DisableIntersect turns off the intersection re-seeding (ablation).
 	DisableIntersect bool
-	// GroupRounds bounds FindGrouped's promote-and-retry rounds (<=0: 6).
+	// GroupRounds bounds FindGrouped's promote-and-retry rounds (<=0:
+	// DefaultGroupRounds).
 	GroupRounds int
 	// GroupOrder, when non-nil, fixes FindGrouped's initial placement order
 	// (REGIMap passes schedule order so operations land next to their
@@ -506,11 +579,11 @@ func Find(g *Graph, target int, opts Options) (best []int) {
 	}
 	maxSeeds := opts.MaxSeeds
 	if maxSeeds <= 0 {
-		maxSeeds = 16
+		maxSeeds = DefaultMaxSeeds
 	}
 	maxInter := opts.MaxIntersections
 	if maxInter <= 0 {
-		maxInter = 32
+		maxInter = DefaultMaxIntersections
 	}
 	if target > g.n {
 		target = g.n
@@ -629,27 +702,24 @@ func swapImprove(s *state, target int) *state {
 	return best
 }
 
-// findSwap returns an outside node u adjacent to all members except exactly
-// one (x), or (-1, -1). A candidate's miss count is |C| minus its adjacency
-// overlap with the member set — one popcount pass per candidate instead of
-// the O(|C|) per-member scan.
+// findSwap returns the lowest-id outside node u adjacent to all members
+// except exactly one, and that member x, or (-1, -1): the one-miss set's
+// first member.
 func findSwap(s *state) (u, x int) {
-	n := s.g.n
-	k := len(s.members)
-	for cand := 0; cand < n; cand++ {
-		if s.inC.Has(cand) {
-			continue
-		}
-		if k-s.g.adj[cand].IntersectCount(s.inC) != 1 {
-			continue
-		}
-		for _, m := range s.members {
-			if !s.g.adj[cand].Has(m) {
-				return cand, m
-			}
+	if u = s.miss1.First(); u == -1 {
+		return -1, -1
+	}
+	return u, s.blocker(u)
+}
+
+// blocker returns the member a one-miss node u is not adjacent to, or -1.
+func (s *state) blocker(u int) int {
+	for _, m := range s.members {
+		if !s.g.adj[u].Has(m) {
+			return m
 		}
 	}
-	return -1, -1
+	return -1
 }
 
 func removeMember(s *state, x int) *state {

@@ -22,7 +22,7 @@ import (
 func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 	rounds := opts.GroupRounds
 	if rounds <= 0 {
-		rounds = 4
+		rounds = DefaultGroupRounds
 	}
 
 	sp := opts.Trace.Start("clique.grouped")
@@ -65,14 +65,13 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 	}
 
 	groupOf := make([]int, g.n)
-	masks := graph.NewBitsetSlab(g.n, len(groups))
 	for gi, cands := range groups {
 		for _, u := range cands {
 			groupOf[u] = gi
-			masks[gi].Set(u)
 		}
 	}
-	fc := newForwardChecker(g.n)
+	fc := newForwardChecker(g.n, groups)
+	var sw swapTrial
 
 	ar := opts.Arenas.acquire(g)
 	defer opts.Arenas.release(ar)
@@ -87,9 +86,9 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 		}
 		for oi, gi := range order {
 			pending[gi] = false
-			pick := pickCandidate(g, s, groups, masks, order[oi+1:], pending, gi, fc)
+			pick := pickCandidate(g, s, groups, order[oi+1:], pending, gi, fc)
 			if pick == -1 {
-				if repaired := swapInGroup(g, s, groups, groupOf, gi); repaired != nil {
+				if repaired := swapInGroup(g, s, groups, groupOf, gi, &sw); repaired != nil {
 					ar.put(s)
 					s = repaired
 					continue
@@ -106,7 +105,7 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 			progress := false
 			still := failed[:0]
 			for _, gi := range failed {
-				if repaired := swapInGroup(g, s, groups, groupOf, gi); repaired != nil {
+				if repaired := swapInGroup(g, s, groups, groupOf, gi, &sw); repaired != nil {
 					ar.put(s)
 					s = repaired
 					progress = true
@@ -150,73 +149,72 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 // candidate of group gi joins the clique, look for a candidate u blocked by
 // exactly one member x; evict x, admit u, and re-place x's group on another
 // of its candidates. It returns the repaired state, or nil.
-func swapInGroup(g *Graph, s *state, groups [][]int, groupOf []int, gi int) *state {
-	// Candidates of one group typically collide on the same member (they
-	// contend for one PE), so the expensive rebuild-without-the-blocker is
-	// cached across consecutive candidates sharing a blocker.
-	var base *state
-	baseBlocker, baseOK := -1, false
-	defer func() {
-		if base != nil {
-			s.ar.put(base)
-		}
-	}()
+//
+// The candidates blocked by exactly one member are the group's share of the
+// one-miss set C1, and a trial C - x + u is judged without building it: its
+// weights by fitsSwap, its candidate set as (C0 ∪ (C1 \ adj(x))) ∩ adj(u)
+// for the candidate set C0. Only the swap returned becomes a state, rebuilt
+// in the member order evicting x and adding u and the re-pick leaves.
+func swapInGroup(g *Graph, s *state, groups [][]int, groupOf []int, gi int, sw *swapTrial) *state {
 	for _, u := range groups[gi] {
-		if s.inC.Has(u) {
+		if !s.miss1.Has(u) {
 			continue
 		}
-		if len(s.members)-g.adj[u].IntersectCount(s.inC) != 1 {
+		x := s.blocker(u)
+		uSum, ok := s.fitsSwap(u, x, -1, 0)
+		if !ok {
 			continue
 		}
-		blocker := -1
-		for _, m := range s.members {
-			if !g.adj[u].Has(m) {
-				blocker = m
-				break
-			}
-		}
-		// Rebuild without the blocker; admit u; re-place the blocker's group.
-		if blocker != baseBlocker {
-			if base == nil {
-				base = s.ar.get()
-			} else {
-				base.reset()
-			}
-			baseBlocker, baseOK = blocker, true
-			for _, m := range s.members {
-				if m == blocker {
-					continue
-				}
-				if !base.canAdd(m) {
-					baseOK = false
-					break
-				}
-				base.add(m)
-			}
-		}
-		if !baseOK || !base.canAdd(u) {
-			continue
-		}
-		trial := base.clone()
-		trial.add(u)
-		gx := groupOf[blocker]
-		repick, repickScore := -1, -1
-		for _, w := range groups[gx] {
-			if !trial.canAdd(w) {
+		// Re-picks must be adjacent to every member of C - x + u: inside
+		// adj(u), and either candidates already or blocked by x alone.
+		adjU, adjX := g.adj[u], g.adj[x]
+		sw.repicks = sw.repicks[:0]
+		for _, w := range groups[groupOf[x]] {
+			if !adjU.Has(w) || !(s.cand.Has(w) || s.miss1.Has(w) && !adjX.Has(w)) {
 				continue
 			}
-			if score := g.adj[w].IntersectCount(trial.cand); score > repickScore {
-				repick, repickScore = w, score
+			if _, ok := s.fitsSwap(w, x, u, uSum); ok {
+				sw.repicks = append(sw.repicks, w)
 			}
 		}
-		if repick == -1 {
-			s.ar.put(trial)
+		if len(sw.repicks) == 0 {
 			continue
 		}
-		trial.add(repick)
-		return trial
+		repick := sw.repicks[0]
+		if len(sw.repicks) > 1 {
+			// Rank by arcs into the trial's candidate set, the first maximum
+			// in group order winning.
+			if sw.cand == nil {
+				sw.cand = graph.NewBitset(g.n)
+			}
+			sw.cand.CopyFrom(s.miss1)
+			sw.cand.AndNot(adjX)
+			sw.cand.Or(s.cand)
+			sw.cand.And(adjU)
+			best := -1
+			for _, w := range sw.repicks {
+				if score := g.adj[w].IntersectCount(sw.cand); score > best {
+					repick, best = w, score
+				}
+			}
+		}
+		t := s.ar.get()
+		for _, m := range s.members {
+			if m != x {
+				t.add(m)
+			}
+		}
+		t.add(u)
+		t.add(repick)
+		return t
 	}
 	return nil
+}
+
+// swapTrial is swapInGroup's reusable working set.
+type swapTrial struct {
+	cand    *graph.Bitset // candidate set of C - x + u (allocated on first use)
+	repicks []int         // x's group members that fit C - x + u
 }
 
 // maxLookahead caps the pending groups pickCandidate examines. Forward
@@ -230,24 +228,40 @@ const maxLookahead = 24
 // empty contribute the same dead count to every candidate, which cannot
 // change the argmin, so they are dropped outright; single-survivor groups
 // reduce to one adjacency probe.
+//
+// A group's candidate ids are clustered, so each group mask spans a few
+// words of the n-bit width. The spans are computed once per search, and a
+// live mask is written and read only inside its group's span.
 type forwardChecker struct {
-	live    []*graph.Bitset // groups with >= 2 survivors: mask(gj) ∩ cand
-	lo, hi  []int           // word bounds of each live mask (ids are clustered per group)
-	single  []int           // groups with exactly one survivor: that node
-	nLive   int
-	nSingle int
-
+	masks        []*graph.Bitset // each group's candidate mask
+	spanLo       []int           // word span [spanLo, spanHi) of each group mask
+	spanHi       []int
+	live         []*graph.Bitset // groups with >= 2 survivors: mask(gj) ∩ cand
+	lo, hi       []int           // word bounds of each live mask
+	single       []int           // groups with exactly one survivor: that node
+	nLive        int
+	nSingle      int
 	cands        []int // feasible candidates of the group being picked
 	cDead, cTght []int // their verdicts, parallel to cands
 }
 
-func newForwardChecker(n int) *forwardChecker {
-	return &forwardChecker{
+func newForwardChecker(n int, groups [][]int) *forwardChecker {
+	fc := &forwardChecker{
+		masks:  graph.NewBitsetSlab(n, len(groups)),
+		spanLo: make([]int, len(groups)),
+		spanHi: make([]int, len(groups)),
 		live:   graph.NewBitsetSlab(n, maxLookahead),
 		lo:     make([]int, maxLookahead),
 		hi:     make([]int, maxLookahead),
 		single: make([]int, maxLookahead),
 	}
+	for gi, cands := range groups {
+		for _, u := range cands {
+			fc.masks[gi].Set(u)
+		}
+		fc.spanLo[gi], fc.spanHi[gi] = fc.masks[gi].WordBounds()
+	}
+	return fc
 }
 
 // pickCandidate chooses group gi's binding by CSP-style forward checking:
@@ -260,7 +274,7 @@ func newForwardChecker(n int) *forwardChecker {
 // capped at 2. The cand intersection is hoisted into the forwardChecker (it
 // is the same for every u), leaving one early-exiting word-level pass — or a
 // single bit probe — per (candidate, group) pair.
-func pickCandidate(g *Graph, s *state, groups [][]int, masks []*graph.Bitset, rest []int, pending []bool, gi int, fc *forwardChecker) int {
+func pickCandidate(g *Graph, s *state, groups [][]int, rest []int, pending []bool, gi int, fc *forwardChecker) int {
 	fc.nLive, fc.nSingle = 0, 0
 	looked := 0
 	for _, gj := range rest {
@@ -271,13 +285,13 @@ func pickCandidate(g *Graph, s *state, groups [][]int, masks []*graph.Bitset, re
 			break
 		}
 		lm := fc.live[fc.nLive]
-		lw, hw := lm.AndInto(masks[gj], s.cand)
+		lw, hw := lm.AndInto(fc.masks[gj], s.cand, fc.spanLo[gj], fc.spanHi[gj])
 		switch lm.IntersectCountUpToIn(lm, 2, lw, hw) {
 		case 0:
 			// Dead for every candidate alike: a uniform offset never moves
 			// the argmin, so the group is dropped from the per-candidate work.
 		case 1:
-			fc.single[fc.nSingle] = lm.First()
+			fc.single[fc.nSingle] = lm.FirstIn(lw, hw)
 			fc.nSingle++
 		default:
 			fc.lo[fc.nLive], fc.hi[fc.nLive] = lw, hw

@@ -92,6 +92,7 @@ func (a *arena) rebind(g *Graph) {
 		}
 		s.inC.Reset()
 		s.cand.Fill()
+		s.miss1.Reset()
 		if g.cluster == nil {
 			s.byCluster = nil
 		} else if len(s.byCluster) >= g.nClusters {
@@ -129,11 +130,11 @@ func findParallel(g *Graph, target int, opts Options) (best []int) {
 	workers := opts.Workers
 	maxSeeds := opts.MaxSeeds
 	if maxSeeds <= 0 {
-		maxSeeds = 16
+		maxSeeds = DefaultMaxSeeds
 	}
 	maxInter := opts.MaxIntersections
 	if maxInter <= 0 {
-		maxInter = 32
+		maxInter = DefaultMaxIntersections
 	}
 	if target > g.n {
 		target = g.n

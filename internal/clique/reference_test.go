@@ -3,6 +3,7 @@ package clique
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -174,11 +175,11 @@ func refIntersect(a, b []int) []int {
 func refFind(g *Graph, target int, opts Options) []int {
 	maxSeeds := opts.MaxSeeds
 	if maxSeeds <= 0 {
-		maxSeeds = 16
+		maxSeeds = DefaultMaxSeeds
 	}
 	maxInter := opts.MaxIntersections
 	if maxInter <= 0 {
-		maxInter = 32
+		maxInter = DefaultMaxIntersections
 	}
 	if target > g.N() {
 		target = g.N()
@@ -236,6 +237,196 @@ func refFind(g *Graph, target int, opts Options) []int {
 		}
 	}
 	return best
+}
+
+// refFindGrouped is the naive FindGrouped: every swap trial rebuilds the
+// clique without its blocker member by member, and every forward check
+// counts live candidates over whole candidate lists.
+func refFindGrouped(g *Graph, groups [][]int, opts Options) []int {
+	rounds := opts.GroupRounds
+	if rounds <= 0 {
+		rounds = DefaultGroupRounds
+	}
+	var order []int
+	if len(opts.GroupOrder) == len(groups) {
+		order = append([]int(nil), opts.GroupOrder...)
+	} else {
+		freedom := make([]int, len(groups))
+		for gi, cands := range groups {
+			freedom[gi] = -1
+			for _, u := range cands {
+				freedom[gi] = max(freedom[gi], g.Degree(u))
+			}
+		}
+		order = make([]int, len(groups))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(i, j int) bool {
+			if freedom[order[i]] != freedom[order[j]] {
+				return freedom[order[i]] < freedom[order[j]]
+			}
+			return order[i] < order[j]
+		})
+	}
+	groupOf := make([]int, g.N())
+	for gi, cands := range groups {
+		for _, u := range cands {
+			groupOf[u] = gi
+		}
+	}
+	var best []int
+	for round := 0; round < rounds; round++ {
+		var members, failed []int
+		pending := make(map[int]bool, len(order))
+		for _, gi := range order {
+			pending[gi] = true
+		}
+		for oi, gi := range order {
+			delete(pending, gi)
+			if pick := refPickCandidate(g, members, groups, order[oi+1:], pending, gi); pick != -1 {
+				members = append(members, pick)
+			} else if repaired := refSwapInGroup(g, members, groups, groupOf, gi); repaired != nil {
+				members = repaired
+			} else {
+				failed = append(failed, gi)
+			}
+		}
+		for iter := 0; iter < 2*len(failed)+2 && len(failed) > 0; iter++ {
+			progress := false
+			var still []int
+			for _, gi := range failed {
+				if repaired := refSwapInGroup(g, members, groups, groupOf, gi); repaired != nil {
+					members = repaired
+					progress = true
+				} else {
+					still = append(still, gi)
+				}
+			}
+			failed = still
+			if !progress {
+				break
+			}
+		}
+		if len(members) > len(best) {
+			best = append([]int(nil), members...)
+		}
+		if len(failed) == 0 {
+			return best
+		}
+		next := append([]int(nil), failed...)
+		for _, gi := range order {
+			if !slices.Contains(failed, gi) {
+				next = append(next, gi)
+			}
+		}
+		order = next
+	}
+	return best
+}
+
+// refPickCandidate is the least-constraining-value pick: fewest pending
+// groups left without a live candidate, then fewest left with exactly one
+// (over the first maxLookahead pending groups), then most arcs into the
+// candidate set, the first such candidate in group order winning.
+func refPickCandidate(g *Graph, members []int, groups [][]int, rest []int, pending map[int]bool, gi int) int {
+	cand := refCand(g, members)
+	var look []int
+	for _, gj := range rest {
+		if pending[gj] && len(look) < maxLookahead {
+			look = append(look, gj)
+		}
+	}
+	best, bestDead, bestTight, bestScore := -1, 0, 0, 0
+	for _, u := range groups[gi] {
+		if !refCanAdd(g, members, u) {
+			continue
+		}
+		dead, tight := 0, 0
+		for _, gj := range look {
+			live := 0
+			for _, v := range groups[gj] {
+				if slices.Contains(cand, v) && g.Adjacent(u, v) {
+					live++
+				}
+			}
+			switch live {
+			case 0:
+				dead++
+			case 1:
+				tight++
+			}
+		}
+		score := 0
+		for _, v := range cand {
+			if g.Adjacent(u, v) {
+				score++
+			}
+		}
+		if best == -1 || dead < bestDead || dead == bestDead && (tight < bestTight || tight == bestTight && score > bestScore) {
+			best, bestDead, bestTight, bestScore = u, dead, tight, score
+		}
+	}
+	return best
+}
+
+// refSwapInGroup is the one-out repair by construction: for each candidate
+// of group gi blocked by exactly one member, rebuild the clique without the
+// blocker, admit the candidate, and re-place the blocker's group on its
+// best-connected feasible candidate.
+func refSwapInGroup(g *Graph, members []int, groups [][]int, groupOf []int, gi int) []int {
+	for _, u := range groups[gi] {
+		if slices.Contains(members, u) {
+			continue
+		}
+		blocker, misses := -1, 0
+		for _, m := range members {
+			if !g.Adjacent(u, m) {
+				misses++
+				if blocker == -1 {
+					blocker = m
+				}
+			}
+		}
+		if misses != 1 {
+			continue
+		}
+		var trial []int
+		ok := true
+		for _, m := range members {
+			if m == blocker {
+				continue
+			}
+			if ok = refCanAdd(g, trial, m); !ok {
+				break
+			}
+			trial = append(trial, m)
+		}
+		if !ok || !refCanAdd(g, trial, u) {
+			continue
+		}
+		trial = append(trial, u)
+		cand := refCand(g, trial)
+		repick, repickScore := -1, -1
+		for _, w := range groups[groupOf[blocker]] {
+			if !refCanAdd(g, trial, w) {
+				continue
+			}
+			score := 0
+			for _, v := range cand {
+				if g.Adjacent(w, v) {
+					score++
+				}
+			}
+			if score > repickScore {
+				repick, repickScore = w, score
+			}
+		}
+		if repick != -1 {
+			return append(trial, repick)
+		}
+	}
+	return nil
 }
 
 // refFindExact is the naive exhaustive search for a maximum feasible clique
@@ -407,6 +598,87 @@ func TestFindSeedOrderOptionMatchesDefault(t *testing.T) {
 		if !reflect.DeepEqual(def, shared) {
 			t.Fatalf("trial %d: default=%v with SeedOrder=%v", trial, def, shared)
 		}
+	}
+}
+
+// randomGroups partitions g's nodes into groups of 1..maxSize nodes — runs
+// of consecutive ids, as REGIMap's compat graphs number one operation's
+// bindings, or, when scattered, drawn from a random permutation so group
+// masks span many words — lists each group in shuffled order, and clears
+// every edge inside a group, since one operation's bindings exclude each
+// other.
+func randomGroups(rng *rand.Rand, g *Graph, maxSize int, scattered bool) [][]int {
+	ids := make([]int, g.N())
+	for i := range ids {
+		ids[i] = i
+	}
+	if scattered {
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	}
+	var groups [][]int
+	for len(ids) > 0 {
+		k := min(1+rng.Intn(maxSize), len(ids))
+		grp := append([]int(nil), ids[:k]...)
+		ids = ids[k:]
+		rng.Shuffle(len(grp), func(i, j int) { grp[i], grp[j] = grp[j], grp[i] })
+		for i, u := range grp {
+			for _, v := range grp[i+1:] {
+				g.ClearEdge(u, v)
+			}
+		}
+		groups = append(groups, grp)
+	}
+	return groups
+}
+
+// TestFindGroupedMatchesReference diffs FindGrouped against the naive
+// rebuild-and-rescan reference elementwise, on random flat and clustered
+// graphs under weight budgets, default and random group orders, and round
+// budgets. One Pool per case serves every trial, and the node counts repeat,
+// so arenas are rebound across graphs of one size as regimapd's are; a
+// generic Find on the same pool between searches leaves its states dirty.
+func TestFindGroupedMatchesReference(t *testing.T) {
+	sizes := []int{24, 40, 96, 150}
+	cases := []struct {
+		name      string
+		gen       func(r *rand.Rand, n int) *Graph
+		maxSize   int
+		scattered bool
+	}{
+		{"flat/unconstrained", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, -1, 0.6, 0) }, 4, false},
+		{"flat/weighted", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(4), 0.65, 0.5) }, 5, false},
+		{"flat/tight-cap", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, r.Intn(3), 0.7, 0.6) }, 4, false},
+		{"flat/scattered", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(3), 0.65, 0.5) }, 6, true},
+		{"cluster/REGIMap-shape", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2+r.Intn(3), 2+r.Intn(6), 0.7) }, 6, false},
+		{"cluster/tight-cap", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 1, 2+r.Intn(3), 0.75) }, 4, false},
+		{"cluster/scattered", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2, 3+r.Intn(4), 0.7) }, 8, true},
+		{"dense", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 3, 0.85, 0.4) }, 3, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewPool()
+			for trial := 0; trial < 24; trial++ {
+				rng := rand.New(rand.NewSource(int64(12000 + trial)))
+				g := tc.gen(rng, sizes[trial%len(sizes)])
+				groups := randomGroups(rng, g, tc.maxSize, tc.scattered)
+				opts := Options{GroupRounds: rng.Intn(7), Arenas: pool}
+				if trial%2 == 1 {
+					opts.GroupOrder = rng.Perm(len(groups))
+				}
+				want := refFindGrouped(g, groups, opts)
+				got := FindGrouped(g, groups, opts)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d (n=%d groups=%d): FindGrouped=%v reference=%v", trial, g.N(), len(groups), got, want)
+				}
+				if !g.IsFeasibleClique(got) {
+					t.Fatalf("trial %d: FindGrouped returned infeasible clique %v", trial, got)
+				}
+				Find(g, len(groups), Options{Arenas: pool})
+				if again := FindGrouped(g, groups, opts); !reflect.DeepEqual(got, again) {
+					t.Fatalf("trial %d: pooled rerun differs: %v then %v", trial, got, again)
+				}
+			}
+		})
 	}
 }
 

@@ -152,14 +152,34 @@ func (b *Bitset) IntersectCount(other *Bitset) int {
 	return total
 }
 
-// AndInto overwrites b with x ∩ y and returns the half-open word range of
-// the result, as WordBounds would — one pass where CopyFrom + And +
-// WordBounds would take three.
-func (b *Bitset) AndInto(x, y *Bitset) (lo, hi int) {
+// AndSpill intersects b with x and moves the members b loses into spill,
+// which keeps only its own members inside x: spill = (spill ∩ x) ∪ (b \ x),
+// then b = b ∩ x, in one pass over the words. Read b as the nodes missing no
+// neighbour so far and spill as those missing exactly one: intersecting with
+// one more neighbourhood x shifts every miss count up by one. The clique
+// engine's add maintains its candidate and one-miss sets this way.
+func (b *Bitset) AndSpill(x, spill *Bitset) {
+	if b.n != x.n || b.n != spill.n {
+		panic("graph: bitset capacity mismatch")
+	}
+	for i, w := range b.words {
+		m := x.words[i]
+		spill.words[i] = spill.words[i]&m | w&^m
+		b.words[i] = w & m
+	}
+}
+
+// AndInto overwrites the words [loWord, hiWord) of b with those of x ∩ y
+// and returns the half-open word range of the result's members, (0, 0) when
+// there are none. Words outside the range are left untouched, so the
+// caller reads b only inside the returned range. It is one pass over the
+// range where CopyFrom + And + WordBounds would take three full-width
+// passes; the grouped clique search passes a candidate group's own span.
+func (b *Bitset) AndInto(x, y *Bitset, loWord, hiWord int) (lo, hi int) {
 	if b.n != x.n || b.n != y.n {
 		panic("graph: bitset capacity mismatch")
 	}
-	for i := range b.words {
+	for i := loWord; i < hiWord; i++ {
 		w := x.words[i] & y.words[i]
 		b.words[i] = w
 		if w != 0 {
@@ -213,8 +233,14 @@ func (b *Bitset) IntersectCountUpToIn(other *Bitset, limit, loWord, hiWord int) 
 
 // First returns the smallest member, or -1 when the set is empty.
 func (b *Bitset) First() int {
-	for wi, w := range b.words {
-		if w != 0 {
+	return b.FirstIn(0, len(b.words))
+}
+
+// FirstIn returns the smallest member held in the word range
+// [loWord, hiWord), or -1 when that range holds none.
+func (b *Bitset) FirstIn(loWord, hiWord int) int {
+	for wi := loWord; wi < hiWord; wi++ {
+		if w := b.words[wi]; w != 0 {
 			return wi*64 + bits.TrailingZeros64(w)
 		}
 	}

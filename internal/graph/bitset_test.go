@@ -118,7 +118,9 @@ func TestBitsetResetAndCopy(t *testing.T) {
 	}
 }
 
-// Property: bitset set operations agree with a map-based model.
+// Property: bitset set operations agree with a map-based model, including
+// the word-ranged operations the grouped clique search runs on group spans
+// and the fused one-pass update behind the clique engine's one-miss set.
 func TestBitsetAgainstModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -140,11 +142,118 @@ func TestBitsetAgainstModel(t *testing.T) {
 				}
 			}
 		}
-		return bs.Count() == len(model)
+		if bs.Count() != len(model) {
+			return false
+		}
+		words := len(bs.Words())
+		inRange := func(i, lo, hi int) bool { return i>>6 >= lo && i>>6 < hi }
+		// Sets clustered in a random window of ids, like one operation's
+		// bindings, so word bounds are often narrower than the whole width.
+		x, xm := randomModelSet(rng, n)
+		y, ym := randomModelSet(rng, n)
+
+		if lo, hi := bs.WordBounds(); !modelBounds(model, words, lo, hi) {
+			return false
+		}
+		if bs.First() != modelMin(model, 0, words) {
+			return false
+		}
+		lo := rng.Intn(words + 1)
+		hi := lo + rng.Intn(words-lo+1)
+		if bs.FirstIn(lo, hi) != modelMin(model, lo, hi) {
+			return false
+		}
+		limit := 1 + rng.Intn(4)
+		want := 0
+		for i := range xm {
+			if model[i] && inRange(i, lo, hi) {
+				want++
+			}
+		}
+		if got := bs.IntersectCountUpToIn(x, limit, lo, hi); got != min(want, limit) {
+			return false
+		}
+
+		// AndInto writes x ∩ y inside [lo, hi) and leaves b's other words.
+		before := bs.Clone()
+		rlo, rhi := bs.AndInto(x, y, lo, hi)
+		and := map[int]bool{}
+		for i := 0; i < n; i++ {
+			switch {
+			case inRange(i, lo, hi):
+				if bs.Has(i) != (xm[i] && ym[i]) {
+					return false
+				}
+				if xm[i] && ym[i] {
+					and[i] = true
+				}
+			case bs.Has(i) != before.Has(i):
+				return false
+			}
+		}
+		if !modelBounds(and, words, rlo, rhi) {
+			return false
+		}
+
+		// AndSpill: b = b ∩ x, spill = (spill ∩ x) ∪ (b \ x), one pass.
+		b, bm := randomModelSet(rng, n)
+		spill, sm := randomModelSet(rng, n)
+		b.AndSpill(x, spill)
+		for i := 0; i < n; i++ {
+			if b.Has(i) != (bm[i] && xm[i]) || spill.Has(i) != (sm[i] && xm[i] || bm[i] && !xm[i]) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// randomModelSet returns a random bitset of capacity n whose members lie in
+// a random window of ids, and its map model.
+func randomModelSet(rng *rand.Rand, n int) (*Bitset, map[int]bool) {
+	b := NewBitset(n)
+	m := map[int]bool{}
+	lo := rng.Intn(n)
+	width := 1 + rng.Intn(n-lo)
+	for k := rng.Intn(2 * width); k > 0; k-- {
+		i := lo + rng.Intn(width)
+		b.Set(i)
+		m[i] = true
+	}
+	return b, m
+}
+
+// modelBounds reports whether [lo, hi) is the model's word range as
+// WordBounds defines it: (0, 0) when empty.
+func modelBounds(m map[int]bool, words, lo, hi int) bool {
+	if len(m) == 0 {
+		return lo == 0 && hi == 0
+	}
+	return lo == modelMin(m, 0, words)>>6 && hi == modelMax(m)>>6+1
+}
+
+// modelMin returns the model's smallest member in the word range [lo, hi),
+// or -1.
+func modelMin(m map[int]bool, lo, hi int) int {
+	best := -1
+	for i := range m {
+		if i>>6 >= lo && i>>6 < hi && (best == -1 || i < best) {
+			best = i
+		}
+	}
+	return best
+}
+
+// modelMax returns the model's largest member, or -1.
+func modelMax(m map[int]bool) int {
+	best := -1
+	for i := range m {
+		best = max(best, i)
+	}
+	return best
 }
 
 func TestBitsetGrow(t *testing.T) {

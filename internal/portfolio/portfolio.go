@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"regimap/internal/arch"
+	"regimap/internal/clique"
 	"regimap/internal/core"
 	"regimap/internal/dfg"
 	"regimap/internal/engine"
@@ -243,16 +244,16 @@ func Variant(base core.Options, scout int, seed int64) core.Options {
 	offset := int(uint64(seed) % 4)
 	switch (scout - 1 + offset) % 4 {
 	case 0: // wider greedy seeding: more clique starting points
-		o.Clique.MaxSeeds = defaulted(base.Clique.MaxSeeds, 16) + 8*step
+		o.Clique.MaxSeeds = defaulted(base.Clique.MaxSeeds, clique.DefaultMaxSeeds) + 8*step
 	case 1: // narrower seeding, deeper intersection re-seeding
-		o.Clique.MaxSeeds = maxInt(4, defaulted(base.Clique.MaxSeeds, 16)/2)
-		o.Clique.MaxIntersections = defaulted(base.Clique.MaxIntersections, 32) * (1 + step)
+		o.Clique.MaxSeeds = maxInt(4, defaulted(base.Clique.MaxSeeds, clique.DefaultMaxSeeds)/2)
+		o.Clique.MaxIntersections = defaulted(base.Clique.MaxIntersections, clique.DefaultMaxIntersections) * (1 + step)
 	case 2: // more promote-and-retry rounds in the grouped constructive pass
-		o.Clique.GroupRounds = defaulted(base.Clique.GroupRounds, 6) + 2*step
+		o.Clique.GroupRounds = defaulted(base.Clique.GroupRounds, clique.DefaultGroupRounds) + 2*step
 	case 3: // widen every clique budget at once: the brute-force scout
-		o.Clique.MaxSeeds = defaulted(base.Clique.MaxSeeds, 16) + 4*step
-		o.Clique.MaxIntersections = defaulted(base.Clique.MaxIntersections, 32) + 16*step
-		o.Clique.GroupRounds = defaulted(base.Clique.GroupRounds, 6) + step
+		o.Clique.MaxSeeds = defaulted(base.Clique.MaxSeeds, clique.DefaultMaxSeeds) + 4*step
+		o.Clique.MaxIntersections = defaulted(base.Clique.MaxIntersections, clique.DefaultMaxIntersections) + 16*step
+		o.Clique.GroupRounds = defaulted(base.Clique.GroupRounds, clique.DefaultGroupRounds) + step
 	}
 	return o
 }
