@@ -387,6 +387,22 @@ func BenchmarkMapEMS(b *testing.B) {
 	}
 }
 
+// BenchmarkMapEMSTorus measures the same EMS run on torus-8x8, the zoo's
+// deep-route case: 64 candidate PEs per slot and the longest route spans,
+// where per-placement route-tree reuse matters most.
+func BenchmarkMapEMSTorus(b *testing.B) {
+	c, err := arch.Lookup("torus-8x8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ems.Map(context.Background(), benchKernel(), c, ems.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulate measures the cycle-accurate functional simulator.
 func BenchmarkSimulate(b *testing.B) {
 	m, _, err := regimap.Map(benchKernel(), regimap.NewMesh(4, 4, 4), regimap.Options{})

@@ -41,17 +41,17 @@ func goldenHash(text string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// goldenRun maps one kernel with one engine and returns the canonical text
-// the digest is computed over. Failures hash too: an engine that starts
-// failing (or succeeding) where it did not before is also a behaviour change.
-func goldenRun(t *testing.T, engine, kernel string) string {
+// goldenRun maps one kernel with one engine on fabric c and returns the
+// canonical text the digest is computed over. Failures hash too: an engine
+// that starts failing (or succeeding) where it did not before is also a
+// behaviour change.
+func goldenRun(t *testing.T, engine, kernel string, c *regimap.CGRA) string {
 	t.Helper()
 	k, ok := regimap.KernelByName(kernel)
 	if !ok {
 		t.Fatalf("kernel %q disappeared", kernel)
 	}
 	d := k.Build()
-	c := regimap.NewMesh(4, 4, 4)
 	switch engine {
 	case "regimap":
 		m, stats, err := regimap.Map(d, c, regimap.Options{})
@@ -86,7 +86,7 @@ func TestGoldenMappings(t *testing.T) {
 	got := map[key]string{}
 	for _, eng := range engines {
 		for _, k := range regimap.Kernels() {
-			got[eng+"/"+k.Name] = goldenHash(goldenRun(t, eng, k.Name))
+			got[eng+"/"+k.Name] = goldenHash(goldenRun(t, eng, k.Name, regimap.NewMesh(4, 4, 4)))
 		}
 	}
 	checkOrUpdateGolden(t, goldenPath, got)
@@ -143,10 +143,12 @@ func checkOrUpdateGolden(t *testing.T, path string, got map[string]string) {
 }
 
 // goldenArchPath pins mapping determinism across the named-architecture zoo:
-// a fixed kernel subset mapped by REGIMap on every registered architecture.
-// The digests prove described fabrics (diagonals, torus wrap, heterogeneous
-// capabilities, banked buses) map deterministically, not just the paper's
-// default mesh.
+// a fixed kernel subset mapped by REGIMap, keyed "arch/kernel", and every
+// suite kernel mapped by EMS, keyed "ems/arch/kernel", on every registered
+// architecture. The digests prove described fabrics (diagonals, torus wrap,
+// heterogeneous capabilities, banked buses) map deterministically, not just
+// the paper's default mesh; the EMS half covers the long route spans and
+// 64-PE route levels of torus-8x8 that the 4x4 mesh never exercises.
 const goldenArchPath = "testdata/golden_archzoo.json"
 
 func TestGoldenArchZoo(t *testing.T) {
@@ -154,25 +156,20 @@ func TestGoldenArchZoo(t *testing.T) {
 		t.Skip("arch-zoo golden suite maps kernels on every zoo member; skipped in -short")
 	}
 	kernelSubset := []string{"dotprod_sat", "median3", "iir_biquad"}
+	resolve := func(name string) *regimap.CGRA {
+		c, err := regimap.ResolveArch(name)
+		if err != nil {
+			t.Fatalf("arch %q: %v", name, err)
+		}
+		return c
+	}
 	got := map[string]string{}
 	for _, name := range regimap.ArchNames() {
 		for _, kn := range kernelSubset {
-			k, ok := regimap.KernelByName(kn)
-			if !ok {
-				t.Fatalf("kernel %q disappeared", kn)
-			}
-			c, err := regimap.ResolveArch(name)
-			if err != nil {
-				t.Fatalf("arch %q: %v", name, err)
-			}
-			var text string
-			m, stats, err := regimap.Map(k.Build(), c, regimap.Options{})
-			if err != nil {
-				text = fmt.Sprintf("unmapped MII=%d", stats.MII)
-			} else {
-				text = fmt.Sprintf("II=%d attempts=%d routes=%d\n%s", stats.II, stats.Attempts, stats.RouteInserts, m)
-			}
-			got[name+"/"+kn] = goldenHash(text)
+			got[name+"/"+kn] = goldenHash(goldenRun(t, "regimap", kn, resolve(name)))
+		}
+		for _, k := range regimap.Kernels() {
+			got["ems/"+name+"/"+k.Name] = goldenHash(goldenRun(t, "ems", k.Name, resolve(name)))
 		}
 	}
 	checkOrUpdateGolden(t, goldenArchPath, got)

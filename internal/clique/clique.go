@@ -44,6 +44,7 @@ type Graph struct {
 	base      []int
 	anyW      bool // any non-zero weight or base exists (false => feasibility is vacuous)
 	cap       int
+	deg       []int // cached Degrees (emptied by any adjacency mutation)
 	degOrder  []int // cached DegreeOrder (nil after any adjacency mutation)
 }
 
@@ -88,7 +89,7 @@ func (g *Graph) AddEdge(u, v int) {
 	}
 	g.adj[u].Set(v)
 	g.adj[v].Set(u)
-	g.degOrder = nil
+	g.dropDegrees()
 }
 
 // Adjacent reports whether u and v are compatible.
@@ -100,7 +101,7 @@ func (g *Graph) Adjacent(u, v int) bool { return g.adj[u].Has(v) }
 // this for the dependence-free operation pairs that dominate large arrays.
 func (g *Graph) OrAdjacency(u int, mask *graph.Bitset) {
 	g.adj[u].Or(mask)
-	g.degOrder = nil
+	g.dropDegrees()
 }
 
 // AndNotAdjacency bulk-clears every member of mask from u's adjacency row.
@@ -109,20 +110,20 @@ func (g *Graph) OrAdjacency(u int, mask *graph.Bitset) {
 // before rebuilding only its rows.
 func (g *Graph) AndNotAdjacency(u int, mask *graph.Bitset) {
 	g.adj[u].AndNot(mask)
-	g.degOrder = nil
+	g.dropDegrees()
 }
 
 // ResetAdjacency clears u's entire adjacency row (one side only).
 func (g *Graph) ResetAdjacency(u int) {
 	g.adj[u].Reset()
-	g.degOrder = nil
+	g.dropDegrees()
 }
 
 // ClearEdge removes a compatibility edge (both directions).
 func (g *Graph) ClearEdge(u, v int) {
 	g.adj[u].Clear(v)
 	g.adj[v].Clear(u)
-	g.degOrder = nil
+	g.dropDegrees()
 }
 
 // AddWeight increases the directed weight u -> v (both directions are stored
@@ -184,8 +185,34 @@ func (g *Graph) Weight(u, v int) int {
 	return g.weight[u*g.n+v]
 }
 
+// dropDegrees invalidates the degree caches after an adjacency mutation,
+// keeping the degree vector's storage for the next sweep.
+func (g *Graph) dropDegrees() {
+	g.deg = g.deg[:0]
+	g.degOrder = nil
+}
+
+// Degrees returns every node's degree (the number of nodes compatible with
+// it), computed in one popcount sweep over the adjacency rows and cached
+// until the next adjacency mutation; Degree, DegreeOrder and the grouped
+// search's default order all read this one vector. Callers must not modify
+// it. The cache fills lazily, so a caller about to search one graph from
+// several goroutines calls Degrees first.
+func (g *Graph) Degrees() []int {
+	if len(g.deg) != g.n {
+		if cap(g.deg) < g.n {
+			g.deg = make([]int, g.n)
+		}
+		g.deg = g.deg[:g.n]
+		for u, row := range g.adj {
+			g.deg[u] = row.Count()
+		}
+	}
+	return g.deg
+}
+
 // Degree returns the number of nodes compatible with u.
-func (g *Graph) Degree(u int) int { return g.adj[u].Count() }
+func (g *Graph) Degree(u int) int { return g.Degrees()[u] }
 
 // DegreeOrder returns the node ids sorted by descending degree (id as the
 // deterministic tie-break) — Find's seed order. The order is cached until
@@ -195,11 +222,10 @@ func (g *Graph) DegreeOrder() []int {
 	if g.degOrder != nil {
 		return g.degOrder
 	}
-	deg := make([]int, g.n)
+	deg := g.Degrees()
 	order := make([]int, g.n)
 	for i := range order {
 		order[i] = i
-		deg[i] = g.adj[i].Count()
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if deg[order[i]] != deg[order[j]] {

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"regimap/internal/graph"
 )
 
 // completeGraph returns K_n with no weights.
@@ -278,4 +280,66 @@ func TestBaseWeight(t *testing.T) {
 	if len(c2) != 1 || c2[0] != 1 {
 		t.Errorf("clique = %v, want [1]", c2)
 	}
+}
+
+// The cached degree vector and degree order must follow every adjacency
+// mutator: after each one, Degrees, Degree and DegreeOrder agree with a
+// fresh count over Adjacent. 70 nodes put rows across two bitset words.
+func TestDegreeCacheTracksMutations(t *testing.T) {
+	const n = 70
+	rng := rand.New(rand.NewSource(5))
+	g := NewGraph(n, -1)
+	check := func(step string) {
+		t.Helper()
+		deg := g.Degrees()
+		for u := 0; u < n; u++ {
+			want := 0
+			for v := 0; v < n; v++ {
+				if g.Adjacent(u, v) {
+					want++
+				}
+			}
+			if deg[u] != want || g.Degree(u) != want {
+				t.Fatalf("after %s: node %d degree %d (Degree %d), want %d", step, u, deg[u], g.Degree(u), want)
+			}
+		}
+		order := g.DegreeOrder()
+		for i := 1; i < n; i++ {
+			a, b := order[i-1], order[i]
+			if deg[a] < deg[b] || (deg[a] == deg[b] && a > b) {
+				t.Fatalf("after %s: DegreeOrder out of order at %d: %v", step, i, order)
+			}
+		}
+	}
+	mask := func() *graph.Bitset {
+		m := graph.NewBitset(n)
+		for v := 0; v < n; v++ {
+			if rng.Intn(3) == 0 {
+				m.Set(v)
+			}
+		}
+		return m
+	}
+	check("NewGraph")
+	for i := 0; i < 400; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.AddEdge(u, v)
+		}
+	}
+	check("AddEdge")
+	for u := 0; u < n; u++ {
+		if g.Adjacent(u, (u+1)%n) {
+			g.ClearEdge(u, (u+1)%n)
+			break
+		}
+	}
+	check("ClearEdge")
+	m := mask()
+	m.Clear(3)
+	g.OrAdjacency(3, m)
+	check("OrAdjacency")
+	g.AndNotAdjacency(3, mask())
+	check("AndNotAdjacency")
+	g.ResetAdjacency(4)
+	check("ResetAdjacency")
 }

@@ -43,11 +43,12 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 		// the best-connected candidate it has; ties broken by group index
 		// for determinism.
 		freedom := make([]int, len(groups))
+		deg := g.Degrees()
 		for gi, cands := range groups {
 			f := -1
 			for _, u := range cands {
-				if d := g.Degree(u); d > f {
-					f = d
+				if deg[u] > f {
+					f = deg[u]
 				}
 			}
 			freedom[gi] = f

@@ -525,11 +525,12 @@ func (cg *Compat) Candidates(v int) []int { return cg.byOp[v] }
 // Nodes returns the number of (operation, PE) pairs.
 func (cg *Compat) Nodes() int { return len(cg.Pairs) }
 
-// Edges returns the number of undirected compatibility edges.
+// Edges returns the number of undirected compatibility edges, from the
+// graph's cached degree sweep.
 func (cg *Compat) Edges() int {
 	total := 0
-	for i := range cg.Pairs {
-		total += cg.G.Degree(i)
+	for _, d := range cg.G.Degrees() {
+		total += d
 	}
 	return total / 2
 }

@@ -152,7 +152,7 @@ func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 		a.stats.CompatNodes = cg.Nodes()
 		a.stats.CompatEdges = cg.Edges()
 		sp.Field("nodes", int64(cg.Nodes()))
-		sp.Field("edges", int64(cg.Edges()))
+		sp.Field("edges", int64(a.stats.CompatEdges))
 	}
 	sp.End()
 	return cg, err
@@ -348,6 +348,9 @@ func routeBudgetFor(n int) int {
 // across opts.Workers (see clique.Find).
 func findPlacement(cg *Compat, target int, times []int, opts clique.Options, tr *obs.Tracer) []int {
 	opts.Trace = tr
+	// The passes read the graph's lazily cached degrees; fill the cache
+	// before par.First may run them concurrently.
+	cg.G.Degrees()
 	passes := make([]func(o clique.Options) []int, 0, 4)
 	if len(times) == target {
 		if opts.GroupOrder == nil {

@@ -11,11 +11,15 @@
 //
 // The placer is arena-style (DESIGN.md section 8h): one working DFG clone is
 // journaled and rolled back across II attempts instead of re-cloned, slot
-// occupancy lives in flat bitsets, the route BFS runs over epoch-stamped
-// arrays, and register pressure is maintained incrementally. Every decision
-// is made in the same order as the straightforward map-based placer it
-// replaced (kept as the reference in ref_test.go), so mappings are
-// byte-identical — the golden suite pins this.
+// occupancy lives in flat bitsets, and register pressure is maintained
+// incrementally. Route searches are built once per placement, not once per
+// candidate slot: occupancy is frozen while placeOp scans v's candidates
+// (only commit and materializeChain write it, after the scan), so the route
+// BFS from a producer's (PE, time) is the same tree for every candidate, and
+// one pooled route tree per producer answers them all. Every decision is
+// made in the same order as the straightforward map-based placer it replaced
+// (kept as the reference in ref_test.go), so mappings are byte-identical —
+// the golden suite pins this.
 package ems
 
 import (
@@ -166,16 +170,31 @@ type placer struct {
 	kindCands [][]int // per-OpKind supporting PEs, ascending; lazily built
 	routeOK   []bool  // Supports(pe, Route), cached for the BFS inner loop
 
-	// Epoch-stamped BFS state for routeChain: slot k*NumPEs+pe covers search
-	// state (pe, k); a slot is visited this call iff stamp[slot] == gen.
-	stamp    []int32
-	prevPE   []int32
-	gen      int32
-	frontier []int
-	next     []int
+	// Route trees of the current placeOp scan, one per producer slot
+	// routeChain has been asked about; trees[:nTrees] are live and the rest
+	// keep their capacity for later scans.
+	trees  []routeTree
+	nTrees int
 
 	cur, best chainSet
 }
+
+// routeTree is the level-synchronous route BFS from one producer slot
+// (fromPE, fromT), grown on demand. Level k holds the PEs a value can sit on
+// k cycles after the producer, each carrying it in a route operation at
+// cycle fromT+k; level 0 is the producer's own PE.
+type routeTree struct {
+	fromPE, fromT int
+	pes           []int   // level k is pes[offs[k]:offs[k+1]], in BFS insertion order
+	offs          []int   // len(levels)+1 boundaries, offs[0] == 0
+	prevPE        []int32 // row k: pe's predecessor in level k-1, or -1 if pe is not in level k
+}
+
+// depth returns the deepest level grown so far.
+func (tr *routeTree) depth() int { return len(tr.offs) - 2 }
+
+// level returns level k's frontier in insertion order.
+func (tr *routeTree) level(k int) []int { return tr.pes[tr.offs[k]:tr.offs[k+1]] }
 
 func newPlacer(d *dfg.DFG, c *arch.CGRA) *placer {
 	p := &placer{ds: d.Clone(), c: c}
@@ -275,6 +294,7 @@ func (p *placer) placeAtII(ii int, stats *Stats) *mapping.Mapping {
 // then PE ascending, strict improvement only) fixes which of several
 // equal-cost positions wins; it must not change.
 func (p *placer) placeOp(v int, stats *Stats) bool {
+	p.nTrees = 0 // the last placement changed occupancy: every tree is stale
 	early := 0
 	for _, ei := range p.ds.InEdges(v) {
 		e := p.ds.Edges[ei]
@@ -442,54 +462,29 @@ func (p *placer) tryPosition(v, pe, t int) (cost int, ok bool) {
 // p.cur and returns true.
 //
 // The search is the reference placer's level-synchronous BFS over (pe, k)
-// states with maps replaced by epoch-stamped arrays: within a level, states
-// expand in insertion order and each expands to itself first, then its
-// neighbours in Neighbors order, so the first goal state found — and hence
-// the chain — is identical.
+// states: within a level, states expand in insertion order and each expands
+// to itself first, then its neighbours in Neighbors order. Occupancy is
+// frozen for the whole placeOp scan, so level k depends only on the
+// producer's slot and k; the levels live in the producer's route tree and
+// are shared by every candidate slot of the scan. Only the stopping level
+// (span-1) and the goal test (Connected to toPE) vary per query, so the
+// first goal state in level span-1's insertion order — and hence the chain —
+// is identical to a fresh BFS.
 func (p *placer) routeChain(ei, fromPE, fromT, toPE, span int) bool {
-	n := p.c.NumPEs()
-	if need := span * n; need > len(p.stamp) {
-		p.stamp = make([]int32, need)
-		p.prevPE = make([]int32, need)
-		p.gen = 0
-	}
-	p.gen++
-	gen := p.gen
-	frontier := append(p.frontier[:0], fromPE)
-	next := p.next[:0]
-	p.stamp[fromPE] = gen // state (fromPE, 0)
-	for k := 0; k < span-1; k++ {
-		if len(frontier) == 0 {
-			p.frontier, p.next = frontier, next
+	tr := p.routeTree(fromPE, fromT)
+	last := span - 1
+	for tr.depth() < last {
+		if !p.grow(tr) {
 			return false
 		}
-		next = next[:0]
-		row := (k + 1) * n
-		slotT := fromT + k + 1
-		for _, pe := range frontier {
-			// Candidates: stay on pe, then hop to each neighbour.
-			if p.stamp[row+pe] != gen && p.routeOK[pe] && !p.slotBusy(pe, slotT, dfg.Route) {
-				p.stamp[row+pe] = gen
-				p.prevPE[row+pe] = int32(pe)
-				next = append(next, pe)
-			}
-			for _, q := range p.c.Neighbors(pe) {
-				if p.stamp[row+q] != gen && p.routeOK[q] && !p.slotBusy(q, slotT, dfg.Route) {
-					p.stamp[row+q] = gen
-					p.prevPE[row+q] = int32(pe)
-					next = append(next, q)
-				}
-			}
-		}
-		frontier, next = next, frontier
 	}
-	p.frontier, p.next = frontier, next
-	for _, pe := range frontier {
+	n := p.c.NumPEs()
+	for _, pe := range tr.level(last) {
 		if p.c.Connected(pe, toPE) {
 			// Reconstruct the chain pe_1..pe_{span-1} back-to-front.
 			s := &p.cur
 			base := len(s.buf)
-			if want := base + span - 1; cap(s.buf) >= want {
+			if want := base + last; cap(s.buf) >= want {
 				s.buf = s.buf[:want]
 			} else {
 				grown := make([]int, want, 2*want)
@@ -497,9 +492,9 @@ func (p *placer) routeChain(ei, fromPE, fromT, toPE, span int) bool {
 				s.buf = grown
 			}
 			at := pe
-			for k := span - 1; k > 0; k-- {
+			for k := last; k > 0; k-- {
 				s.buf[base+k-1] = at
-				at = int(p.prevPE[k*n+at])
+				at = int(tr.prevPE[k*n+at])
 			}
 			s.offs = append(s.offs, len(s.buf))
 			s.edges = append(s.edges, ei)
@@ -507,6 +502,70 @@ func (p *placer) routeChain(ei, fromPE, fromT, toPE, span int) bool {
 		}
 	}
 	return false
+}
+
+// routeTree returns the scan's route tree rooted at producer slot (fromPE,
+// fromT), starting a fresh one — in a pooled arena — on the first query.
+func (p *placer) routeTree(fromPE, fromT int) *routeTree {
+	for i := 0; i < p.nTrees; i++ {
+		if tr := &p.trees[i]; tr.fromPE == fromPE && tr.fromT == fromT {
+			return tr
+		}
+	}
+	if p.nTrees == len(p.trees) {
+		p.trees = append(p.trees, routeTree{})
+	}
+	tr := &p.trees[p.nTrees]
+	p.nTrees++
+	n := p.c.NumPEs()
+	tr.fromPE, tr.fromT = fromPE, fromT
+	tr.pes = append(tr.pes[:0], fromPE)
+	tr.offs = append(tr.offs[:0], 0, 1)
+	tr.prevPE = appendUnvisited(tr.prevPE[:0], n)
+	tr.prevPE[fromPE] = int32(fromPE)
+	return tr
+}
+
+// grow appends the next level to tr: every free, route-capable PE reachable
+// in one hop (or by staying put) from the deepest level. It returns false,
+// appending nothing, when the deepest level is empty — then so is every
+// deeper one.
+func (p *placer) grow(tr *routeTree) bool {
+	k := tr.depth()
+	lo, hi := tr.offs[k], tr.offs[k+1]
+	if lo == hi {
+		return false
+	}
+	n := p.c.NumPEs()
+	row := (k + 1) * n
+	tr.prevPE = appendUnvisited(tr.prevPE, n)
+	slotT := tr.fromT + k + 1
+	visit := func(q, from int) {
+		if tr.prevPE[row+q] < 0 && p.routeOK[q] && !p.slotBusy(q, slotT, dfg.Route) {
+			tr.prevPE[row+q] = int32(from)
+			tr.pes = append(tr.pes, q)
+		}
+	}
+	for i := lo; i < hi; i++ {
+		pe := tr.pes[i]
+		// Candidates: stay on pe, then hop to each neighbour.
+		visit(pe, pe)
+		for _, q := range p.c.Neighbors(pe) {
+			visit(q, pe)
+		}
+	}
+	tr.offs = append(tr.offs, len(tr.pes))
+	return true
+}
+
+// appendUnvisited appends a prevPE row of n unvisited (-1) entries to s.
+func appendUnvisited(s []int32, n int) []int32 {
+	s = append(s, make([]int32, n)...)
+	row := s[len(s)-n:]
+	for i := range row {
+		row[i] = -1
+	}
+	return s
 }
 
 // materializeChain appends the route operations of one chain to the working

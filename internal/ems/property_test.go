@@ -12,13 +12,17 @@ import (
 
 // Property: the arena placer agrees with the reference placer (ref_test.go)
 // per II attempt — same success/failure, byte-identical mapping text, same
-// placement/route counts — on random kernels over healthy and faulted
-// fabrics. This is the guarantee the golden suite pins end-to-end, pushed
-// down to every intermediate II the escalation loop visits.
+// placement/route counts — on random kernels over every zoo fabric, healthy
+// and faulted. The zoo brings the long route spans and 64-PE levels of
+// torus-8x8, diagonal and distance-2 links, and restricted memory columns,
+// all of which shape the route trees placeOp reuses. This is the guarantee
+// the golden suite pins end-to-end, pushed down to every intermediate II the
+// escalation loop visits.
 func TestPlacerMatchesReference(t *testing.T) {
+	names := arch.ArchNames()
 	trials := 60
 	if testing.Short() {
-		trials = 15
+		trials = max(15, 2*len(names)) // every zoo fabric, healthy and faulted
 	}
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < trials; trial++ {
@@ -27,12 +31,17 @@ func TestPlacerMatchesReference(t *testing.T) {
 			MemFraction: 0.2,
 			Recurrence:  rng.Intn(3),
 		})
-		c := arch.NewMesh(4, 4, 4)
+		// Each zoo fabric twice in a row: healthy, then faulted.
+		name := names[(trial/2)%len(names)]
+		c, err := arch.Lookup(name)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		if trial%2 == 1 {
 			fs := fault.Random(rng, c, 1+rng.Intn(3))
 			faulted, err := fs.Apply(c)
 			if err != nil {
-				t.Fatalf("trial %d: applying %s: %v", trial, fs, err)
+				t.Fatalf("trial %d: applying %s to %s: %v", trial, fs, name, err)
 			}
 			c = faulted
 		}
