@@ -223,15 +223,36 @@ func BenchmarkScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildCompat measures compatibility-graph construction.
-func BenchmarkBuildCompat(b *testing.B) {
+// benchSchedule is the bench kernel scheduled at MII+1 on c.
+func benchSchedule(b *testing.B, c *arch.CGRA) (*dfg.DFG, *sched.Result) {
 	d := benchKernel()
-	c := arch.NewMesh(4, 4, 4)
-	sc := sched.New(d, 16, 4)
+	pes, memSlots := c.MIIResources()
+	sc := sched.New(d, pes, memSlots)
 	res, err := sc.Schedule(sc.MII()+1, sched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return d, res
+}
+
+// benchTorus is torus-8x8, the zoo fabric that carries most of the suite's
+// REGIMap time: 64 candidate PEs per operation.
+func benchTorus(b *testing.B) *arch.CGRA {
+	c, err := arch.Lookup("torus-8x8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// BenchmarkBuildCompat measures compatibility-graph construction.
+func BenchmarkBuildCompat(b *testing.B) { buildCompatPass(b, arch.NewMesh(4, 4, 4)) }
+
+// BenchmarkBuildCompatTorus measures the same construction on torus-8x8.
+func BenchmarkBuildCompatTorus(b *testing.B) { buildCompatPass(b, benchTorus(b)) }
+
+func buildCompatPass(b *testing.B, c *arch.CGRA) {
+	d, res := benchSchedule(b, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.BuildCompat(d, c, res.Time, res.II, core.CompatOptions{}); err != nil {
@@ -241,15 +262,9 @@ func BenchmarkBuildCompat(b *testing.B) {
 }
 
 // benchCompat is the clique benches' realistic compatibility graph: the
-// bench kernel scheduled at MII+1 on the 4x4 mesh.
-func benchCompat(b *testing.B) (*dfg.DFG, *core.Compat) {
-	d := benchKernel()
-	c := arch.NewMesh(4, 4, 4)
-	sc := sched.New(d, 16, 4)
-	res, err := sc.Schedule(sc.MII()+1, sched.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+// bench kernel scheduled at MII+1 on c.
+func benchCompat(b *testing.B, c *arch.CGRA) (*dfg.DFG, *core.Compat) {
+	d, res := benchSchedule(b, c)
 	cg, err := core.BuildCompat(d, c, res.Time, res.II, core.CompatOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -260,7 +275,7 @@ func benchCompat(b *testing.B) (*dfg.DFG, *core.Compat) {
 // BenchmarkCliqueFind measures the weight-constrained clique search on a
 // realistic compatibility graph.
 func BenchmarkCliqueFind(b *testing.B) {
-	d, cg := benchCompat(b)
+	d, cg := benchCompat(b, arch.NewMesh(4, 4, 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clique.Find(cg.G, d.N(), clique.Options{})
@@ -272,7 +287,7 @@ func BenchmarkCliqueFind(b *testing.B) {
 // sequential engine (DESIGN.md section 8g); only wall-clock may differ, so
 // the bench-compare job tracks these series alongside BenchmarkCliqueFind.
 func BenchmarkCliqueFindParallel(b *testing.B) {
-	d, cg := benchCompat(b)
+	d, cg := benchCompat(b, arch.NewMesh(4, 4, 4))
 	for _, w := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			pool := clique.NewPool()
@@ -288,8 +303,14 @@ func BenchmarkCliqueFindParallel(b *testing.B) {
 // behind REGIMap's first placement passes, here in its default
 // most-constrained-first order, on the same compatibility graph with one
 // group per operation's candidate bindings.
-func BenchmarkCliqueFindGrouped(b *testing.B) {
-	d, cg := benchCompat(b)
+func BenchmarkCliqueFindGrouped(b *testing.B) { findGroupedPass(b, arch.NewMesh(4, 4, 4)) }
+
+// BenchmarkCliqueFindGroupedTorus measures the same search on torus-8x8's
+// compatibility graph.
+func BenchmarkCliqueFindGroupedTorus(b *testing.B) { findGroupedPass(b, benchTorus(b)) }
+
+func findGroupedPass(b *testing.B, c *arch.CGRA) {
+	d, cg := benchCompat(b, c)
 	groups := make([][]int, d.N())
 	for v := range groups {
 		groups[v] = cg.Candidates(v)

@@ -104,6 +104,15 @@ func (g *Graph) OrAdjacency(u int, mask *graph.Bitset) {
 	g.dropDegrees()
 }
 
+// OrAdjacencyWords is OrAdjacency over one word range: it ORs words into
+// u's row starting at word lo, covering node ids 64*lo onwards. Symmetry is
+// the caller's responsibility, as for OrAdjacency; the compat builder passes
+// the few words one partner operation's candidates span.
+func (g *Graph) OrAdjacencyWords(u, lo int, words []uint64) {
+	g.adj[u].OrWords(lo, words)
+	g.dropDegrees()
+}
+
 // AndNotAdjacency bulk-clears every member of mask from u's adjacency row.
 // Like OrAdjacency, symmetry is the caller's responsibility; the incremental
 // compat builder uses this to drop a rescheduled operation's stale edges

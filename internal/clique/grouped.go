@@ -1,6 +1,7 @@
 package clique
 
 import (
+	"math/bits"
 	"sort"
 
 	"regimap/internal/graph"
@@ -223,27 +224,33 @@ type swapTrial struct {
 // groups in the order are the ones the choice constrains most.
 const maxLookahead = 24
 
-// forwardChecker is pickCandidate's reusable working set: the still-live
-// candidate mask of each examined pending group, computed once per pick
-// instead of once per (candidate, group) pair. Groups whose live mask is
-// empty contribute the same dead count to every candidate, which cannot
-// change the argmin, so they are dropped outright; single-survivor groups
-// reduce to one adjacency probe.
+// forwardChecker is pickCandidate's reusable working set. A pending group's
+// verdict for a candidate u — how many of its live candidates are adjacent
+// to u, capped at 2 — is computed for every candidate of the picked group
+// at once, by walking the pending group's live candidates v and folding
+// adj(v) into two bit-slices over the picked group's word span: one holds
+// the candidates with at least one live neighbour, two those with at least
+// two. Adjacency is symmetric, so u ∈ adj(v) exactly when v ∈ adj(u).
+//
+// A group whose verdict is the same for every feasible candidate — all dead,
+// all exactly one, or all at least two — adds the same count to every
+// candidate's dead or tight tally, which never moves the argmin, so it is
+// dropped; the walk stops as soon as two covers every feasible candidate.
+// The slices of the groups that remain answer each candidate's (dead, tight)
+// with two bit probes.
 //
 // A group's candidate ids are clustered, so each group mask spans a few
-// words of the n-bit width. The spans are computed once per search, and a
-// live mask is written and read only inside its group's span.
+// words of the n-bit width. The spans are computed once per search.
 type forwardChecker struct {
-	masks        []*graph.Bitset // each group's candidate mask
-	spanLo       []int           // word span [spanLo, spanHi) of each group mask
-	spanHi       []int
-	live         []*graph.Bitset // groups with >= 2 survivors: mask(gj) ∩ cand
-	lo, hi       []int           // word bounds of each live mask
-	single       []int           // groups with exactly one survivor: that node
-	nLive        int
-	nSingle      int
-	cands        []int // feasible candidates of the group being picked
-	cDead, cTght []int // their verdicts, parallel to cands
+	masks    []*graph.Bitset // each group's candidate mask
+	spanLo   []int           // word span [spanLo, spanHi) of each group mask
+	spanHi   []int
+	feas     []uint64 // feasible candidates of the picked group, over its span
+	one, two []uint64 // kept groups' bit-slices, maxSpan words per group
+	nKept    int
+	cands    []int // feasible candidates of the group being picked
+	cDead    []int // their verdicts, parallel to cands
+	cTght    []int
 }
 
 func newForwardChecker(n int, groups [][]int) *forwardChecker {
@@ -251,17 +258,18 @@ func newForwardChecker(n int, groups [][]int) *forwardChecker {
 		masks:  graph.NewBitsetSlab(n, len(groups)),
 		spanLo: make([]int, len(groups)),
 		spanHi: make([]int, len(groups)),
-		live:   graph.NewBitsetSlab(n, maxLookahead),
-		lo:     make([]int, maxLookahead),
-		hi:     make([]int, maxLookahead),
-		single: make([]int, maxLookahead),
 	}
+	maxSpan := 0
 	for gi, cands := range groups {
 		for _, u := range cands {
 			fc.masks[gi].Set(u)
 		}
 		fc.spanLo[gi], fc.spanHi[gi] = fc.masks[gi].WordBounds()
+		maxSpan = max(maxSpan, fc.spanHi[gi]-fc.spanLo[gi])
 	}
+	fc.feas = make([]uint64, maxSpan)
+	fc.one = make([]uint64, maxLookahead*maxSpan)
+	fc.two = make([]uint64, maxLookahead*maxSpan)
 	return fc
 }
 
@@ -270,13 +278,27 @@ func newForwardChecker(n int, groups [][]int) *forwardChecker {
 // group at least one (and ideally several) live candidates — the
 // least-constraining-value rule — with overall compatibility as the final
 // tie-break. It returns -1 when no candidate is feasible.
-//
-// A pending group's live count for candidate u is |mask(gj) ∩ cand ∩ adj(u)|
-// capped at 2. The cand intersection is hoisted into the forwardChecker (it
-// is the same for every u), leaving one early-exiting word-level pass — or a
-// single bit probe — per (candidate, group) pair.
 func pickCandidate(g *Graph, s *state, groups [][]int, rest []int, pending []bool, gi int, fc *forwardChecker) int {
-	fc.nLive, fc.nSingle = 0, 0
+	lo, hi := fc.spanLo[gi], fc.spanHi[gi]
+	nw := hi - lo
+	feas := fc.feas[:nw]
+	clear(feas)
+	fc.cands = fc.cands[:0]
+	for _, u := range groups[gi] {
+		if s.canAdd(u) {
+			fc.cands = append(fc.cands, u)
+			feas[u>>6-lo] |= 1 << uint(u&63)
+		}
+	}
+	switch len(fc.cands) {
+	case 0:
+		return -1
+	case 1:
+		return fc.cands[0] // every verdict is uniform
+	}
+
+	fc.nKept = 0
+	cand := s.cand.Words()
 	looked := 0
 	for _, gj := range rest {
 		if !pending[gj] {
@@ -285,48 +307,28 @@ func pickCandidate(g *Graph, s *state, groups [][]int, rest []int, pending []boo
 		if looked++; looked > maxLookahead {
 			break
 		}
-		lm := fc.live[fc.nLive]
-		lw, hw := lm.AndInto(fc.masks[gj], s.cand, fc.spanLo[gj], fc.spanHi[gj])
-		switch lm.IntersectCountUpToIn(lm, 2, lw, hw) {
-		case 0:
-			// Dead for every candidate alike: a uniform offset never moves
-			// the argmin, so the group is dropped from the per-candidate work.
-		case 1:
-			fc.single[fc.nSingle] = lm.FirstIn(lw, hw)
-			fc.nSingle++
-		default:
-			fc.lo[fc.nLive], fc.hi[fc.nLive] = lw, hw
-			fc.nLive++
+		if fc.fold(g, gj, cand, lo, fc.one[fc.nKept*nw:(fc.nKept+1)*nw], fc.two[fc.nKept*nw:(fc.nKept+1)*nw]) {
+			fc.nKept++
 		}
 	}
-	// First pass: (dead, tight) for each feasible candidate; the compatibility
-	// score is only the final tie-break, so it is deferred to the candidates
-	// still tied after this pass (usually one or two) instead of paying a
+
+	// (dead, tight) for each feasible candidate; the compatibility score is
+	// only the final tie-break, so it is deferred to the candidates still
+	// tied after this pass (usually one or two) instead of paying a
 	// full-width popcount for every candidate.
-	fc.cands, fc.cDead, fc.cTght = fc.cands[:0], fc.cDead[:0], fc.cTght[:0]
+	fc.cDead, fc.cTght = fc.cDead[:0], fc.cTght[:0]
 	minDead, minTight := 1<<30, 1<<30
-	for _, u := range groups[gi] {
-		if !s.canAdd(u) {
-			continue
-		}
+	for _, u := range fc.cands {
+		k, bit := u>>6-lo, uint64(1)<<uint(u&63)
 		dead, tight := 0, 0
-		adj := g.adj[u]
-		for i := 0; i < fc.nSingle; i++ {
-			if adj.Has(fc.single[i]) {
-				tight++
-			} else {
+		for i := 0; i < fc.nKept; i++ {
+			switch {
+			case fc.one[i*nw+k]&bit == 0:
 				dead++
-			}
-		}
-		for i := 0; i < fc.nLive; i++ {
-			switch fc.live[i].IntersectCountUpToIn(adj, 2, fc.lo[i], fc.hi[i]) {
-			case 0:
-				dead++
-			case 1:
+			case fc.two[i*nw+k]&bit == 0:
 				tight++
 			}
 		}
-		fc.cands = append(fc.cands, u)
 		fc.cDead = append(fc.cDead, dead)
 		fc.cTght = append(fc.cTght, tight)
 		if dead < minDead || (dead == minDead && tight < minTight) {
@@ -343,4 +345,38 @@ func pickCandidate(g *Graph, s *state, groups [][]int, rest []int, pending []boo
 		}
 	}
 	return best
+}
+
+// fold computes pending group gj's bit-slices over the picked group's span
+// [lo, lo+len(one)): it walks gj's live candidates — mask ∩ cand over gj's
+// own span — and folds each one's adjacency words into one (at least one
+// live neighbour) and two (at least two). It reports whether the verdict
+// varies across the feasible candidates; a uniform group is dropped. The
+// walk stops as soon as two covers every feasible candidate.
+func (fc *forwardChecker) fold(g *Graph, gj int, cand []uint64, lo int, one, two []uint64) bool {
+	feas := fc.feas[:len(one)]
+	clear(one)
+	clear(two)
+	mask := fc.masks[gj].Words()
+	for w := fc.spanLo[gj]; w < fc.spanHi[gj]; w++ {
+		for live := mask[w] & cand[w]; live != 0; live &= live - 1 {
+			v := w<<6 | bits.TrailingZeros64(live)
+			covered := true
+			for k, a := range g.adj[v].Words()[lo : lo+len(one)] {
+				two[k] |= one[k] & a
+				one[k] |= a
+				covered = covered && feas[k]&^two[k] == 0
+			}
+			if covered {
+				return false // at least two for every candidate
+			}
+		}
+	}
+	anyOne, allOne, anyTwo := false, true, false
+	for k, f := range feas {
+		anyOne = anyOne || one[k]&f != 0
+		allOne = allOne && f&^one[k] == 0
+		anyTwo = anyTwo || two[k]&f != 0
+	}
+	return anyOne && !(allOne && !anyTwo) // not all dead, not all exactly one
 }

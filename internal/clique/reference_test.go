@@ -631,12 +631,101 @@ func randomGroups(rng *rand.Rand, g *Graph, maxSize int, scattered bool) [][]int
 	return groups
 }
 
+// randomProductGraph builds a graph shaped like REGIMap's D ⊗ R_II of about
+// n nodes: one group per operation, one candidate per supporting PE of a
+// ring fabric of up to 40 PEs (consecutive ids per group, as the compat
+// builder numbers them, so group spans cross words), and every pair of
+// groups related one of the ways the compat rules relate two operations:
+//
+//   - complete: independent operations in different slots;
+//   - complete minus the same-PE matching: operations sharing a slot;
+//   - adjacent only on linked PEs (a PE links to itself and its two ring
+//     neighbours): a forwarded dependence;
+//   - adjacent only on one PE: a register-carried dependence.
+//
+// Weights are REGIMap's register demand: inside a PE, the consumer's demand.
+// Pending groups then often give every candidate the same forward-check
+// verdict — all dead, all exactly one live neighbour, or all several.
+func randomProductGraph(rng *rand.Rand, n int) (*Graph, [][]int) {
+	pes := 3 + rng.Intn(38)
+	nGroups := max(2, n/pes)
+	var groups [][]int
+	var pe []int
+	for gi := 0; gi < nGroups; gi++ {
+		var grp []int
+		for p := 0; p < pes; p++ {
+			if rng.Float64() < 0.85 || p == pes-1 && len(grp) == 0 {
+				grp = append(grp, len(pe))
+				pe = append(pe, p)
+			}
+		}
+		groups = append(groups, grp)
+	}
+	g := NewGraph(len(pe), 2+rng.Intn(3))
+	linked := func(p, q int) bool { d := (p - q + pes) % pes; return d <= 1 || d == pes-1 }
+	for gi := range groups {
+		for gj := gi + 1; gj < len(groups); gj++ {
+			rel := rng.Float64()
+			for _, u := range groups[gi] {
+				for _, v := range groups[gj] {
+					var ok bool
+					switch {
+					case rel < 0.45:
+						ok = true
+					case rel < 0.75:
+						ok = pe[u] != pe[v]
+					case rel < 0.92:
+						ok = linked(pe[u], pe[v])
+					default:
+						ok = pe[u] == pe[v]
+					}
+					if ok {
+						g.AddEdge(u, v)
+					}
+				}
+			}
+		}
+	}
+	demand := make([]int, len(groups))
+	groupOf := make([]int, len(pe))
+	for gi, grp := range groups {
+		if rng.Float64() < 0.4 {
+			demand[gi] = 1 + rng.Intn(2)
+		}
+		for _, u := range grp {
+			groupOf[u] = gi
+		}
+	}
+	fn := func(u, v int) int {
+		if pe[u] != pe[v] {
+			return 0
+		}
+		return demand[groupOf[v]]
+	}
+	hasOut := func(u int) bool {
+		for v := range pe {
+			if v != u && fn(u, v) != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	g.SetWeightFunc(fn, hasOut, func(u int) int { return pe[u] })
+	for u := range pe {
+		if rng.Float64() < 0.1 {
+			g.AddBase(u, 1)
+		}
+	}
+	return g, groups
+}
+
 // TestFindGroupedMatchesReference diffs FindGrouped against the naive
 // rebuild-and-rescan reference elementwise, on random flat and clustered
-// graphs under weight budgets, default and random group orders, and round
-// budgets. One Pool per case serves every trial, and the node counts repeat,
-// so arenas are rebound across graphs of one size as regimapd's are; a
-// generic Find on the same pool between searches leaves its states dirty.
+// graphs and on product-shaped ones (randomProductGraph) under weight
+// budgets, default and random group orders, and round budgets. One Pool per
+// case serves every trial, and the node counts repeat, so arenas are rebound
+// across graphs of one size as regimapd's are; a generic Find on the same
+// pool between searches leaves its states dirty.
 func TestFindGroupedMatchesReference(t *testing.T) {
 	sizes := []int{24, 40, 96, 150}
 	cases := []struct {
@@ -644,23 +733,31 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 		gen       func(r *rand.Rand, n int) *Graph
 		maxSize   int
 		scattered bool
+		product   bool // gen is unused: randomProductGraph builds graph and groups
 	}{
-		{"flat/unconstrained", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, -1, 0.6, 0) }, 4, false},
-		{"flat/weighted", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(4), 0.65, 0.5) }, 5, false},
-		{"flat/tight-cap", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, r.Intn(3), 0.7, 0.6) }, 4, false},
-		{"flat/scattered", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(3), 0.65, 0.5) }, 6, true},
-		{"cluster/REGIMap-shape", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2+r.Intn(3), 2+r.Intn(6), 0.7) }, 6, false},
-		{"cluster/tight-cap", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 1, 2+r.Intn(3), 0.75) }, 4, false},
-		{"cluster/scattered", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2, 3+r.Intn(4), 0.7) }, 8, true},
-		{"dense", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 3, 0.85, 0.4) }, 3, false},
+		{"flat/unconstrained", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, -1, 0.6, 0) }, 4, false, false},
+		{"flat/weighted", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(4), 0.65, 0.5) }, 5, false, false},
+		{"flat/tight-cap", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, r.Intn(3), 0.7, 0.6) }, 4, false, false},
+		{"flat/scattered", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(3), 0.65, 0.5) }, 6, true, false},
+		{"cluster/REGIMap-shape", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2+r.Intn(3), 2+r.Intn(6), 0.7) }, 6, false, false},
+		{"cluster/tight-cap", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 1, 2+r.Intn(3), 0.75) }, 4, false, false},
+		{"cluster/scattered", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2, 3+r.Intn(4), 0.7) }, 8, true, false},
+		{"dense", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 3, 0.85, 0.4) }, 3, false, false},
+		{"product/REGIMap-shape", nil, 0, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := NewPool()
 			for trial := 0; trial < 24; trial++ {
 				rng := rand.New(rand.NewSource(int64(12000 + trial)))
-				g := tc.gen(rng, sizes[trial%len(sizes)])
-				groups := randomGroups(rng, g, tc.maxSize, tc.scattered)
+				var g *Graph
+				var groups [][]int
+				if tc.product {
+					g, groups = randomProductGraph(rng, 4*sizes[trial%len(sizes)])
+				} else {
+					g = tc.gen(rng, sizes[trial%len(sizes)])
+					groups = randomGroups(rng, g, tc.maxSize, tc.scattered)
+				}
 				opts := Options{GroupRounds: rng.Intn(7), Arenas: pool}
 				if trial%2 == 1 {
 					opts.GroupOrder = rng.Perm(len(groups))

@@ -74,9 +74,21 @@ type CompatBuilder struct {
 	pairs []Pair
 	byOp  [][]int
 	masks []*graph.Bitset // candidate mask per operation
-	memOp []bool          // operation touches a shared memory bus
+	opLo  []int           // word span [opLo, opHi) of each candidate mask
+	opHi  []int
+	memOp []bool // operation touches a shared memory bus
 	g     *clique.Graph
 	cg    Compat
+
+	// Per-PE rule masks over pair ids, built once (see orPartners): the ids
+	// bound to PE p, to the PEs p reaches, to the PEs that reach p, and to
+	// the PEs of p's bus group (busOf is nil unless memory pairs can clash;
+	// PEs of one group share one mask).
+	onPE     []*graph.Bitset
+	reachOut []*graph.Bitset
+	reachIn  []*graph.Bitset
+	busOf    []*graph.Bitset
+	rowSpan  []uint64 // orPartners' scratch: one composed span of a row
 
 	// memPairwise is false only for a single global bus group of capacity
 	// >= 2, where memory contention is enforced wholesale by the scheduler
@@ -174,12 +186,45 @@ func NewCompatBuilder(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptions) (*Co
 	}
 
 	b.masks = graph.NewBitsetSlab(n, d.N())
+	b.opLo = make([]int, d.N())
+	b.opHi = make([]int, d.N())
 	b.memOp = make([]bool, d.N())
+	memOps, maxSpan := 0, 0
 	for v := range b.byOp {
 		for _, id := range b.byOp[v] {
 			b.masks[v].Set(id)
 		}
-		b.memOp[v] = d.Nodes[v].Kind.IsMem()
+		b.opLo[v], b.opHi[v] = b.masks[v].WordBounds()
+		maxSpan = max(maxSpan, b.opHi[v]-b.opLo[v])
+		if b.memOp[v] = d.Nodes[v].Kind.IsMem(); b.memOp[v] {
+			memOps++
+		}
+	}
+	b.rowSpan = make([]uint64, maxSpan)
+
+	pes := c.NumPEs()
+	rules := graph.NewBitsetSlab(n, 3*pes)
+	b.onPE, b.reachOut, b.reachIn = rules[:pes], rules[pes:2*pes], rules[2*pes:]
+	for id, pr := range b.pairs {
+		b.onPE[pr.PE].Set(id)
+	}
+	for p := 0; p < pes; p++ {
+		c.AdjacencyRow(p).ForEach(func(q int) bool {
+			// Connected(p, q): p's output register reaches q.
+			b.reachOut[p].Or(b.onPE[q])
+			b.reachIn[q].Or(b.onPE[p])
+			return true
+		})
+	}
+	if b.memPairwise && memOps >= 2 {
+		groups := graph.NewBitsetSlab(n, c.NumBusGroups())
+		for id, pr := range b.pairs {
+			groups[c.BusGroupOf(pr.PE)].Set(id)
+		}
+		b.busOf = make([]*graph.Bitset, pes)
+		for p := range b.busOf {
+			b.busOf[p] = groups[c.BusGroupOf(p)]
+		}
 	}
 
 	nn := d.N() * d.N()
@@ -366,17 +411,16 @@ func (b *CompatBuilder) Build(times []int) (*Compat, error) {
 
 // classifyPair applies the Appendix A.2 rules to the ordered pair vi < vj:
 // dependence-free pairs are recorded for the bulk mask fast path (the
-// overwhelming majority on large arrays), everything else walks the two
-// candidate lists and adds the individually-legal edges.
+// overwhelming majority on large arrays); a dependent or bus-clashing pair
+// ORs each candidate's legal partners into its row, one word span at a
+// time, from both sides.
 func (b *CompatBuilder) classifyPair(times []int, vi, vj int) {
-	d, c, ii := b.d, b.c, b.ii
-	si, sj := times[vi]%ii, times[vj]%ii
-	sameSlot := si == sj
+	d, ii := b.d, b.ii
+	sameSlot := times[vi]%ii == times[vj]%ii
 	memClash := sameSlot && b.memOp[vi] && b.memOp[vj] && b.memPairwise
 	kf, kr := vi*d.N()+vj, vj*d.N()+vi
-	fwd, rev := b.depHas[kf], b.depHas[kr]
 
-	if !fwd && !rev && !memClash {
+	if !b.depHas[kf] && !b.depHas[kr] && !memClash {
 		b.depFree[vi] = append(b.depFree[vi], vj)
 		b.depFree[vj] = append(b.depFree[vj], vi)
 		if sameSlot {
@@ -384,39 +428,75 @@ func (b *CompatBuilder) classifyPair(times []int, vi, vj int) {
 		}
 		return
 	}
+	r := pairRule{
+		sameSlot: sameSlot,
+		memClash: memClash,
+		carried:  b.depCarried[kf] || b.depCarried[kr],
+		out:      b.depNeedAdj[kf],
+		in:       b.depNeedAdj[kr],
+	}
+	b.orPartners(vi, vj, r)
+	r.out, r.in = r.in, r.out
+	b.orPartners(vj, vi, r)
+}
 
-	for _, i := range b.byOp[vi] {
-		pi := b.pairs[i].PE
-		for _, j := range b.byOp[vj] {
-			pj := b.pairs[j].PE
-			if sameSlot && pi == pj {
-				continue // same resource of R_II
-			}
-			if memClash && c.BusGroupOf(pi) == c.BusGroupOf(pj) {
-				// Shared bus group of capacity <= 1 (the default: the row
-				// bus). Zero-cap groups never reach here — their PEs were
-				// excluded from memory-op candidates at enumeration.
-				continue
-			}
-			samePE := pi == pj
-			if fwd {
-				if b.depCarried[kf] && !samePE {
-					continue
-				}
-				if b.depNeedAdj[kf] && !c.Connected(pi, pj) {
-					continue
-				}
-			}
-			if rev {
-				if b.depCarried[kr] && !samePE {
-					continue
-				}
-				if b.depNeedAdj[kr] && !c.Connected(pj, pi) {
-					continue
-				}
-			}
-			b.g.AddEdge(i, j)
+// pairRule is the Appendix A.2 constraint between a dependent or
+// bus-clashing operation v and its partner w, seen from v's side.
+type pairRule struct {
+	sameSlot bool // same modulo slot: w may not share v's PE (one resource of R_II)
+	memClash bool // same-slot memory ops: w may not share v's bus group (capacity <= 1)
+	carried  bool // a register-carried dependence: w must sit on v's PE
+	out      bool // v -> w forwarded at span 1: v's PE must reach w's
+	in       bool // w -> v forwarded at span 1: w's PE must reach v's
+}
+
+// orPartners ORs into each candidate row of v the candidates of w legal
+// beside it under r: w's mask intersected with the rule masks of the
+// candidate's PE, over w's word span. Zero-cap bus groups never appear:
+// their PEs were excluded from memory-op candidates at enumeration.
+func (b *CompatBuilder) orPartners(v, w int, r pairRule) {
+	lo, hi := b.opLo[w], b.opHi[w]
+	span := b.masks[w].Words()[lo:hi]
+	row := b.rowSpan[:hi-lo]
+	for _, i := range b.byOp[v] {
+		p := b.pairs[i].PE
+		copy(row, span)
+		if r.carried {
+			andWords(row, b.onPE[p], lo)
 		}
+		if r.out {
+			andWords(row, b.reachOut[p], lo)
+		}
+		if r.in {
+			andWords(row, b.reachIn[p], lo)
+		}
+		switch {
+		case r.memClash:
+			andNotWords(row, b.busOf[p], lo) // the group holds p itself
+		case r.sameSlot:
+			andNotWords(row, b.onPE[p], lo)
+		}
+		b.g.OrAdjacencyWords(i, lo, row)
+	}
+}
+
+// orMask unions op v's candidate mask into dst over the mask's word span.
+func (b *CompatBuilder) orMask(dst *graph.Bitset, v int) {
+	lo, hi := b.opLo[v], b.opHi[v]
+	dst.OrWords(lo, b.masks[v].Words()[lo:hi])
+}
+
+// andWords intersects row with m's words starting at word lo.
+func andWords(row []uint64, m *graph.Bitset, lo int) {
+	for k, w := range m.Words()[lo : lo+len(row)] {
+		row[k] &= w
+	}
+}
+
+// andNotWords removes m's words starting at word lo from row.
+func andNotWords(row []uint64, m *graph.Bitset, lo int) {
+	for k, w := range m.Words()[lo : lo+len(row)] {
+		row[k] &^= w
 	}
 }
 
@@ -430,7 +510,7 @@ func (b *CompatBuilder) applyDepFree() {
 		}
 		b.union.Reset()
 		for _, vj := range partners {
-			b.union.Or(b.masks[vj])
+			b.orMask(b.union, vj)
 		}
 		for _, i := range b.byOp[vi] {
 			b.g.OrAdjacency(i, b.union)
@@ -479,7 +559,7 @@ func (b *CompatBuilder) rebuildAdjacencyFull(times []int) {
 func (b *CompatBuilder) rebuildAdjacencyRows(times []int) {
 	b.changedMask.Reset()
 	for _, v := range b.changedList {
-		b.changedMask.Or(b.masks[v])
+		b.orMask(b.changedMask, v)
 	}
 	for v := 0; v < b.d.N(); v++ {
 		if b.changed[v] {

@@ -1,29 +1,45 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"regimap/internal/arch"
 	"regimap/internal/dfg"
+	"regimap/internal/fault"
 	"regimap/internal/mapping"
 	"regimap/internal/sched"
 )
 
 // TestCompatAgainstValidatorOracle is the compatibility graph's ground-truth
-// check: for random small kernels and schedules, a pair of bindings is
-// compatible if and only if the two-operation partial mapping extends the
-// independent mapping validator's rules (evaluated on a two-op sub-kernel).
-// This pins the Appendix A.2 construction to the machine model rather than
-// to our own reading of it.
+// check: for random small kernels and schedules on every zoo fabric, healthy
+// and faulted, two bindings are compatible if and only if the independent
+// mapping validator accepts them as a two-operation sub-kernel. This pins
+// the Appendix A.2 construction to the machine model rather than to our own
+// reading of it.
 func TestCompatAgainstValidatorOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12345))
-	c := arch.NewMesh(2, 2, 2)
-	for trial := 0; trial < 40; trial++ {
+	names := arch.ArchNames()
+	for trial := 0; trial < 8*len(names); trial++ {
+		name := names[trial%len(names)]
+		c, err := arch.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial/len(names)%2 == 1 {
+			fs := fault.Random(rng, c, 1+rng.Intn(3))
+			if c, err = fs.Apply(c); err != nil {
+				t.Fatalf("trial %d: applying %s to %s: %v", trial, fs, name, err)
+			}
+		}
 		d := randomKernel(rng)
-		sc := sched.New(d, c.NumPEs(), c.Rows)
-		mii := sc.MII()
-		res, err := sc.ScheduleMinII(mii, mii+6, sched.Options{})
+		pes, memRows := c.MIIResources()
+		if pes == 0 {
+			continue
+		}
+		mii := d.MII(pes, memRows)
+		res, err := sched.New(d, pes, memRows).ScheduleMinII(mii, mii+6, sched.Options{})
 		if err != nil {
 			continue
 		}
@@ -31,18 +47,25 @@ func TestCompatAgainstValidatorOracle(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		// Sample binding pairs and compare against the oracle.
-		for probe := 0; probe < 200; probe++ {
-			i := rng.Intn(cg.Nodes())
-			j := rng.Intn(cg.Nodes())
-			if i == j || cg.Pairs[i].Op == cg.Pairs[j].Op {
+		// Every pair of bindings on small graphs; a sample on the torus.
+		n := cg.Nodes()
+		probes := n * n
+		if n > 400 {
+			probes = 20000
+		}
+		for probe := 0; probe < probes; probe++ {
+			i, j := probe/n, probe%n
+			if n > 400 {
+				i, j = rng.Intn(n), rng.Intn(n)
+			}
+			if cg.Pairs[i].Op == cg.Pairs[j].Op {
 				continue
 			}
 			got := cg.G.Adjacent(i, j)
 			want := oracleCompatible(d, c, res, cg.Pairs[i], cg.Pairs[j])
 			if got != want {
-				t.Fatalf("trial %d: pair (%s@PE%d, %s@PE%d) compat=%v oracle=%v\nschedule=%v II=%d",
-					trial,
+				t.Fatalf("trial %d on %s: pair (%s@PE%d, %s@PE%d) compat=%v oracle=%v\nschedule=%v II=%d",
+					trial, name,
 					d.Nodes[cg.Pairs[i].Op].Name, cg.Pairs[i].PE,
 					d.Nodes[cg.Pairs[j].Op].Name, cg.Pairs[j].PE,
 					got, want, res.Time, res.II)
@@ -51,43 +74,28 @@ func TestCompatAgainstValidatorOracle(t *testing.T) {
 	}
 }
 
-// oracleCompatible evaluates the machine rules directly for two bindings:
-// distinct resources, bus exclusivity, and for every dependence between the
-// two operations the forwarding/register-carrying constraints the validator
-// enforces. Register capacity is deliberately excluded (the clique encodes
-// it as weights, not adjacency).
+// oracleCompatible reports whether mapping.Validate accepts the two bindings
+// as a sub-kernel of just their two operations and the dependences between
+// them, at the schedule's slots. Register capacity is deliberately ignored:
+// the clique encodes it as weights, not adjacency. (On fanout-bounded
+// fabrics the compatibility graph also applies a kernel-wide link rule a
+// two-operation sub-kernel cannot see; the zoo has none.)
 func oracleCompatible(d *dfg.DFG, c *arch.CGRA, res *sched.Result, a, b Pair) bool {
-	m := mapping.New(d, c, res.II)
-	copy(m.Time, res.Time)
-	// Same (PE, slot)?
-	if a.PE == b.PE && res.Time[a.Op]%res.II == res.Time[b.Op]%res.II {
-		return false
-	}
-	// Shared row bus?
-	if d.Nodes[a.Op].Kind.IsMem() && d.Nodes[b.Op].Kind.IsMem() &&
-		res.Time[a.Op]%res.II == res.Time[b.Op]%res.II &&
-		c.RowOf(a.PE) == c.RowOf(b.PE) {
-		return false
-	}
-	// Dependence rules, both directions.
+	sub := &dfg.DFG{Name: d.Name, Nodes: []dfg.Node{d.Nodes[a.Op], d.Nodes[b.Op]}}
+	sub.Nodes[0].ID, sub.Nodes[1].ID = 0, 1
+	local := map[int]int{a.Op: 0, b.Op: 1}
 	for _, e := range d.Edges {
-		var prodPE, consPE int
-		switch {
-		case e.From == a.Op && e.To == b.Op:
-			prodPE, consPE = a.PE, b.PE
-		case e.From == b.Op && e.To == a.Op:
-			prodPE, consPE = b.PE, a.PE
-		default:
-			continue
-		}
-		span := res.Time[e.To] - res.Time[e.From] + res.II*e.Dist
-		if span == 1 {
-			if !c.Connected(prodPE, consPE) {
-				return false
-			}
-		} else if prodPE != consPE {
-			return false
+		from, okF := local[e.From]
+		to, okT := local[e.To]
+		if okF && okT {
+			sub.Edges = append(sub.Edges, dfg.Edge{From: from, To: to, Port: e.Port, Dist: e.Dist})
 		}
 	}
-	return true
+	sub = sub.Clone() // index the sub-kernel's edges
+	m := mapping.New(sub, c, res.II)
+	m.Time[0], m.Time[1] = res.Time[a.Op], res.Time[b.Op]
+	m.PE[0], m.PE[1] = a.PE, b.PE
+	err := m.Validate()
+	var v *mapping.Violation
+	return err == nil || errors.As(err, &v) && v.Constraint == mapping.ConstraintRegisterCap
 }

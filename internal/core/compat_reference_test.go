@@ -1,0 +1,273 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"regimap/internal/arch"
+	"regimap/internal/dfg"
+	"regimap/internal/kernels"
+	"regimap/internal/sched"
+)
+
+// refCompat is a compatibility graph built from scratch by the
+// per-candidate-pair loop: every pair of bindings of two distinct operations
+// is judged on its own, one Connected and bus-group query at a time.
+type refCompat struct {
+	pairs  []Pair
+	adj    [][]uint64 // adjacency rows, 64 node ids per word
+	base   []int
+	demand []int // register demand per operation: the weight of an arc into it on a shared PE
+}
+
+// refBuildCompat derives the compatibility graph of a schedule directly
+// from the Appendix A.2 rules, with none of CompatBuilder's machinery: no
+// dependence-free fast path, no word masks, no incremental rows. It returns
+// nil when some operation has no supporting PE.
+func refBuildCompat(d *dfg.DFG, c *arch.CGRA, times []int, ii int, opts CompatOptions) *refCompat {
+	r := &refCompat{demand: make([]int, d.N())}
+	byOp := make([][]int, d.N())
+	for v := range d.Nodes {
+		for p := 0; p < c.NumPEs(); p++ {
+			if c.Supports(p, d.Nodes[v].Kind) && (!d.Nodes[v].Kind.IsMem() || c.MemPEOk(p)) {
+				byOp[v] = append(byOp[v], len(r.pairs))
+				r.pairs = append(r.pairs, Pair{Op: v, PE: p})
+			}
+		}
+		if len(byOp[v]) == 0 {
+			return nil
+		}
+	}
+
+	// Dependence summaries per ordered operation pair, and register demand.
+	N := d.N()
+	needAdj, carried := make([]bool, N*N), make([]bool, N*N)
+	maxSpan := make([]int, N)
+	for _, e := range d.Edges {
+		span := times[e.To] - times[e.From] + ii*e.Dist
+		if span > 1 {
+			maxSpan[e.From] = max(maxSpan[e.From], span)
+		}
+		if e.From == e.To {
+			continue
+		}
+		k := e.From*N + e.To
+		if span == 1 && (e.Dist == 0 || !opts.StrictInterIteration) {
+			needAdj[k] = true
+		} else {
+			carried[k] = true
+		}
+	}
+	if fo := c.Fanout(); fo > 0 {
+		// A producer with more span-1 consumers than the fanout bound keeps
+		// every one of them on its own PE.
+		for from := 0; from < N; from++ {
+			var fwd []int
+			for to := 0; to < N; to++ {
+				if k := from*N + to; needAdj[k] && !carried[k] {
+					fwd = append(fwd, k)
+				}
+			}
+			if len(fwd) > fo {
+				for _, k := range fwd {
+					carried[k] = true
+				}
+			}
+		}
+	}
+	for v, span := range maxSpan {
+		if span > 1 {
+			r.demand[v] = ceilDiv(span, ii)
+		}
+	}
+
+	memPairwise := !(c.NumBusGroups() == 1 && c.BusGroupCap(0) > 1)
+	n := len(r.pairs)
+	r.base = make([]int, n)
+	r.adj = make([][]uint64, n)
+	for i := range r.adj {
+		r.adj[i] = make([]uint64, (n+63)/64)
+	}
+	opMask := make([][]uint64, N) // each operation's candidate ids
+	for v := range opMask {
+		opMask[v] = make([]uint64, (n+63)/64)
+	}
+	for i, a := range r.pairs {
+		r.base[i] = r.demand[a.Op] + max(0, c.NumRegs-c.RegsAt(a.PE))
+		opMask[a.Op][i>>6] |= 1 << uint(i&63)
+	}
+	// The rule is symmetric in its two bindings, and each row is filled on
+	// its own, so a graph that agrees with every row is symmetric too.
+	for va := 0; va < N; va++ {
+		for vb := 0; vb < N; vb++ {
+			if va == vb {
+				continue
+			}
+			sameSlot := times[va]%ii == times[vb]%ii
+			memClash := sameSlot && memPairwise && d.Nodes[va].Kind.IsMem() && d.Nodes[vb].Kind.IsMem()
+			kf, kr := va*N+vb, vb*N+va
+			carry := carried[kf] || carried[kr]
+			if !sameSlot && !carry && !needAdj[kf] && !needAdj[kr] {
+				// No rule binds the two operations: every pair is compatible.
+				for _, i := range byOp[va] {
+					for k, w := range opMask[vb] {
+						r.adj[i][k] |= w
+					}
+				}
+				continue
+			}
+			for _, i := range byOp[va] {
+				pa, row := r.pairs[i].PE, r.adj[i]
+				for _, j := range byOp[vb] {
+					pb := r.pairs[j].PE
+					switch {
+					case sameSlot && pa == pb: // one resource of R_II
+					case memClash && c.BusGroupOf(pa) == c.BusGroupOf(pb): // a bus group of capacity <= 1
+					case carry && pa != pb: // a register-carried value leaving its PE
+					case needAdj[kf] && !c.Connected(pa, pb), needAdj[kr] && !c.Connected(pb, pa): // span 1, no link
+					default:
+						row[j>>6] |= 1 << uint(j&63)
+					}
+				}
+			}
+		}
+	}
+	return r
+}
+
+// diffCompat fails the test unless the builder's graph equals the reference
+// on every pair, base, adjacency row and same-PE weight (every weight when
+// crossPE is set), and every row is symmetric (the grouped clique search's
+// transposed forward check relies on it).
+func diffCompat(t *testing.T, where string, got *Compat, want *refCompat, crossPE bool) {
+	t.Helper()
+	if len(got.Pairs) != len(want.pairs) {
+		t.Fatalf("%s: %d pairs, reference %d", where, len(got.Pairs), len(want.pairs))
+	}
+	for i, pr := range want.pairs {
+		if got.Pairs[i] != pr {
+			t.Fatalf("%s: pair %d is %+v, reference %+v", where, i, got.Pairs[i], pr)
+		}
+		if got.G.Base(i) != want.base[i] {
+			t.Fatalf("%s: base(%d) = %d, reference %d", where, i, got.G.Base(i), want.base[i])
+		}
+	}
+	// Every ordered pair, so agreeing with the symmetric reference also
+	// asserts symmetric rows. A weight is the consumer's demand between
+	// bindings on one PE and 0 otherwise; the demands follow the schedule
+	// and the compat options, the zeros do neither, so cross-PE weights are
+	// checked only when crossPE is set.
+	for i, a := range want.pairs {
+		for j, b := range want.pairs {
+			if got, w := got.G.Adjacent(i, j), want.adj[i][j>>6]>>uint(j&63)&1 != 0; got != w {
+				t.Fatalf("%s: adjacency (%+v, %+v) = %v, reference %v", where, a, b, got, w)
+			}
+			w := 0
+			if a.PE == b.PE {
+				w = want.demand[b.Op]
+			} else if !crossPE {
+				continue
+			}
+			if i != j && got.G.Weight(i, j) != w {
+				t.Fatalf("%s: weight (%+v -> %+v) = %d, reference %d", where, a, b, got.G.Weight(i, j), w)
+			}
+		}
+	}
+}
+
+// zooFault breaks one PE and cuts one surviving link of c.
+func zooFault(rng *rand.Rand, c *arch.CGRA) {
+	broken := rng.Intn(c.NumPEs())
+	c.DisablePE(broken)
+	for tries := 0; tries < 1000; tries++ {
+		p, q := rng.Intn(c.NumPEs()), rng.Intn(c.NumPEs())
+		if p != q && p != broken && q != broken && c.Connected(p, q) {
+			if err := c.CutLink(p, q); err != nil {
+				panic(err)
+			}
+			return
+		}
+	}
+}
+
+// TestCompatBuilderMatchesReferenceZoo diffs CompatBuilder.Build against the
+// per-candidate-pair reference on every suite kernel × every zoo fabric,
+// healthy and faulted (a broken PE plus a cut link), with and without
+// StrictInterIteration, plus a fanout-1 fabric: the first Build of each
+// schedule, and an incremental sequence of reschedules through one builder.
+func TestCompatBuilderMatchesReferenceZoo(t *testing.T) {
+	type fabric struct {
+		name string
+		c    func() *arch.CGRA
+	}
+	var fabrics []fabric
+	for _, name := range arch.ArchNames() {
+		lookup := func() *arch.CGRA {
+			c, err := arch.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		fabrics = append(fabrics, fabric{name, lookup}, fabric{name + "/faulted", func() *arch.CGRA {
+			c := lookup()
+			zooFault(rand.New(rand.NewSource(int64(len(name)))), c)
+			return c
+		}})
+	}
+	fabrics = append(fabrics, fabric{"fanout-1", func() *arch.CGRA {
+		c, err := arch.Resolve("grid 4x4; topo mesh+; regs 4; fanout 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}})
+
+	for _, f := range fabrics {
+		c := f.c()
+		pes, memRows := c.MIIResources()
+		for ki, k := range kernels.All() {
+			d := k.Build()
+			mii := d.MII(pes, memRows)
+			res, err := sched.New(d, pes, memRows).ScheduleMinII(mii, mii+6, sched.Options{})
+			if err != nil {
+				continue
+			}
+			for _, strict := range []bool{false, true} {
+				opts := CompatOptions{StrictInterIteration: strict}
+				where := fmt.Sprintf("%s/%s strict=%v", f.name, k.Name, strict)
+				b, err := NewCompatBuilder(d, c, res.II, opts)
+				if ref := refBuildCompat(d, c, res.Time, res.II, opts); (err == nil) != (ref != nil) {
+					t.Fatalf("%s: builder error %v, reference built=%v", where, err, ref != nil)
+				}
+				if err != nil {
+					continue
+				}
+				// The first Build, then — under one strictness per kernel,
+				// alternating, and off the large torus — a few moved
+				// operations (changed rows only) and a shake-up of every
+				// operation (a full rebuild).
+				rounds := 1
+				if strict == (ki%2 == 1) && c.NumPEs() <= 16 {
+					rounds = 3
+				}
+				rng := rand.New(rand.NewSource(int64(ki)))
+				times := append([]int(nil), res.Time...)
+				for round := 0; round < rounds; round++ {
+					switch round {
+					case 1:
+						perturbSchedule(rng, d, times, res.II, 1+rng.Intn(3))
+					case 2:
+						perturbSchedule(rng, d, times, res.II, d.N())
+					}
+					got, err := b.Build(times)
+					if err != nil {
+						t.Fatalf("%s round %d: Build: %v", where, round, err)
+					}
+					diffCompat(t, fmt.Sprintf("%s round %d", where, round), got, refBuildCompat(d, c, times, res.II, opts), round == 0 && !strict)
+				}
+			}
+		}
+	}
+}

@@ -58,6 +58,7 @@ type Attempt struct {
 	cb      *CompatBuilder // incremental compat builder for the current work DFG
 	cbFor   *dfg.DFG       // the DFG cb was built for (route insertion replaces it)
 	cbNodes int            // node count cb was sized for (in-place growth invalidates)
+	cbPool  *clique.Pool   // cb's own search arenas when the caller passes no pool
 }
 
 // NewAttempt prepares the pipeline state for one II.
@@ -135,7 +136,13 @@ func (a *Attempt) PassPrecheck(res *sched.Result) (skip []int, proceed bool) {
 // rebuilds the rows of rescheduled operations. Structural learning moves
 // (route insertion, recomputation) grow the work DFG — sometimes by mutating
 // the already-cloned DFG in place — so the builder is invalidated both on
-// identity change and on node-count change.
+// identity change and on node-count change, and its graph with it.
+//
+// Every graph one builder produces has the same node count, so when the
+// caller passes no clique.Pool each new builder gets its own: every search
+// over its graphs reuses one set of arenas, and the arenas go when the
+// builder does. (One pool per Map call would keep arenas for every route-
+// inserted size until the call ends.)
 func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 	sp := a.tr.Start("pass.compat")
 	if a.cb == nil || a.cbFor != a.ds || a.cbNodes != a.ds.N() {
@@ -146,6 +153,9 @@ func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 			return nil, err
 		}
 		a.cb, a.cbFor, a.cbNodes = cb, a.ds, a.ds.N()
+		if a.opts.Clique.Arenas == nil {
+			a.cbPool = clique.NewPool()
+		}
 	}
 	cg, err := a.cb.Build(res.Time)
 	if err == nil {
@@ -167,6 +177,9 @@ func (a *Attempt) PassPlace(ctx context.Context, cg *Compat, res *sched.Result) 
 	sp := a.tr.Start("pass.clique")
 	opts := a.opts.Clique
 	opts.Ctx = ctx
+	if opts.Arenas == nil {
+		opts.Arenas = a.cbPool
+	}
 	sol := findPlacement(cg, a.ds.N(), res.Time, opts, a.tr)
 	sp.Field("placed", int64(len(sol)))
 	sp.Field("target", int64(a.ds.N()))

@@ -169,34 +169,22 @@ func (b *Bitset) AndSpill(x, spill *Bitset) {
 	}
 }
 
-// AndInto overwrites the words [loWord, hiWord) of b with those of x ∩ y
-// and returns the half-open word range of the result's members, (0, 0) when
-// there are none. Words outside the range are left untouched, so the
-// caller reads b only inside the returned range. It is one pass over the
-// range where CopyFrom + And + WordBounds would take three full-width
-// passes; the grouped clique search passes a candidate group's own span.
-func (b *Bitset) AndInto(x, y *Bitset, loWord, hiWord int) (lo, hi int) {
-	if b.n != x.n || b.n != y.n {
-		panic("graph: bitset capacity mismatch")
+// OrWords unions words into b's words starting at word lo:
+// b.words[lo+k] |= words[k]. The compat builder composes a candidate's
+// partners over the partner operation's few-word span and ORs in just that
+// range, where Or would take a full-width pass.
+func (b *Bitset) OrWords(lo int, words []uint64) {
+	dst := b.words[lo : lo+len(words)]
+	for k, w := range words {
+		dst[k] |= w
 	}
-	for i := loWord; i < hiWord; i++ {
-		w := x.words[i] & y.words[i]
-		b.words[i] = w
-		if w != 0 {
-			if hi == 0 {
-				lo = i
-			}
-			hi = i + 1
-		}
-	}
-	return lo, hi
 }
 
 // WordBounds returns the half-open range [lo, hi) of 64-bit word indices
 // holding the set's members, or (0, 0) when the set is empty. Callers with
-// clustered members (the grouped clique search's per-operation candidate
-// masks occupy contiguous id ranges) pass the bounds to IntersectCountUpToIn
-// to skip the empty prefix and suffix of the word array.
+// clustered members (one operation's candidate ids occupy a contiguous
+// range) read and write only those words, skipping the empty prefix and
+// suffix of the word array.
 func (b *Bitset) WordBounds() (lo, hi int) {
 	for i, w := range b.words {
 		if w != 0 {
@@ -209,38 +197,10 @@ func (b *Bitset) WordBounds() (lo, hi int) {
 	return lo, hi
 }
 
-// IntersectCountUpToIn returns |b ∩ other| counted over the word range
-// [loWord, hiWord), stopping early once the count reaches limit (the exact
-// value is returned while it is below limit). The range must lie within both
-// bitsets' word arrays; members outside it are not counted, so callers pass
-// b's own WordBounds. The grouped clique search uses it for forward
-// checking, where only "zero, one, or several live candidates" matters.
-func (b *Bitset) IntersectCountUpToIn(other *Bitset, limit, loWord, hiWord int) int {
-	if b.n != other.n {
-		panic("graph: bitset capacity mismatch")
-	}
-	total := 0
-	for i := loWord; i < hiWord; i++ {
-		if w := b.words[i] & other.words[i]; w != 0 {
-			total += bits.OnesCount64(w)
-			if total >= limit {
-				return limit
-			}
-		}
-	}
-	return total
-}
-
 // First returns the smallest member, or -1 when the set is empty.
 func (b *Bitset) First() int {
-	return b.FirstIn(0, len(b.words))
-}
-
-// FirstIn returns the smallest member held in the word range
-// [loWord, hiWord), or -1 when that range holds none.
-func (b *Bitset) FirstIn(loWord, hiWord int) int {
-	for wi := loWord; wi < hiWord; wi++ {
-		if w := b.words[wi]; w != 0 {
+	for wi, w := range b.words {
+		if w != 0 {
 			return wi*64 + bits.TrailingZeros64(w)
 		}
 	}

@@ -119,8 +119,8 @@ func TestBitsetResetAndCopy(t *testing.T) {
 }
 
 // Property: bitset set operations agree with a map-based model, including
-// the word-ranged operations the grouped clique search runs on group spans
-// and the fused one-pass update behind the clique engine's one-miss set.
+// the word-ranged union the compat builder runs on operation spans and the
+// fused one-pass update behind the clique engine's one-miss set.
 func TestBitsetAgainstModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -150,7 +150,6 @@ func TestBitsetAgainstModel(t *testing.T) {
 		// Sets clustered in a random window of ids, like one operation's
 		// bindings, so word bounds are often narrower than the whole width.
 		x, xm := randomModelSet(rng, n)
-		y, ym := randomModelSet(rng, n)
 
 		if lo, hi := bs.WordBounds(); !modelBounds(model, words, lo, hi) {
 			return false
@@ -158,41 +157,20 @@ func TestBitsetAgainstModel(t *testing.T) {
 		if bs.First() != modelMin(model, 0, words) {
 			return false
 		}
+		// OrWords unions x's words [lo, hi) into b and leaves b's other
+		// words.
 		lo := rng.Intn(words + 1)
 		hi := lo + rng.Intn(words-lo+1)
-		if bs.FirstIn(lo, hi) != modelMin(model, lo, hi) {
-			return false
-		}
-		limit := 1 + rng.Intn(4)
-		want := 0
-		for i := range xm {
-			if model[i] && inRange(i, lo, hi) {
-				want++
-			}
-		}
-		if got := bs.IntersectCountUpToIn(x, limit, lo, hi); got != min(want, limit) {
-			return false
-		}
-
-		// AndInto writes x ∩ y inside [lo, hi) and leaves b's other words.
 		before := bs.Clone()
-		rlo, rhi := bs.AndInto(x, y, lo, hi)
-		and := map[int]bool{}
+		bs.OrWords(lo, x.Words()[lo:hi])
 		for i := 0; i < n; i++ {
-			switch {
-			case inRange(i, lo, hi):
-				if bs.Has(i) != (xm[i] && ym[i]) {
-					return false
-				}
-				if xm[i] && ym[i] {
-					and[i] = true
-				}
-			case bs.Has(i) != before.Has(i):
+			want := before.Has(i)
+			if inRange(i, lo, hi) {
+				want = want || xm[i]
+			}
+			if bs.Has(i) != want {
 				return false
 			}
-		}
-		if !modelBounds(and, words, rlo, rhi) {
-			return false
 		}
 
 		// AndSpill: b = b ∩ x, spill = (spill ∩ x) ∪ (b \ x), one pass.
