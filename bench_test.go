@@ -577,3 +577,29 @@ func BenchmarkMapExact(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMapExactBudget measures the exact backend where most of its time
+// goes: rungs that exhaust the conflict budget. At the exact benchmark
+// workload's budget of 1000 conflicts per solve, gobmk_lib on paper-4x4 ends
+// II 2 and 3 unknown and maps at II 4, so an op is three IIs of encoding and
+// about 2,600 conflicts rather than a quick optimality proof.
+func BenchmarkMapExactBudget(b *testing.B) {
+	d, ok := kernels.ByName("gobmk_lib")
+	if !ok {
+		b.Fatal("gobmk_lib missing")
+	}
+	c, err := arch.Resolve("paper-4x4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		k := d.Build()
+		m, st, err := regimap.MapExactContext(context.Background(), k, c, regimap.ExactOptions{MaxConflicts: 1000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m == nil || st.Cert.BestII != 4 || st.Cert.OptimalII != 0 {
+			b.Fatalf("gobmk_lib: want unproven II 4, got %+v", st.Cert)
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"regimap"
@@ -34,6 +35,16 @@ const goldenPath = "testdata/golden_mappings.json"
 func goldenDRESC() regimap.DRESCOptions {
 	return regimap.DRESCOptions{Seed: 7, MovesPerTemperature: 6 * 16, Cooling: 0.8}
 }
+
+// goldenExactConflicts is the exact engine's per-solve conflict budget in
+// the golden suite: the exact benchmark workload's budget, small enough that
+// rungs which exhaust it (the "unknown" verdicts most exact time goes to)
+// are part of what the digests pin.
+const goldenExactConflicts = 1000
+
+// goldenExactMaxOps bounds the kernels the exact goldens cover by op count,
+// keeping the exact half of the zoo suite to a few seconds.
+const goldenExactMaxOps = 25
 
 // goldenHash canonicalizes one mapping outcome to a short digest.
 func goldenHash(text string) string {
@@ -71,6 +82,28 @@ func goldenRun(t *testing.T, engine, kernel string, c *regimap.CGRA) string {
 			return fmt.Sprintf("unmapped MII=%d", stats.MII)
 		}
 		return fmt.Sprintf("II=%d moves=%d time=%v pe=%v paths=%v", p.II, stats.Moves, p.Time, p.PE, p.Paths)
+	case "exact":
+		// The certificate's deterministic fields and every rung's solver
+		// counts, so a change to the encoding or the solver's search path
+		// shows even where the verdicts and the mapping stay put.
+		m, stats, err := regimap.MapExact(d, c, regimap.ExactOptions{MaxConflicts: goldenExactConflicts})
+		if stats == nil {
+			t.Fatalf("exact %s on %s: no certificate (%v)", kernel, c, err)
+		}
+		cert := stats.Cert
+		var b strings.Builder
+		fmt.Fprintf(&b, "MII=%d best=%d optimal=%d bound=%d class=%s\n",
+			cert.MII, cert.BestII, cert.OptimalII, cert.ProvenLowerBound, cert.LowerBoundClass)
+		for _, v := range cert.PerII {
+			fmt.Fprintf(&b, "II=%d %s %q vars=%d clauses=%d conflicts=%d decisions=%d restarts=%d\n",
+				v.II, v.Status, v.Note, v.Vars, v.Clauses, v.Conflicts, v.Decisions, v.Restarts)
+		}
+		if err != nil {
+			b.WriteString("unmapped")
+		} else {
+			b.WriteString(m.String())
+		}
+		return b.String()
 	default:
 		t.Fatalf("unknown golden engine %q", engine)
 		return ""
@@ -148,8 +181,15 @@ func checkOrUpdateGolden(t *testing.T, path string, got map[string]string) {
 // architecture. The digests prove described fabrics (diagonals, torus wrap,
 // heterogeneous capabilities, banked buses) map deterministically, not just
 // the paper's default mesh; the EMS half covers the long route spans and
-// 64-PE route levels of torus-8x8 that the 4x4 mesh never exercises.
+// 64-PE route levels of torus-8x8 that the 4x4 mesh never exercises. The
+// exact half, keyed "exact/arch/kernel", pins every certificate and rung of
+// the SAT engine on the suite kernels of at most goldenExactMaxOps ops, on
+// the fabrics of goldenExactArchs.
 const goldenArchPath = "testdata/golden_archzoo.json"
+
+// goldenExactArchs covers a homogeneous mesh, a banked-bus mesh and a
+// heterogeneous fabric with memory-capable columns.
+var goldenExactArchs = []string{"paper-4x4", "band2-4x4", "hetero-mem-col"}
 
 func TestGoldenArchZoo(t *testing.T) {
 	if testing.Short() {
@@ -170,6 +210,14 @@ func TestGoldenArchZoo(t *testing.T) {
 		}
 		for _, k := range regimap.Kernels() {
 			got["ems/"+name+"/"+k.Name] = goldenHash(goldenRun(t, "ems", k.Name, resolve(name)))
+		}
+	}
+	for _, name := range goldenExactArchs {
+		for _, k := range regimap.Kernels() {
+			if k.Build().N() > goldenExactMaxOps {
+				continue
+			}
+			got["exact/"+name+"/"+k.Name] = goldenHash(goldenRun(t, "exact", k.Name, resolve(name)))
 		}
 	}
 	checkOrUpdateGolden(t, goldenArchPath, got)

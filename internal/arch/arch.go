@@ -242,7 +242,10 @@ func (c *CGRA) ColOf(p int) int { return p % c.Cols }
 func (c *CGRA) Neighbors(p int) []int { return c.neighbors[p] }
 
 // Connected reports whether PE q can read PE p's output register in the cycle
-// after p produces: q is p itself or a topological neighbour.
+// after p produces: q is p itself or a topological neighbour. The relation is
+// symmetric, Connected(p, q) == Connected(q, p), on every fabric: topologies
+// add links in both directions, and ADL link/nolink edits, CutLink and
+// DisablePE set and clear both directions together.
 func (c *CGRA) Connected(p, q int) bool { return c.adj[p].Has(q) }
 
 // AdjacencyRow exposes PE p's self-or-adjacent relation as a bitset for

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,63 @@ func TestConnectivitySymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestConnectedSymmetricEverywhere pins the symmetry Connected documents,
+// which the compat builder's single reach set per PE relies on: on every zoo
+// fabric, after ADL link/nolink edits, and after random PE faults and link
+// cuts on each of them.
+func TestConnectedSymmetricEverywhere(t *testing.T) {
+	symmetric := func(what string, c *CGRA) {
+		t.Helper()
+		for p := 0; p < c.NumPEs(); p++ {
+			for q := 0; q < c.NumPEs(); q++ {
+				if c.Connected(p, q) != c.Connected(q, p) {
+					t.Fatalf("%s: Connected(%d,%d) = %v, Connected(%d,%d) = %v",
+						what, p, q, c.Connected(p, q), q, p, c.Connected(q, p))
+				}
+			}
+		}
+	}
+	type fabric struct {
+		what string
+		c    *CGRA
+	}
+	var fabrics []fabric
+	for _, name := range ArchNames() {
+		c, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabrics = append(fabrics, fabric{name, c})
+	}
+	for _, text := range []string{
+		"grid 4x4; regs 4; link 0,0-3,3; nolink 0,0-0,1",
+		"grid 3x5; topo mesh+; regs 2; link 0,0-2,4; link 1,1-0,4; nolink 1,1-2,2; nolink 0,2-1,2",
+		"grid 4x4; topo 1hop; regs 4; nolink 0,0-0,2; link 3,0-0,3",
+	} {
+		fabrics = append(fabrics, fabric{text, mustCompile(t, text)})
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, fb := range fabrics {
+		symmetric(fb.what, fb.c)
+		for trial := 0; trial < 4; trial++ {
+			f := fb.c.Clone()
+			for k := 0; k < 6; k++ {
+				p := rng.Intn(f.NumPEs())
+				if rng.Intn(3) == 0 {
+					f.DisablePE(p)
+					continue
+				}
+				if nb := f.Neighbors(p); len(nb) > 0 {
+					if err := f.CutLink(p, nb[rng.Intn(len(nb))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			symmetric(fb.what+" with faults and cuts", f)
+		}
 	}
 }
 

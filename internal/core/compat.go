@@ -81,14 +81,14 @@ type CompatBuilder struct {
 	cg    Compat
 
 	// Per-PE rule masks over pair ids, built once (see orPartners): the ids
-	// bound to PE p, to the PEs p reaches, to the PEs that reach p, and to
-	// the PEs of p's bus group (busOf is nil unless memory pairs can clash;
-	// PEs of one group share one mask).
-	onPE     []*graph.Bitset
-	reachOut []*graph.Bitset
-	reachIn  []*graph.Bitset
-	busOf    []*graph.Bitset
-	rowSpan  []uint64 // orPartners' scratch: one composed span of a row
+	// bound to PE p, to the PEs connected to p (one set serves both
+	// directions, since arch.Connected is symmetric), and to the PEs of p's
+	// bus group (busOf is nil unless memory pairs can clash; PEs of one group
+	// share one mask).
+	onPE    []*graph.Bitset
+	reach   []*graph.Bitset
+	busOf   []*graph.Bitset
+	rowSpan []uint64 // orPartners' scratch: one composed span of a row
 
 	// memPairwise is false only for a single global bus group of capacity
 	// >= 2, where memory contention is enforced wholesale by the scheduler
@@ -203,16 +203,15 @@ func NewCompatBuilder(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptions) (*Co
 	b.rowSpan = make([]uint64, maxSpan)
 
 	pes := c.NumPEs()
-	rules := graph.NewBitsetSlab(n, 3*pes)
-	b.onPE, b.reachOut, b.reachIn = rules[:pes], rules[pes:2*pes], rules[2*pes:]
+	rules := graph.NewBitsetSlab(n, 2*pes)
+	b.onPE, b.reach = rules[:pes], rules[pes:]
 	for id, pr := range b.pairs {
 		b.onPE[pr.PE].Set(id)
 	}
 	for p := 0; p < pes; p++ {
 		c.AdjacencyRow(p).ForEach(func(q int) bool {
-			// Connected(p, q): p's output register reaches q.
-			b.reachOut[p].Or(b.onPE[q])
-			b.reachIn[q].Or(b.onPE[p])
+			// Connected(p, q) == Connected(q, p): one set per PE.
+			b.reach[p].Or(b.onPE[q])
 			return true
 		})
 	}
@@ -432,22 +431,20 @@ func (b *CompatBuilder) classifyPair(times []int, vi, vj int) {
 		sameSlot: sameSlot,
 		memClash: memClash,
 		carried:  b.depCarried[kf] || b.depCarried[kr],
-		out:      b.depNeedAdj[kf],
-		in:       b.depNeedAdj[kr],
+		adjacent: b.depNeedAdj[kf] || b.depNeedAdj[kr],
 	}
 	b.orPartners(vi, vj, r)
-	r.out, r.in = r.in, r.out
 	b.orPartners(vj, vi, r)
 }
 
 // pairRule is the Appendix A.2 constraint between a dependent or
-// bus-clashing operation v and its partner w, seen from v's side.
+// bus-clashing operation pair. Every rule is symmetric (connectivity
+// included, see arch.Connected), so one rule serves both sides.
 type pairRule struct {
-	sameSlot bool // same modulo slot: w may not share v's PE (one resource of R_II)
-	memClash bool // same-slot memory ops: w may not share v's bus group (capacity <= 1)
-	carried  bool // a register-carried dependence: w must sit on v's PE
-	out      bool // v -> w forwarded at span 1: v's PE must reach w's
-	in       bool // w -> v forwarded at span 1: w's PE must reach v's
+	sameSlot bool // same modulo slot: the two may not share a PE (one resource of R_II)
+	memClash bool // same-slot memory ops: the two may not share a bus group (capacity <= 1)
+	carried  bool // a register-carried dependence: the two must share a PE
+	adjacent bool // forwarded at span 1, either way: their PEs must be connected
 }
 
 // orPartners ORs into each candidate row of v the candidates of w legal
@@ -464,11 +461,8 @@ func (b *CompatBuilder) orPartners(v, w int, r pairRule) {
 		if r.carried {
 			andWords(row, b.onPE[p], lo)
 		}
-		if r.out {
-			andWords(row, b.reachOut[p], lo)
-		}
-		if r.in {
-			andWords(row, b.reachIn[p], lo)
+		if r.adjacent {
+			andWords(row, b.reach[p], lo)
 		}
 		switch {
 		case r.memClash:

@@ -65,8 +65,14 @@ type problem struct {
 	cVar     [][]int        // per node: register-cost vars, index k-1; -1 absent
 	fanTo    [][]int        // per node: consumer list (distinct, in creation order)
 	fanVar   map[[2]int]int // (producer, consumer) -> remote-read var
-	scratch  []sat.Lit
-	badNode  int // offending op for buildUnmappable
+	badNode  int            // offending op for buildUnmappable
+
+	// Per-clause scratch, reused across the whole encoding: clause's
+	// literals, sclause's guarded clause, and the clauses the emitters
+	// assemble before guarding them.
+	scratch []sat.Lit
+	guarded []ml
+	ms      []ml
 }
 
 func (p *problem) mod(t int) int { return ((t % p.ii) + p.ii) % p.ii }
@@ -112,12 +118,13 @@ func maxRegs(c *arch.CGRA) int {
 	return r
 }
 
-// build compiles the mapping decision problem at the given II into p.s.
+// build compiles the mapping decision problem at the given II into s, which
+// it resets (only when the problem gets that far) and stores as p.s.
 // spanCap restricts the per-segment span the encoding admits; anything below
 // the absolute maximum maxRegs(c)*ii makes the formula a restriction whose
 // models are still legal mappings but whose UNSAT verdicts are not certified
 // — solveAtII runs a ladder of caps and only trusts UNSAT at the full cap.
-func build(d *dfg.DFG, c *arch.CGRA, ii int, opts Options, spanCap int) (*problem, buildStatus) {
+func build(s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options, spanCap int) (*problem, buildStatus) {
 	p := &problem{d: d, c: c, ii: ii, hops: opts.routeHops(), fanVar: map[[2]int]int{}}
 	p.rmax = maxRegs(c)
 	p.maxSpan = p.rmax * ii
@@ -172,11 +179,12 @@ func build(d *dfg.DFG, c *arch.CGRA, ii int, opts Options, spanCap int) (*proble
 		return p, buildTooLarge
 	}
 
-	p.s = sat.New(sat.Options{
+	s.Reset(sat.Options{
 		Seed:         opts.Seed,
 		LubyUnit:     opts.LubyUnit,
 		MaxConflicts: opts.maxConflicts(),
 	})
+	p.s = s
 
 	// Activation ladders (A_{j+1} → A_j), biased off so un-routed models
 	// decode canonically, then per-node machinery.
@@ -309,10 +317,8 @@ func (p *problem) buildEdge(ei int, e dfg.Edge) {
 
 // sclause emits a clause guarded by the subedge's activation condition.
 func (p *problem) sclause(se *subedge, ms ...ml) {
-	all := make([]ml, 0, len(se.cond)+len(ms))
-	all = append(all, se.cond...)
-	all = append(all, ms...)
-	p.clause(all...)
+	p.guarded = append(append(p.guarded[:0], se.cond...), ms...)
+	p.clause(p.guarded...)
 }
 
 // spanGE returns (creating on first use) the variable equivalent, when the
@@ -362,19 +368,19 @@ func (p *problem) emitSubedge(si int) {
 	for i, pe := range x.allowed {
 		px := sat.Pos(x.pVar[i])
 		// span==1 → consumer on a connected (or same) PE.
-		ms := []ml{mv(ge2), mv(px.Not())}
+		p.ms = append(p.ms[:0], mv(ge2), mv(px.Not()))
 		for j, qe := range y.allowed {
 			if p.c.Connected(pe, qe) {
-				ms = append(ms, mv(sat.Pos(y.pVar[j])))
+				p.ms = append(p.ms, mv(sat.Pos(y.pVar[j])))
 			}
 		}
-		p.sclause(se, ms...)
+		p.sclause(se, p.ms...)
 		// span>=2 → same PE.
-		carry := []ml{mv(ge2.Not()), mv(px.Not())}
+		p.ms = append(p.ms[:0], mv(ge2.Not()), mv(px.Not()))
 		if j := indexOf(y.allowed, pe); j >= 0 {
-			carry = append(carry, mv(sat.Pos(y.pVar[j])))
+			p.ms = append(p.ms, mv(sat.Pos(y.pVar[j])))
 		}
-		p.sclause(se, carry...)
+		p.sclause(se, p.ms...)
 	}
 	// Register cost: span >= θ_k pushes the producer's cost-k literal.
 	for k := 1; k <= p.rmax; k++ {
@@ -431,11 +437,11 @@ func (p *problem) emitFanoutRead(si int) {
 	}
 	sp := p.s.NewVar()
 	for i, pe := range x.allowed {
-		ms := []ml{mv(sat.Neg(sp)), mv(sat.Neg(x.pVar[i]))}
+		p.ms = append(p.ms[:0], mv(sat.Neg(sp)), mv(sat.Neg(x.pVar[i])))
 		if j := indexOf(y.allowed, pe); j >= 0 {
-			ms = append(ms, mv(sat.Pos(y.pVar[j])))
+			p.ms = append(p.ms, mv(sat.Pos(y.pVar[j])))
 		}
-		p.clause(ms...)
+		p.clause(p.ms...)
 	}
 	p.sclause(se, mv(ge2), mv(sat.Pos(sp)), mv(sat.Pos(rv)))
 }
@@ -463,15 +469,15 @@ func (p *problem) buildOccupancy() {
 			nd := &p.nodes[cd.node]
 			o := p.s.NewVar()
 			lits[i] = sat.Pos(o)
-			ms := []ml{}
+			p.ms = p.ms[:0]
 			if nd.act >= 0 {
-				ms = append(ms, mv(sat.Neg(nd.act)))
+				p.ms = append(p.ms, mv(sat.Neg(nd.act)))
 			}
-			ms = append(ms,
+			p.ms = append(p.ms,
 				mv(sat.Neg(nd.pVar[cd.pIdx])),
 				mv(sat.Neg(nd.sVar[cd.slot])),
 				mv(sat.Pos(o)))
-			p.clause(ms...)
+			p.clause(p.ms...)
 		}
 		p.atMostOne(lits)
 	}

@@ -94,17 +94,19 @@ const (
 	LowerBoundChain = "chain"
 )
 
-// Verdict is the outcome of one II's decision problem.
+// Verdict is the outcome of one II's decision problem. The solver counts
+// sum over the II's span rungs; Vars and Clauses are the last rung's.
 type Verdict struct {
-	II        int
-	Status    string // "sat", "unsat", "unknown", "unmappable"
-	Note      string // why an unknown verdict was unknown, when known
-	Vars      int
-	Clauses   int
-	Conflicts int64
-	Decisions int64
-	Restarts  int64
-	Elapsed   time.Duration
+	II           int
+	Status       string // "sat", "unsat", "unknown", "unmappable"
+	Note         string // why an unknown verdict was unknown, when known
+	Vars         int
+	Clauses      int
+	Conflicts    int64
+	Decisions    int64
+	Propagations int64
+	Restarts     int64
+	Elapsed      time.Duration
 }
 
 // Certificate is the proof artifact of one exact run. Everything except the
@@ -171,14 +173,18 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 	}
 	hi = max(hi, lo)
 	contig := lo == mii // every II below the current one was refuted, down to MII
+	// One solver serves every rung of every II: build resets it, keeping its
+	// buffers, and decode reads a model before the next reset.
+	s := sat.New(sat.Options{})
 	for ii := lo; ii <= hi; ii++ {
 		if err := ctx.Err(); err != nil {
 			return nil, stats(), maperr.Aborted(err, "exact: aborted before II=%d", ii)
 		}
-		v, m, err := solveAtII(ctx, d, c, ii, opts)
+		v, m, err := solveAtII(ctx, s, d, c, ii, opts)
 		cert.PerII = append(cert.PerII, v)
 		cert.Conflicts += v.Conflicts
 		cert.Decisions += v.Decisions
+		cert.Propagations += v.Propagations
 		cert.Restarts += v.Restarts
 		switch v.Status {
 		case "sat":
@@ -232,18 +238,18 @@ func spanRungs(c *arch.CGRA, ii int) []int {
 	return out
 }
 
-// solveAtII decides one II: encode, solve under the conflict budget, and on
-// SAT decode and certify the mapping with the validator and the simulator.
-// The span-cap ladder keeps the common SAT case fast without weakening UNSAT
-// certificates (see spanRungs).
-func solveAtII(ctx context.Context, d *dfg.DFG, c *arch.CGRA, ii int, opts Options) (v Verdict, _ *mapping.Mapping, _ error) {
+// solveAtII decides one II on solver s: encode, solve under the conflict
+// budget, and on SAT decode and certify the mapping with the validator and
+// the simulator. The span-cap ladder keeps the common SAT case fast without
+// weakening UNSAT certificates (see spanRungs).
+func solveAtII(ctx context.Context, s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options) (v Verdict, _ *mapping.Mapping, _ error) {
 	t0 := time.Now()
 	v = Verdict{II: ii}
 	defer func() { v.Elapsed = time.Since(t0) }()
 	rungs := spanRungs(c, ii)
 	for ri, cap := range rungs {
 		last := ri == len(rungs)-1
-		p, bs := build(d, c, ii, opts, cap)
+		p, bs := build(s, d, c, ii, opts, cap)
 		switch bs {
 		case buildUnsat:
 			if !last {
@@ -267,6 +273,7 @@ func solveAtII(ctx context.Context, d *dfg.DFG, c *arch.CGRA, ii int, opts Optio
 		ss := p.s.Stats()
 		v.Conflicts += ss.Conflicts
 		v.Decisions += ss.Decisions
+		v.Propagations += ss.Propagations
 		v.Restarts += ss.Restarts
 		if err != nil {
 			v.Status = "unknown"

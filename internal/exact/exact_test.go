@@ -170,3 +170,28 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatalf("want ErrAborted, got %T: %v", err, err)
 	}
 }
+
+// TestCertificatePropagations pins the certificate's propagation total as
+// aggregate solver effort like the other counters: positive, and the sum of
+// its verdicts' (each itself summed over the II's span rungs).
+func TestCertificatePropagations(t *testing.T) {
+	d := kernel(t, "iir_biquad")
+	c := arch.NewMesh(4, 4, 4)
+	_, st, err := Map(context.Background(), d, c, Options{MaxConflicts: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Cert.PerII) < 2 {
+		t.Fatalf("want several verdicts to sum, got %+v", st.Cert.PerII)
+	}
+	var sum int64
+	for _, v := range st.Cert.PerII {
+		if v.Propagations <= 0 {
+			t.Fatalf("II=%d: no propagations recorded: %+v", v.II, v)
+		}
+		sum += v.Propagations
+	}
+	if st.Cert.Propagations != sum {
+		t.Fatalf("certificate propagations %d, verdicts sum to %d", st.Cert.Propagations, sum)
+	}
+}

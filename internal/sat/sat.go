@@ -7,12 +7,18 @@
 // options, and seed, every run takes the same search path and returns the same
 // model or refutation, regardless of GOMAXPROCS (the solver is single-threaded;
 // the seed only diversifies initial activities and phases).
+//
+// Clauses live in a pointer-free arena: one literal slice plus one header per
+// clause, addressed by index, so the garbage collector has nothing to scan per
+// clause, and Reset empties a solver for the next formula while keeping every
+// buffer's capacity.
 package sat
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Lit is a literal: variable v appears positively as 2v and negated as 2v+1.
@@ -99,28 +105,40 @@ type Stats struct {
 	Deleted      int64
 }
 
-type clause struct {
-	lits   []Lit
-	act    float64
-	learnt bool
+// cref references a clause: an index into Solver.hdrs.
+type cref uint32
+
+// noClause is the cref of no clause: the reason of a decision, a unit or an
+// unassigned variable, and propagate's "no conflict".
+const noClause cref = math.MaxUint32
+
+// clauseHdr describes one clause; its literals are lits[start:start+size].
+type clauseHdr struct {
+	start, size uint32
+	act         float64 // activity, learnt clauses only
+	learnt      bool
+	dead        bool // deleted by reduceDB; compact reclaims its literals
 }
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit // cached literal; if true the clause is satisfied without a walk
 }
 
 // Solver holds one CNF instance and its search state. Not safe for concurrent
 // use; create one solver per goroutine.
 type Solver struct {
-	opts    Options
-	clauses []*clause
-	learnts []*clause
-	watches [][]watcher // indexed by Lit
+	opts     Options
+	hdrs     []clauseHdr // indexed by cref, in allocation order
+	lits     []Lit       // every clause's literals, back to back
+	wasted   int         // literals of dead clauses still in lits
+	nClauses int         // problem (non-learnt) clauses
+	learnts  []cref
+	watches  [][]watcher // indexed by Lit
 
 	assign  []int8 // per var: 0 unassigned, +1 true, -1 false
 	level   []int32
-	reason  []*clause
+	reason  []cref
 	trail   []Lit
 	trailLo []int // decision-level boundaries into trail
 	qhead   int
@@ -134,22 +152,60 @@ type Solver struct {
 
 	seen    []bool
 	minOut  []Lit
+	addBuf  []Lit  // AddClause's canonical form
+	learnt  []Lit  // analyze's learnt clause
+	byAct   []cref // reduceDB's activity order
+	reloc   []cref // compact's old-to-new cref map
 	model   []int8
 	unsat   bool // empty clause at level 0
 	stats   Stats
 	rng     uint64
 	learntC float64 // learnt DB capacity
+
+	compactions int // arena compactions so far (tests assert the path runs)
 }
 
 // New returns a solver with no variables or clauses.
 func New(opts Options) *Solver {
-	s := &Solver{
-		opts:   opts.withDefaults(),
-		varInc: 1,
-		claInc: 1,
+	s := &Solver{}
+	s.Reset(opts)
+	return s
+}
+
+// Reset empties the solver for a new formula under opts, keeping the
+// capacity of every buffer, each watch list's included. A reset solver takes
+// exactly the search path of New(opts) on the same formula.
+func (s *Solver) Reset(opts Options) {
+	ws := s.watches[:cap(s.watches)]
+	for i := range ws {
+		ws[i] = ws[i][:0]
+	}
+	*s = Solver{
+		opts:     opts.withDefaults(),
+		hdrs:     s.hdrs[:0],
+		lits:     s.lits[:0],
+		learnts:  s.learnts[:0],
+		watches:  ws[:0],
+		assign:   s.assign[:0],
+		level:    s.level[:0],
+		reason:   s.reason[:0],
+		trail:    s.trail[:0],
+		trailLo:  s.trailLo[:0],
+		activity: s.activity[:0],
+		varInc:   1,
+		claInc:   1,
+		heap:     s.heap[:0],
+		heapPos:  s.heapPos[:0],
+		phase:    s.phase[:0],
+		seen:     s.seen[:0],
+		minOut:   s.minOut[:0],
+		addBuf:   s.addBuf[:0],
+		learnt:   s.learnt[:0],
+		byAct:    s.byAct[:0],
+		reloc:    s.reloc[:0],
+		model:    s.model[:0],
 	}
 	s.rng = uint64(s.opts.Seed)*2685821657736338717 + 0x9e3779b97f4a7c15
-	return s
 }
 
 func (s *Solver) nextRand() uint64 {
@@ -164,14 +220,18 @@ func (s *Solver) NewVar() int {
 	v := len(s.assign)
 	s.assign = append(s.assign, 0)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	// A tiny seed-derived perturbation (< 1e-6) breaks activity ties
 	// differently per seed without overriding learned structure.
 	s.activity = append(s.activity, float64(s.nextRand()%1024)/float64(1<<30))
 	s.heapPos = append(s.heapPos, -1)
 	s.phase = append(s.phase, s.nextRand()&1 == 1)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2] // lists Reset emptied, capacity kept
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.heapInsert(int32(v))
 	return v
 }
@@ -186,7 +246,7 @@ func (s *Solver) SetPhase(v int, ph bool) { s.phase[v] = ph }
 func (s *Solver) NumVars() int { return len(s.assign) }
 
 // NumClauses returns the number of problem (non-learnt) clauses retained.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.nClauses }
 
 // Stats returns the work counters accumulated so far.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -208,8 +268,9 @@ func (s *Solver) AddClause(lits ...Lit) {
 		return
 	}
 	// Sort + dedupe for canonical form; detect tautologies (l and ¬l).
-	ls := append(make([]Lit, 0, len(lits)), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	for i, l := range ls {
 		if i > 0 && l == ls[i-1] {
@@ -230,26 +291,41 @@ func (s *Solver) AddClause(lits ...Lit) {
 	case 0:
 		s.unsat = true
 	case 1:
-		s.enqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.enqueue(out[0], noClause)
+		if s.propagate() != noClause {
 			s.unsat = true
 		}
 	default:
-		c := &clause{lits: append([]Lit(nil), out...)}
-		s.clauses = append(s.clauses, c)
-		s.attach(c)
+		s.nClauses++
+		s.attach(s.alloc(out, false))
 	}
 }
 
-func (s *Solver) attach(c *clause) {
-	w0, w1 := c.lits[0], c.lits[1]
+// alloc appends a clause to the arena and returns its reference.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	c := cref(len(s.hdrs))
+	s.hdrs = append(s.hdrs, clauseHdr{start: uint32(len(s.lits)), size: uint32(len(lits)), learnt: learnt})
+	s.lits = append(s.lits, lits...)
+	return c
+}
+
+// clause returns c's literals, aliasing the arena: reordering them reorders
+// the clause.
+func (s *Solver) clause(c cref) []Lit {
+	h := &s.hdrs[c]
+	return s.lits[h.start : h.start+h.size]
+}
+
+func (s *Solver) attach(c cref) {
+	lits := s.clause(c)
+	w0, w1 := lits[0], lits[1]
 	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{c, w1})
 	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{c, w0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLo) }
 
-func (s *Solver) enqueue(l Lit, from *clause) {
+func (s *Solver) enqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Negated() {
 		s.assign[v] = -1
@@ -261,9 +337,9 @@ func (s *Solver) enqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate runs unit propagation to fixpoint; a non-nil result is the
-// conflicting clause.
-func (s *Solver) propagate() *clause {
+// propagate runs unit propagation to fixpoint; a result other than noClause
+// is the conflicting clause.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -277,21 +353,22 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			lits := s.clause(c)
 			// Normalize so lits[1] is the false watched literal ¬p.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.valueLit(first) == 1 {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != -1 {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if s.valueLit(lits[k]) != -1 {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					found = true
 					break
 				}
@@ -312,13 +389,14 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p] = kept
 	}
-	return nil
+	return noClause
 }
 
 // analyze derives the first-UIP learnt clause from a conflict. It returns the
-// minimized clause (asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+// minimized clause (asserting literal first) and the backjump level; the
+// clause aliases a solver buffer the next conflict reuses.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learnt[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	idx := len(s.trail) - 1
 	var p Lit
@@ -326,7 +404,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	first := true
 	for {
 		s.bumpClause(cur)
-		lits := cur.lits
+		lits := s.clause(cur)
 		start := 0
 		if !first {
 			start = 1 // lits[0] is the previously resolved literal
@@ -357,10 +435,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		}
 		cur = s.reason[p.Var()]
 		// Put the resolved-on literal at slot 0 so the start=1 skip holds.
-		if cur.lits[0] != p {
-			for k, q := range cur.lits {
+		if lits := s.clause(cur); lits[0] != p {
+			for k, q := range lits {
 				if q == p {
-					cur.lits[0], cur.lits[k] = cur.lits[k], cur.lits[0]
+					lits[0], lits[k] = lits[k], lits[0]
 					break
 				}
 			}
@@ -402,6 +480,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 			break
 		}
 	}
+	s.learnt = learnt
 	return learnt, back
 }
 
@@ -409,10 +488,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // remaining literals (single-step self-subsumption).
 func (s *Solver) redundant(q Lit) bool {
 	r := s.reason[q.Var()]
-	if r == nil {
+	if r == noClause {
 		return false
 	}
-	for _, a := range r.lits {
+	for _, a := range s.clause(r) {
 		if a.Var() == q.Var() {
 			continue
 		}
@@ -433,7 +512,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := l.Var()
 		s.phase[v] = !l.Negated()
 		s.assign[v] = 0
-		s.reason[v] = nil
+		s.reason[v] = noClause
 		if s.heapPos[v] < 0 {
 			s.heapInsert(int32(v))
 		}
@@ -456,14 +535,15 @@ func (s *Solver) bumpVar(v int) {
 	}
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	if !c.learnt {
+func (s *Solver) bumpClause(c cref) {
+	h := &s.hdrs[c]
+	if !h.learnt {
 		return
 	}
-	c.act += s.claInc
-	if c.act > 1e20 {
+	h.act += s.claInc
+	if h.act > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.hdrs[lc].act *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -563,39 +643,73 @@ func luby(i int64) int64 {
 
 // reduceDB removes the lower-activity half of the learnt clauses, keeping
 // binary clauses and clauses that are currently a reason for an assignment.
+// Removed clauses are marked dead; once dead literals are over half the
+// arena, compact reclaims them.
 func (s *Solver) reduceDB() {
-	locked := func(c *clause) bool {
-		v := c.lits[0].Var()
+	locked := func(c cref) bool {
+		v := s.clause(c)[0].Var()
 		return s.assign[v] != 0 && s.reason[v] == c
 	}
-	sorted := append([]*clause(nil), s.learnts...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].act < sorted[j].act })
-	drop := make(map[*clause]bool, len(sorted)/2)
-	for _, c := range sorted[:len(sorted)/2] {
-		if len(c.lits) > 2 && !locked(c) {
-			drop[c] = true
+	s.byAct = append(s.byAct[:0], s.learnts...)
+	slices.SortStableFunc(s.byAct, func(a, b cref) int { return cmp.Compare(s.hdrs[a].act, s.hdrs[b].act) })
+	dropped := 0
+	for _, c := range s.byAct[:len(s.byAct)/2] {
+		if h := &s.hdrs[c]; h.size > 2 && !locked(c) {
+			h.dead = true
+			s.wasted += int(h.size)
+			dropped++
 		}
 	}
-	if len(drop) == 0 {
+	if dropped == 0 {
 		return
 	}
-	kept := s.learnts[:0]
-	for _, c := range s.learnts {
-		if !drop[c] {
-			kept = append(kept, c)
+	s.learnts = slices.DeleteFunc(s.learnts, func(c cref) bool { return s.hdrs[c].dead })
+	for li, ws := range s.watches {
+		s.watches[li] = slices.DeleteFunc(ws, func(w watcher) bool { return s.hdrs[w.c].dead })
+	}
+	s.stats.Deleted += int64(dropped)
+	if 2*s.wasted > len(s.lits) {
+		s.compact()
+	}
+}
+
+// compact squeezes dead clauses out of the arena and the header table,
+// keeping the live ones in order, and relocates every cref the solver holds:
+// watch lists (in place, so their order is kept), reasons and learnts. Dead
+// clauses are in none of them, so no search decision sees the move.
+func (s *Solver) compact() {
+	s.reloc = slices.Grow(s.reloc[:0], len(s.hdrs))[:len(s.hdrs)]
+	var nh cref
+	var nl uint32
+	for c, h := range s.hdrs {
+		if h.dead {
+			s.reloc[c] = noClause
+			continue
+		}
+		copy(s.lits[nl:], s.lits[h.start:h.start+h.size])
+		h.start = nl
+		nl += h.size
+		s.hdrs[nh] = h
+		s.reloc[c] = nh
+		nh++
+	}
+	s.hdrs = s.hdrs[:nh]
+	s.lits = s.lits[:nl]
+	s.wasted = 0
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = s.reloc[ws[i].c]
 		}
 	}
-	s.learnts = kept
-	for li := range s.watches {
-		ws := s.watches[li][:0]
-		for _, w := range s.watches[li] {
-			if !drop[w.c] {
-				ws = append(ws, w)
-			}
+	for v, r := range s.reason {
+		if r != noClause {
+			s.reason[v] = s.reloc[r]
 		}
-		s.watches[li] = ws
 	}
-	s.stats.Deleted += int64(len(drop))
+	for i, c := range s.learnts {
+		s.learnts[i] = s.reloc[c]
+	}
+	s.compactions++
 }
 
 // Solve searches for a model. It returns Sat with a model readable via Value,
@@ -606,18 +720,18 @@ func (s *Solver) Solve(ctx context.Context) (Status, error) {
 	if s.unsat {
 		return Unsat, nil
 	}
-	if confl := s.propagate(); confl != nil {
+	if confl := s.propagate(); confl != noClause {
 		s.unsat = true
 		return Unsat, nil
 	}
-	s.learntC = math.Max(float64(len(s.clauses))/3, 100)
+	s.learntC = math.Max(float64(s.nClauses)/3, 100)
 	var restartSeq int64 = 1
 	limit := s.opts.LubyUnit * luby(restartSeq)
 	var sinceRestart int64
 	startConflicts := s.stats.Conflicts
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noClause {
 			s.stats.Conflicts++
 			sinceRestart++
 			if s.decisionLevel() == 0 {
@@ -627,9 +741,10 @@ func (s *Solver) Solve(ctx context.Context) (Status, error) {
 			learnt, back := s.analyze(confl)
 			s.cancelUntil(back)
 			if len(learnt) == 1 {
-				s.enqueue(learnt[0], nil)
+				s.enqueue(learnt[0], noClause)
 			} else {
-				c := &clause{lits: learnt, learnt: true, act: s.claInc}
+				c := s.alloc(learnt, true)
+				s.hdrs[c].act = s.claInc
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.enqueue(learnt[0], c)
@@ -668,7 +783,7 @@ func (s *Solver) Solve(ctx context.Context) (Status, error) {
 		}
 		s.stats.Decisions++
 		s.trailLo = append(s.trailLo, len(s.trail))
-		s.enqueue(l, nil)
+		s.enqueue(l, noClause)
 	}
 }
 
