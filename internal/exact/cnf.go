@@ -1,6 +1,10 @@
 package exact
 
-import "regimap/internal/sat"
+import (
+	"slices"
+
+	"regimap/internal/sat"
+)
 
 // ml is a "maybe literal": a SAT literal or a constant. Window boundaries
 // make many order-encoding literals constant (T >= Lo is always true,
@@ -60,7 +64,9 @@ func (p *problem) atMostOne(lits []sat.Lit) {
 }
 
 // atMostK constrains sum(lits) <= k with the Sinz sequential counter:
-// s[i][j] means "at least j+1 of the first i+1 inputs are true".
+// s[i][j] means "at least j+1 of the first i+1 inputs are true". Only the
+// previous column is read, so the counter alternates between the problem's
+// two column buffers.
 func (p *problem) atMostK(lits []sat.Lit, k int) {
 	if k < 0 {
 		k = 0
@@ -75,6 +81,7 @@ func (p *problem) atMostK(lits []sat.Lit, k int) {
 		return
 	}
 	var prev []sat.Lit
+	p.colA, p.colB = slices.Grow(p.colA[:0], k)[:k], slices.Grow(p.colB[:0], k)[:k]
 	for i, x := range lits {
 		if i == len(lits)-1 {
 			// The last counter column is only needed for the overflow clause.
@@ -83,7 +90,10 @@ func (p *problem) atMostK(lits []sat.Lit, k int) {
 			}
 			return
 		}
-		cur := make([]sat.Lit, k)
+		cur := p.colA
+		if i%2 == 1 {
+			cur = p.colB
+		}
 		for j := range cur {
 			cur[j] = sat.Pos(p.s.NewVar())
 		}

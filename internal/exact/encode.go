@@ -9,6 +9,8 @@
 package exact
 
 import (
+	"context"
+
 	"regimap/internal/arch"
 	"regimap/internal/dfg"
 	"regimap/internal/sat"
@@ -47,7 +49,14 @@ const (
 	buildUnsat                  // windows infeasible: no schedule in the class at this II
 	buildUnmappable             // some op has no capable PE at any II
 	buildTooLarge               // encoding exceeds the size budget
+	buildCancelled              // ctx was done at a phase boundary
 )
+
+// solveCheckEvery is how often, in conflicts, a rung's solve polls its
+// context. A raced ladder cancels the rungs above its winner, and par.First
+// waits for them to return, so a rung must notice within a few conflicts.
+// The poll reads the context only; it never moves the search.
+const solveCheckEvery = 16
 
 type problem struct {
 	d       *dfg.DFG
@@ -68,11 +77,12 @@ type problem struct {
 	badNode  int            // offending op for buildUnmappable
 
 	// Per-clause scratch, reused across the whole encoding: clause's
-	// literals, sclause's guarded clause, and the clauses the emitters
-	// assemble before guarding them.
-	scratch []sat.Lit
-	guarded []ml
-	ms      []ml
+	// literals, sclause's guarded clause, the clauses the emitters
+	// assemble before guarding them, and atMostK's two counter columns.
+	scratch    []sat.Lit
+	guarded    []ml
+	ms         []ml
+	colA, colB []sat.Lit
 }
 
 func (p *problem) mod(t int) int { return ((t % p.ii) + p.ii) % p.ii }
@@ -124,8 +134,14 @@ func maxRegs(c *arch.CGRA) int {
 // the absolute maximum maxRegs(c)*ii makes the formula a restriction whose
 // models are still legal mappings but whose UNSAT verdicts are not certified
 // — solveAtII runs a ladder of caps and only trusts UNSAT at the full cap.
-func build(s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options, spanCap int) (*problem, buildStatus) {
+// build polls ctx before each node's and each edge's encoding and before
+// each later phase, and returns buildCancelled at the first poll that finds
+// it done; it adds no clause before the first.
+func build(ctx context.Context, s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options, spanCap int) (*problem, buildStatus) {
 	p := &problem{d: d, c: c, ii: ii, hops: opts.routeHops(), fanVar: map[[2]int]int{}}
+	if ctx.Err() != nil {
+		return p, buildCancelled
+	}
 	p.rmax = maxRegs(c)
 	p.maxSpan = p.rmax * ii
 	if spanCap > 0 && spanCap < p.maxSpan {
@@ -183,6 +199,7 @@ func build(s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options, spanCa
 		Seed:         opts.Seed,
 		LubyUnit:     opts.LubyUnit,
 		MaxConflicts: opts.maxConflicts(),
+		CheckEvery:   solveCheckEvery,
 	})
 	p.s = s
 
@@ -200,6 +217,9 @@ func build(s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options, spanCa
 		}
 	}
 	for i := range p.nodes {
+		if ctx.Err() != nil {
+			return p, buildCancelled
+		}
 		p.buildNodeVars(i)
 	}
 
@@ -214,13 +234,17 @@ func build(s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options, spanCa
 
 	// Dependence segments.
 	for ei, e := range d.Edges {
+		if ctx.Err() != nil {
+			return p, buildCancelled
+		}
 		p.buildEdge(ei, e)
 	}
-
-	p.buildOccupancy()
-	p.buildBuses()
-	p.buildPressure()
-	p.buildFanout()
+	for _, phase := range []func(){p.buildOccupancy, p.buildBuses, p.buildPressure, p.buildFanout} {
+		if ctx.Err() != nil {
+			return p, buildCancelled
+		}
+		phase()
+	}
 	return p, buildOK
 }
 

@@ -3,6 +3,8 @@ package exact
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"regimap/internal/arch"
@@ -10,6 +12,7 @@ import (
 	"regimap/internal/engine"
 	"regimap/internal/maperr"
 	"regimap/internal/mapping"
+	"regimap/internal/par"
 	"regimap/internal/sat"
 	"regimap/internal/sim"
 )
@@ -96,6 +99,9 @@ const (
 
 // Verdict is the outcome of one II's decision problem. The solver counts
 // sum over the II's span rungs; Vars and Clauses are the last rung's.
+// Elapsed is the II's own solve time; IIs of one raced ladder run
+// concurrently, so their Elapsed values overlap and sum to busy time, not
+// wall time.
 type Verdict struct {
 	II           int
 	Status       string // "sat", "unsat", "unknown", "unmappable"
@@ -111,8 +117,10 @@ type Verdict struct {
 
 // Certificate is the proof artifact of one exact run. Everything except the
 // Elapsed fields is deterministic for a fixed (kernel, fabric, Options):
-// budgets are counted in conflicts and the solver is single-threaded, so
-// GOMAXPROCS and wall-clock never change a verdict.
+// budgets are counted in conflicts and each II is solved single-threaded on
+// its own formula, so an II's verdict never depends on a clock, on which
+// goroutine ran it or on GOMAXPROCS. Map races the IIs and folds their
+// verdicts in II order, up to the first one that ends the escalation.
 type Certificate struct {
 	// MII is the schedule-theoretic lower bound the escalation starts from.
 	MII int
@@ -153,7 +161,145 @@ type Stats struct {
 // exhausted. The returned Stats always carries the certificate, including
 // on failure, so callers can report certified lower bounds without a
 // mapping.
+//
+// The IIs are raced (DESIGN.md section 8k): while the lowest undecided II
+// runs, the next one may be solved speculatively on an idle core, and it is
+// cancelled and forgotten once a lower one ends the escalation. Every II's
+// verdict depends only on its formula and budget, so the answer and the
+// certificate are the sequential ladder's at any worker count.
 func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.Mapping, *Stats, error) {
+	return mapLadder(ctx, d, c, opts, min(runtime.GOMAXPROCS(0), maxIIsInFlight), solveAtII)
+}
+
+// maxIIsInFlight caps one Map call's race at the lowest undecided II and
+// one speculative II above it. Each II in flight holds a formula, so the
+// cap keeps a call's memory at two formulas on any number of cores; a
+// deeper race would mostly add IIs above the winner, which are waste.
+const maxIIsInFlight = 2
+
+// iiSolver decides one II on a solver; Map uses solveAtII, and tests wrap it
+// to order the IIs of a race.
+type iiSolver func(ctx context.Context, s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options) (Verdict, *mapping.Mapping, error)
+
+// iiOutcome is one II's result in a raced ladder; ran is false for an II
+// that never started.
+type iiOutcome struct {
+	v   Verdict
+	m   *mapping.Mapping
+	err error
+	ran bool
+}
+
+// spec holds speculation to idle cores, process-wide. Every II being solved,
+// in any Map call, counts in busy. A ladder's lowest undecided II always
+// starts; an II above it starts only while busy is below GOMAXPROCS, so
+// concurrent Map calls on busy cores run one II each, as the sequential
+// ladder did.
+//
+// spec also keeps the solvers of ended Map calls for later calls. Reset
+// empties a solver to exactly New's state while keeping its buffers, so
+// which solver a call gets never shows in a verdict; reuse only spares each
+// formula, speculative ones included, the regrowth of the clause arena, the
+// watcher slab and the per-variable arrays. At most GOMAXPROCS solvers
+// wait, each holding at most maxIdleFootprint bytes.
+var spec struct {
+	mu    sync.Mutex
+	busy  int
+	freed chan struct{} // closed, and dropped, whenever an II ends
+	idle  []*sat.Solver // most recently released last
+}
+
+// maxIdleFootprint bounds the solvers spec keeps. Regrowth weighs most
+// against the solve on small formulas: a fresh solver per call made an op
+// on a kernel that is SAT at MII slower than the sequential ladder, while a
+// large formula's solve dwarfs its regrowth. Every
+// idle byte stays live through the calls that follow, and the garbage
+// collector lets the heap grow in proportion to what is live, so keeping a
+// large formula's tens of MB would raise peak memory for the whole process.
+const maxIdleFootprint = 4 << 20
+
+// takeSolver returns the most recently kept idle solver, or a new one.
+func takeSolver() *sat.Solver {
+	spec.mu.Lock()
+	defer spec.mu.Unlock()
+	n := len(spec.idle)
+	if n == 0 {
+		return sat.New(sat.Options{})
+	}
+	s := spec.idle[n-1]
+	spec.idle[n-1] = nil // the backing array must not keep a taken solver alive
+	spec.idle = spec.idle[:n-1]
+	return s
+}
+
+// keepSolvers offers an ended call's solvers to later calls.
+func keepSolvers(ss []*sat.Solver) {
+	spec.mu.Lock()
+	defer spec.mu.Unlock()
+	for _, s := range ss {
+		if s != nil && len(spec.idle) < runtime.GOMAXPROCS(0) && s.Footprint() <= maxIdleFootprint {
+			spec.idle = append(spec.idle, s)
+		}
+	}
+}
+
+// ladder is one Map call's race state, guarded by spec.mu.
+type ladder struct {
+	out []iiOutcome // by index, up to the highest index that ended
+	low int         // the lowest index without an outcome: the undecided II
+}
+
+// enter waits until index i may start: at once when it is the lowest
+// undecided index or a core is idle, else until an II ends somewhere. It
+// reports false, and i never starts, once ctx is done.
+func (l *ladder) enter(ctx context.Context, i int) bool {
+	for ctx.Err() == nil {
+		spec.mu.Lock()
+		if i == l.low || spec.busy < runtime.GOMAXPROCS(0) {
+			spec.busy++
+			spec.mu.Unlock()
+			return true
+		}
+		if spec.freed == nil {
+			spec.freed = make(chan struct{})
+		}
+		freed := spec.freed
+		spec.mu.Unlock()
+		select {
+		case <-freed:
+		case <-ctx.Done():
+		}
+	}
+	return false
+}
+
+// leave records index i's outcome and wakes every II waiting in enter.
+func (l *ladder) leave(i int, r iiOutcome) {
+	spec.mu.Lock()
+	defer spec.mu.Unlock()
+	spec.busy--
+	if spec.freed != nil {
+		close(spec.freed)
+		spec.freed = nil
+	}
+	if i >= len(l.out) {
+		l.out = append(l.out, make([]iiOutcome, i+1-len(l.out))...)
+	}
+	l.out[i] = r
+	for l.low < len(l.out) && l.out[l.low].ran {
+		l.low++
+	}
+}
+
+// mapLadder is Map on up to workers goroutines. The IIs lo..hi are the
+// indices of one par.First race, each decided by solve once enter admits
+// it, on its worker slot's solver: taken from spec at the slot's first
+// claim, reset for every formula, and offered back when the race ends. An
+// II ends the escalation when it is SAT or unmappable or returns an error.
+// The verdicts of the IIs up to the first such one are then folded in II
+// order, exactly as a sequential loop over the IIs would fold them. Only
+// IIs that ran take memory, so a huge MaxII costs nothing up front.
+func mapLadder(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options, workers int, solve iiSolver) (*mapping.Mapping, *Stats, error) {
 	start := time.Now()
 	cert := Certificate{LowerBoundClass: LowerBoundMII, RouteHops: opts.routeHops()}
 	stats := func() *Stats { return &Stats{Cert: cert, Elapsed: time.Since(start)} }
@@ -172,15 +318,35 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 		hi = mii + 8
 	}
 	hi = max(hi, lo)
-	contig := lo == mii // every II below the current one was refuted, down to MII
-	// One solver serves every rung of every II: build resets it, keeping its
-	// buffers, and decode reads a model before the next reset.
-	s := sat.New(sat.Options{})
-	for ii := lo; ii <= hi; ii++ {
-		if err := ctx.Err(); err != nil {
-			return nil, stats(), maperr.Aborted(err, "exact: aborted before II=%d", ii)
+
+	var l ladder
+	solvers := make([]*sat.Solver, max(workers, 1))
+	won := par.First(ctx, hi-lo+1, workers, func(ctx context.Context, w, i int) bool {
+		if !l.enter(ctx, i) {
+			return false
 		}
-		v, m, err := solveAtII(ctx, s, d, c, ii, opts)
+		var r iiOutcome
+		defer func() { l.leave(i, r) }()
+		if solvers[w] == nil {
+			solvers[w] = takeSolver()
+		}
+		r.v, r.m, r.err = solve(ctx, solvers[w], d, c, lo+i, opts)
+		r.ran = true
+		return r.v.Status == "sat" || r.v.Status == "unmappable" || r.err != nil
+	})
+	keepSolvers(solvers)
+
+	contig := lo == mii // every II below the current one was refuted, down to MII
+	for i := 0; i <= hi-lo && i <= won; i++ {
+		ii := lo + i
+		var r iiOutcome
+		if i < len(l.out) {
+			r = l.out[i]
+		}
+		if !r.ran {
+			return nil, stats(), maperr.Aborted(ctx.Err(), "exact: aborted before II=%d", ii)
+		}
+		v, err := r.v, r.err
 		cert.PerII = append(cert.PerII, v)
 		cert.Conflicts += v.Conflicts
 		cert.Decisions += v.Decisions
@@ -192,7 +358,7 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 			if contig {
 				cert.OptimalII = ii
 			}
-			return m, stats(), nil
+			return r.m, stats(), nil
 		case "unsat":
 			if contig {
 				cert.ProvenLowerBound = ii + 1
@@ -241,7 +407,9 @@ func spanRungs(c *arch.CGRA, ii int) []int {
 // solveAtII decides one II on solver s: encode, solve under the conflict
 // budget, and on SAT decode and certify the mapping with the validator and
 // the simulator. The span-cap ladder keeps the common SAT case fast without
-// weakening UNSAT certificates (see spanRungs).
+// weakening UNSAT certificates (see spanRungs). A done ctx, noticed during
+// encoding or every solveCheckEvery conflicts, ends the II with an unknown
+// verdict and ctx's error.
 func solveAtII(ctx context.Context, s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options) (v Verdict, _ *mapping.Mapping, _ error) {
 	t0 := time.Now()
 	v = Verdict{II: ii}
@@ -249,8 +417,12 @@ func solveAtII(ctx context.Context, s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii 
 	rungs := spanRungs(c, ii)
 	for ri, cap := range rungs {
 		last := ri == len(rungs)-1
-		p, bs := build(s, d, c, ii, opts, cap)
+		p, bs := build(ctx, s, d, c, ii, opts, cap)
 		switch bs {
+		case buildCancelled:
+			v.Status = "unknown"
+			v.Note = "context cancelled"
+			return v, nil, ctx.Err()
 		case buildUnsat:
 			if !last {
 				continue

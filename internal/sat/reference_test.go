@@ -2,11 +2,13 @@ package sat
 
 // The reference solver: the pointer-based clause store this package used
 // before the clause arena (one heap object per clause, pointer watchers and
-// reasons), kept verbatim apart from its names. TestArenaMatchesReference
-// diffs every verdict, counter and model of the arena solver against it, so
-// the arena is a storage change only: same search path, same answers.
+// reasons, one slice per watch list), kept verbatim apart from its names.
+// TestArenaMatchesReference diffs every verdict, counter and model of the
+// arena solver against it, so the arena and the watcher slab are a storage
+// change only: same search path, same answers.
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
@@ -695,9 +697,89 @@ func pigeonholeFormula(pigeons, holes int) formula {
 	return f
 }
 
+// arenaClause is one live clause met by walking the arena.
+type arenaClause struct {
+	c      cref
+	lits   []Lit
+	learnt bool
+	act    float64
+}
+
+// walkArena decodes the arena from its first word: every clause is a header
+// word, its literals and, when learnt, two activity words. The walk must
+// land exactly on the arena's end, and the dead clauses it skips must add up
+// to the solver's wasted count. It returns the live clauses in arena order.
+func walkArena(t *testing.T, what string, s *Solver) []arenaClause {
+	t.Helper()
+	var live []arenaClause
+	dead := 0
+	for c := 0; c < len(s.lits); {
+		h := s.lits[c]
+		size := int(h >> hdrShift)
+		n := 1 + size
+		learnt := h&hdrLearnt != 0
+		if learnt {
+			n += 2
+		}
+		if size < 2 || c+n > len(s.lits) {
+			t.Fatalf("%s: arena word %d is no clause header (%#x)", what, c, h)
+		}
+		if h&hdrDead != 0 {
+			dead += n
+		} else {
+			ac := arenaClause{c: cref(c), lits: s.lits[c+1 : c+1+size], learnt: learnt}
+			if learnt {
+				e := c + 1 + size
+				ac.act = math.Float64frombits(uint64(s.lits[e]) | uint64(s.lits[e+1])<<32)
+			}
+			live = append(live, ac)
+		}
+		c += n
+	}
+	if dead != s.wasted {
+		t.Fatalf("%s: %d dead words in the arena, wasted says %d", what, dead, s.wasted)
+	}
+	return live
+}
+
+// checkSlab holds the slab's layout: every watch list and every free
+// segment is a power-of-two segment inside the slab, no two overlap, and a
+// list fits its segment.
+func checkSlab(t *testing.T, what string, s *Solver) {
+	t.Helper()
+	type seg struct{ off, cap uint32 }
+	var segs []seg
+	for l, wl := range s.watches {
+		if wl.n > wl.cap || (wl.cap != 0 && (wl.cap&(wl.cap-1) != 0 || wl.cap < 1<<minWatchLog)) {
+			t.Fatalf("%s: watch list %d holds %d in a segment of %d", what, l, wl.n, wl.cap)
+		}
+		if wl.cap > 0 {
+			segs = append(segs, seg{wl.off, wl.cap})
+		}
+	}
+	for k, fl := range s.free {
+		for _, off := range fl {
+			segs = append(segs, seg{off, 1 << k})
+		}
+	}
+	slices.SortFunc(segs, func(a, b seg) int { return cmp.Compare(a.off, b.off) })
+	end := uint32(0)
+	for _, g := range segs {
+		if g.off < end {
+			t.Fatalf("%s: slab segment at %d overlaps the one ending at %d", what, g.off, end)
+		}
+		end = g.off + g.cap
+	}
+	if int(end) > len(s.slab) {
+		t.Fatalf("%s: slab segments end at %d, past the slab's %d", what, end, len(s.slab))
+	}
+}
+
 // diffSolvers reports every difference between the reference solver and an
 // arena solver after the same formula and solve: verdict, counters, model,
-// assignment, and the literal order of every clause and watch list.
+// assignment, the literal order of every clause (problem clauses first, then
+// the learnts in learning order, each with its activity), every reason, and
+// the order of every watch list.
 func diffSolvers(t *testing.T, what string, ref *refSolver, rst Status, got *Solver, gst Status) {
 	t.Helper()
 	if rst != gst {
@@ -713,28 +795,45 @@ func diffSolvers(t *testing.T, what string, ref *refSolver, rst Status, got *Sol
 	if !slices.Equal(ref.model, got.model) || !slices.Equal(ref.assign, got.assign) {
 		t.Fatalf("%s: model or assignment differs from the reference", what)
 	}
-	// Problem clauses never die, so they are the first headers, in order.
+	live := walkArena(t, what, got)
+	if len(live) != len(ref.clauses)+len(ref.learnts) {
+		t.Fatalf("%s: %d live clauses in the arena, reference %d problem and %d learnt",
+			what, len(live), len(ref.clauses), len(ref.learnts))
+	}
+	// Problem clauses never die and come before every learnt clause.
 	for i, c := range ref.clauses {
-		if !slices.Equal(c.lits, got.clause(cref(i))) {
-			t.Fatalf("%s: problem clause %d is %v, reference %v", what, i, got.clause(cref(i)), c.lits)
+		if live[i].learnt || !slices.Equal(c.lits, live[i].lits) {
+			t.Fatalf("%s: problem clause %d is %v (learnt %v), reference %v", what, i, live[i].lits, live[i].learnt, c.lits)
 		}
 	}
 	if len(ref.learnts) != len(got.learnts) {
 		t.Fatalf("%s: %d learnt clauses, reference %d", what, len(got.learnts), len(ref.learnts))
 	}
 	for i, c := range ref.learnts {
-		if h := got.hdrs[got.learnts[i]]; !slices.Equal(c.lits, got.clause(got.learnts[i])) || h.act != c.act {
-			t.Fatalf("%s: learnt clause %d is %v (act %g), reference %v (act %g)",
-				what, i, got.clause(got.learnts[i]), h.act, c.lits, c.act)
+		lc := live[len(ref.clauses)+i]
+		if !lc.learnt || lc.c != got.learnts[i] || !slices.Equal(c.lits, lc.lits) || lc.act != c.act {
+			t.Fatalf("%s: learnt clause %d is %v (act %g) at %d, learnts has %d, reference %v (act %g)",
+				what, i, lc.lits, lc.act, lc.c, got.learnts[i], c.lits, c.act)
 		}
 	}
+	at := make(map[cref][]Lit, len(live))
+	for _, lc := range live {
+		at[lc.c] = lc.lits
+	}
+	for v, r := range ref.reason {
+		g := got.reason[v]
+		if (r == nil) != (g == noClause) || (r != nil && !slices.Equal(r.lits, at[g])) {
+			t.Fatalf("%s: reason of var %d differs from the reference", what, v)
+		}
+	}
+	checkSlab(t, what, got)
 	for l, ws := range ref.watches {
-		gws := got.watches[l]
+		gws := got.watchers(Lit(l))
 		if len(ws) != len(gws) {
 			t.Fatalf("%s: watch list %d has %d watchers, reference %d", what, l, len(gws), len(ws))
 		}
 		for i, w := range ws {
-			if w.blocker != gws[i].blocker || !slices.Equal(w.c.lits, got.clause(gws[i].c)) {
+			if w.blocker != gws[i].blocker || !slices.Equal(w.c.lits, at[gws[i].c]) {
 				t.Fatalf("%s: watcher %d of literal %d differs from the reference", what, i, l)
 			}
 		}
@@ -747,8 +846,9 @@ func diffSolvers(t *testing.T, what string, ref *refSolver, rst Status, got *Sol
 // solver reused through Reset must match a fresh one on every formula,
 // whatever state the previous formula left it in (Sat, Unsat or stopped
 // mid-search by the budget). The corpus must reach learnt-clause deletion,
-// restarts, the variable-activity rescale and arena compaction, or the diff
-// proves nothing about them.
+// restarts, the variable-activity rescale, arena compaction, watch lists
+// moving to larger slab segments and freed segments being reused, or the
+// diff proves nothing about them.
 func TestArenaMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	var corpus []formula
@@ -775,7 +875,7 @@ func TestArenaMatchesReference(t *testing.T) {
 
 	var reused Solver
 	var deleted, restarts int64
-	compactions, rescaled := 0, false
+	compactions, slabMoves, slabReuses, rescaled := 0, 0, 0, false
 	check := func(f *formula, opts Options) {
 		ref := newRef(opts)
 		f.load(ref)
@@ -795,6 +895,8 @@ func TestArenaMatchesReference(t *testing.T) {
 		deleted += st.Deleted
 		restarts += st.Restarts
 		compactions += fresh.compactions
+		slabMoves += fresh.slabMoves
+		slabReuses += fresh.slabReuses
 		if rescaleAt := 100 * math.Ln10 / -math.Log(fresh.opts.VarDecay); float64(st.Conflicts) > rescaleAt {
 			rescaled = true
 		}
@@ -805,8 +907,8 @@ func TestArenaMatchesReference(t *testing.T) {
 		}
 	}
 	check(&long, longOpts)
-	if deleted == 0 || restarts == 0 || !rescaled || compactions == 0 {
-		t.Fatalf("corpus too easy: deleted %d, restarts %d, rescaled %v, %d compactions",
-			deleted, restarts, rescaled, compactions)
+	if deleted == 0 || restarts == 0 || !rescaled || compactions == 0 || slabMoves == 0 || slabReuses == 0 {
+		t.Fatalf("corpus too easy: deleted %d, restarts %d, rescaled %v, %d compactions, %d slab moves, %d segment reuses",
+			deleted, restarts, rescaled, compactions, slabMoves, slabReuses)
 	}
 }

@@ -8,17 +8,23 @@
 // model or refutation, regardless of GOMAXPROCS (the solver is single-threaded;
 // the seed only diversifies initial activities and phases).
 //
-// Clauses live in a pointer-free arena: one literal slice plus one header per
-// clause, addressed by index, so the garbage collector has nothing to scan per
-// clause, and Reset empties a solver for the next formula while keeping every
-// buffer's capacity.
+// Clauses live in one pointer-free arena of words: per clause a header word
+// followed by its literals, addressed by the header's offset. Every watch
+// list is a segment of one pointer-free watcher slab. The garbage collector
+// has nothing to scan per clause or per literal, and Reset empties a solver
+// for the next formula while keeping every buffer's capacity. Callers that
+// want several formulas in flight (internal/exact races its II ladder) run
+// one solver per goroutine, and may hand a solver on to another goroutine
+// between formulas.
 package sat
 
 import (
 	"cmp"
 	"context"
 	"math"
+	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // Lit is a literal: variable v appears positively as 2v and negated as 2v+1.
@@ -105,36 +111,48 @@ type Stats struct {
 	Deleted      int64
 }
 
-// cref references a clause: an index into Solver.hdrs.
+// cref references a clause: the offset of its header word in Solver.lits.
 type cref uint32
 
 // noClause is the cref of no clause: the reason of a decision, a unit or an
 // unassigned variable, and propagate's "no conflict".
 const noClause cref = math.MaxUint32
 
-// clauseHdr describes one clause; its literals are lits[start:start+size].
-type clauseHdr struct {
-	start, size uint32
-	act         float64 // activity, learnt clauses only
-	learnt      bool
-	dead        bool // deleted by reduceDB; compact reclaims its literals
-}
+// A clause in the arena is a header word, then its literals, then, for a
+// learnt clause, its float64 activity as two words (low half first). The
+// header word is size<<hdrShift | hdrLearnt | hdrDead.
+const (
+	hdrDead   = 1 // deleted by reduceDB; compact reclaims its words
+	hdrLearnt = 2
+	hdrShift  = 2
+)
 
 type watcher struct {
 	c       cref
 	blocker Lit // cached literal; if true the clause is satisfied without a walk
 }
 
+// wlist is one literal's watch list: slab[off:off+n], in a segment of cap
+// slots. cap is zero or a power of two of at least 1<<minWatchLog.
+type wlist struct{ off, n, cap uint32 }
+
+// minWatchLog is the log2 capacity of a watch list's first segment.
+const minWatchLog = 1
+
+// move records that compact moved the clause at from to to.
+type move struct{ from, to cref }
+
 // Solver holds one CNF instance and its search state. Not safe for concurrent
 // use; create one solver per goroutine.
 type Solver struct {
 	opts     Options
-	hdrs     []clauseHdr // indexed by cref, in allocation order
-	lits     []Lit       // every clause's literals, back to back
-	wasted   int         // literals of dead clauses still in lits
-	nClauses int         // problem (non-learnt) clauses
+	lits     []Lit // the clause arena: header words, literals, activity words
+	wasted   int   // words of dead clauses still in lits
+	nClauses int   // problem (non-learnt) clauses
 	learnts  []cref
-	watches  [][]watcher // indexed by Lit
+	slab     []watcher    // every watch list's segment
+	watches  []wlist      // indexed by Lit
+	free     [32][]uint32 // free slab segments' offsets, by log2 capacity
 
 	assign  []int8 // per var: 0 unassigned, +1 true, -1 false
 	level   []int32
@@ -155,14 +173,17 @@ type Solver struct {
 	addBuf  []Lit  // AddClause's canonical form
 	learnt  []Lit  // analyze's learnt clause
 	byAct   []cref // reduceDB's activity order
-	reloc   []cref // compact's old-to-new cref map
+	moves   []move // compact's relocations, ascending in from
 	model   []int8
 	unsat   bool // empty clause at level 0
 	stats   Stats
 	rng     uint64
 	learntC float64 // learnt DB capacity
 
-	compactions int // arena compactions so far (tests assert the path runs)
+	// Store events so far; tests assert each path runs.
+	compactions int // arena compactions
+	slabMoves   int // watch lists moved to a larger segment
+	slabReuses  int // segments taken from a free list
 }
 
 // New returns a solver with no variables or clauses.
@@ -173,19 +194,20 @@ func New(opts Options) *Solver {
 }
 
 // Reset empties the solver for a new formula under opts, keeping the
-// capacity of every buffer, each watch list's included. A reset solver takes
-// exactly the search path of New(opts) on the same formula.
+// capacity of every buffer, the watcher slab's included. A reset solver
+// takes exactly the search path of New(opts) on the same formula.
 func (s *Solver) Reset(opts Options) {
-	ws := s.watches[:cap(s.watches)]
-	for i := range ws {
-		ws[i] = ws[i][:0]
+	free := s.free
+	for k := range free {
+		free[k] = free[k][:0]
 	}
 	*s = Solver{
 		opts:     opts.withDefaults(),
-		hdrs:     s.hdrs[:0],
 		lits:     s.lits[:0],
 		learnts:  s.learnts[:0],
-		watches:  ws[:0],
+		slab:     s.slab[:0],
+		watches:  s.watches[:0],
+		free:     free,
 		assign:   s.assign[:0],
 		level:    s.level[:0],
 		reason:   s.reason[:0],
@@ -202,7 +224,7 @@ func (s *Solver) Reset(opts Options) {
 		addBuf:   s.addBuf[:0],
 		learnt:   s.learnt[:0],
 		byAct:    s.byAct[:0],
-		reloc:    s.reloc[:0],
+		moves:    s.moves[:0],
 		model:    s.model[:0],
 	}
 	s.rng = uint64(s.opts.Seed)*2685821657736338717 + 0x9e3779b97f4a7c15
@@ -227,11 +249,7 @@ func (s *Solver) NewVar() int {
 	s.heapPos = append(s.heapPos, -1)
 	s.phase = append(s.phase, s.nextRand()&1 == 1)
 	s.seen = append(s.seen, false)
-	if n := len(s.watches); n+2 <= cap(s.watches) {
-		s.watches = s.watches[:n+2] // lists Reset emptied, capacity kept
-	} else {
-		s.watches = append(s.watches, nil, nil)
-	}
+	s.watches = append(s.watches, wlist{}, wlist{})
 	s.heapInsert(int32(v))
 	return v
 }
@@ -250,6 +268,25 @@ func (s *Solver) NumClauses() int { return s.nClauses }
 
 // Stats returns the work counters accumulated so far.
 func (s *Solver) Stats() Stats { return s.stats }
+
+// Footprint returns the bytes held by the solver's buffers, counted by
+// capacity: what keeping the solver for a later formula keeps alive.
+func (s *Solver) Footprint() int {
+	n := size(s.lits) + size(s.learnts) + size(s.slab) + size(s.watches) +
+		size(s.assign) + size(s.level) + size(s.reason) + size(s.trail) + size(s.trailLo) +
+		size(s.activity) + size(s.heap) + size(s.heapPos) + size(s.phase) + size(s.seen) +
+		size(s.minOut) + size(s.addBuf) + size(s.learnt) + size(s.byAct) + size(s.moves) + size(s.model)
+	for _, fl := range s.free {
+		n += size(fl)
+	}
+	return n
+}
+
+// size returns the bytes of b's backing array.
+func size[T any](b []T) int {
+	var z T
+	return cap(b) * int(unsafe.Sizeof(z))
+}
 
 func (s *Solver) valueLit(l Lit) int8 {
 	v := s.assign[l.Var()]
@@ -301,26 +338,122 @@ func (s *Solver) AddClause(lits ...Lit) {
 	}
 }
 
-// alloc appends a clause to the arena and returns its reference.
+// alloc appends a clause to the arena and returns its reference. A learnt
+// clause gets two activity words after its literals, zeroed.
 func (s *Solver) alloc(lits []Lit, learnt bool) cref {
-	c := cref(len(s.hdrs))
-	s.hdrs = append(s.hdrs, clauseHdr{start: uint32(len(s.lits)), size: uint32(len(lits)), learnt: learnt})
+	c := cref(len(s.lits))
+	h := Lit(len(lits)) << hdrShift
+	if learnt {
+		h |= hdrLearnt
+	}
+	s.lits = grow(s.lits, 3+len(lits))
+	s.lits = append(s.lits, h)
 	s.lits = append(s.lits, lits...)
+	if learnt {
+		s.lits = append(s.lits, 0, 0)
+	}
 	return c
 }
 
 // clause returns c's literals, aliasing the arena: reordering them reorders
 // the clause.
 func (s *Solver) clause(c cref) []Lit {
-	h := &s.hdrs[c]
-	return s.lits[h.start : h.start+h.size]
+	return s.lits[c+1 : c+1+cref(s.lits[c]>>hdrShift)]
+}
+
+// words returns how many arena words clause c occupies.
+func (s *Solver) words(c cref) int {
+	h := s.lits[c]
+	n := 1 + int(h>>hdrShift)
+	if h&hdrLearnt != 0 {
+		n += 2
+	}
+	return n
+}
+
+func (s *Solver) isLearnt(c cref) bool { return s.lits[c]&hdrLearnt != 0 }
+
+func (s *Solver) isDead(c cref) bool { return s.lits[c]&hdrDead != 0 }
+
+// act returns learnt clause c's activity.
+func (s *Solver) act(c cref) float64 {
+	e := c + 1 + cref(s.lits[c]>>hdrShift)
+	return math.Float64frombits(uint64(s.lits[e]) | uint64(s.lits[e+1])<<32)
+}
+
+func (s *Solver) setAct(c cref, a float64) {
+	e := c + 1 + cref(s.lits[c]>>hdrShift)
+	b := math.Float64bits(a)
+	s.lits[e], s.lits[e+1] = Lit(b), Lit(b>>32)
+}
+
+// watch appends w to literal l's watch list. A full list first moves, in
+// order, to a segment of twice its room; that can grow the slab, so a
+// caller holding a slice of the slab must take it afresh.
+func (s *Solver) watch(l Lit, w watcher) {
+	wl := &s.watches[l]
+	if wl.n == wl.cap {
+		s.regrow(wl)
+	}
+	s.slab[wl.off+wl.n] = w
+	wl.n++
+}
+
+// regrow moves a full watch list to a segment of twice its room, taken from
+// that size's free list or from the slab's end, and frees the old segment.
+func (s *Solver) regrow(wl *wlist) {
+	k := minWatchLog
+	if wl.cap > 0 {
+		k = bits.TrailingZeros32(wl.cap) + 1
+	}
+	var off uint32
+	if fl := s.free[k]; len(fl) > 0 {
+		off = fl[len(fl)-1]
+		s.free[k] = fl[:len(fl)-1]
+		s.slabReuses++
+	} else {
+		off = uint32(len(s.slab))
+		s.slab = grow(s.slab, 1<<k)[:len(s.slab)+1<<k]
+	}
+	if wl.cap > 0 {
+		copy(s.slab[off:], s.slab[wl.off:wl.off+wl.n])
+		s.free[k-1] = append(s.free[k-1], wl.off)
+		s.slabMoves++
+	}
+	wl.off, wl.cap = off, 1<<k
+}
+
+// grow returns b with room for n more elements. A small b that must move at
+// least doubles its capacity: a fresh solver fills the arena and the slab by
+// appending, and append's 1.25x steps would allocate about five times their
+// final size on the way there, against two. Past growDoubleMax elements b
+// grows by append's steps again: a large buffer's idle capacity stays
+// resident while its solver serves the next formulas, and a quarter of it
+// costs less memory than a half.
+func grow[T any](b []T, n int) []T {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	if cap(b) >= growDoubleMax {
+		return slices.Grow(b, n)
+	}
+	return slices.Grow(b, max(n, cap(b)+1))
+}
+
+// growDoubleMax is the capacity, in elements, up to which grow doubles.
+const growDoubleMax = 1 << 16
+
+// watchers returns literal l's watch list, aliasing the slab.
+func (s *Solver) watchers(l Lit) []watcher {
+	wl := s.watches[l]
+	return s.slab[wl.off : wl.off+wl.n]
 }
 
 func (s *Solver) attach(c cref) {
 	lits := s.clause(c)
 	w0, w1 := lits[0], lits[1]
-	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{c, w1})
-	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{c, w0})
+	s.watch(w0.Not(), watcher{c, w1})
+	s.watch(w1.Not(), watcher{c, w0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLo) }
@@ -338,18 +471,24 @@ func (s *Solver) enqueue(l Lit, from cref) {
 }
 
 // propagate runs unit propagation to fixpoint; a result other than noClause
-// is the conflicting clause.
+// is the conflicting clause. p's list is compacted in place while it is
+// scanned; it never receives a watcher during its own scan (a new watch is
+// non-false, and ¬p is false), but another list's push can grow the slab, so
+// the scan takes its slice of the slab afresh after every push.
 func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
-		ws := s.watches[p]
-		kept := ws[:0]
-		for i := 0; i < len(ws); i++ {
+		wl := &s.watches[p]
+		off, n := wl.off, int(wl.n)
+		ws := s.slab[off : off+uint32(n)]
+		kept := 0
+		for i := 0; i < n; i++ {
 			w := ws[i]
 			if s.valueLit(w.blocker) == 1 {
-				kept = append(kept, w)
+				ws[kept] = w
+				kept++
 				continue
 			}
 			c := w.c
@@ -360,7 +499,8 @@ func (s *Solver) propagate() cref {
 			}
 			first := lits[0]
 			if first != w.blocker && s.valueLit(first) == 1 {
-				kept = append(kept, watcher{c, first})
+				ws[kept] = watcher{c, first}
+				kept++
 				continue
 			}
 			// Look for a new literal to watch.
@@ -368,7 +508,8 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(lits); k++ {
 				if s.valueLit(lits[k]) != -1 {
 					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
+					s.watch(lits[1].Not(), watcher{c, first})
+					ws = s.slab[off : off+uint32(n)]
 					found = true
 					break
 				}
@@ -377,17 +518,18 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, w)
+			ws[kept] = w
+			kept++
 			if s.valueLit(first) == -1 {
 				// Conflict: keep remaining watchers, report.
-				kept = append(kept, ws[i+1:]...)
-				s.watches[p] = kept
+				kept += copy(ws[kept:], ws[i+1:])
+				wl.n = uint32(kept)
 				s.qhead = len(s.trail)
 				return c
 			}
 			s.enqueue(first, c)
 		}
-		s.watches[p] = kept
+		wl.n = uint32(kept)
 	}
 	return noClause
 }
@@ -536,14 +678,14 @@ func (s *Solver) bumpVar(v int) {
 }
 
 func (s *Solver) bumpClause(c cref) {
-	h := &s.hdrs[c]
-	if !h.learnt {
+	if !s.isLearnt(c) {
 		return
 	}
-	h.act += s.claInc
-	if h.act > 1e20 {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			s.hdrs[lc].act *= 1e-20
+			s.setAct(lc, s.act(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -643,29 +785,30 @@ func luby(i int64) int64 {
 
 // reduceDB removes the lower-activity half of the learnt clauses, keeping
 // binary clauses and clauses that are currently a reason for an assignment.
-// Removed clauses are marked dead; once dead literals are over half the
-// arena, compact reclaims them.
+// Removed clauses are marked dead; once dead words are over half the arena,
+// compact reclaims them.
 func (s *Solver) reduceDB() {
 	locked := func(c cref) bool {
 		v := s.clause(c)[0].Var()
 		return s.assign[v] != 0 && s.reason[v] == c
 	}
 	s.byAct = append(s.byAct[:0], s.learnts...)
-	slices.SortStableFunc(s.byAct, func(a, b cref) int { return cmp.Compare(s.hdrs[a].act, s.hdrs[b].act) })
+	slices.SortStableFunc(s.byAct, func(a, b cref) int { return cmp.Compare(s.act(a), s.act(b)) })
 	dropped := 0
 	for _, c := range s.byAct[:len(s.byAct)/2] {
-		if h := &s.hdrs[c]; h.size > 2 && !locked(c) {
-			h.dead = true
-			s.wasted += int(h.size)
+		if len(s.clause(c)) > 2 && !locked(c) {
+			s.lits[c] |= hdrDead
+			s.wasted += s.words(c)
 			dropped++
 		}
 	}
 	if dropped == 0 {
 		return
 	}
-	s.learnts = slices.DeleteFunc(s.learnts, func(c cref) bool { return s.hdrs[c].dead })
-	for li, ws := range s.watches {
-		s.watches[li] = slices.DeleteFunc(ws, func(w watcher) bool { return s.hdrs[w.c].dead })
+	s.learnts = slices.DeleteFunc(s.learnts, s.isDead)
+	deadWatch := func(w watcher) bool { return s.isDead(w.c) }
+	for l := range s.watches {
+		s.watches[l].n = uint32(len(slices.DeleteFunc(s.watchers(Lit(l)), deadWatch)))
 	}
 	s.stats.Deleted += int64(dropped)
 	if 2*s.wasted > len(s.lits) {
@@ -673,43 +816,50 @@ func (s *Solver) reduceDB() {
 	}
 }
 
-// compact squeezes dead clauses out of the arena and the header table,
-// keeping the live ones in order, and relocates every cref the solver holds:
-// watch lists (in place, so their order is kept), reasons and learnts. Dead
-// clauses are in none of them, so no search decision sees the move.
+// compact squeezes dead clauses out of the arena, moving the live ones down
+// in order, and relocates every cref the solver holds: watch lists (in
+// place, so their order is kept), reasons and learnts. Dead clauses are in
+// none of them, so no search decision sees the move.
 func (s *Solver) compact() {
-	s.reloc = slices.Grow(s.reloc[:0], len(s.hdrs))[:len(s.hdrs)]
-	var nh cref
-	var nl uint32
-	for c, h := range s.hdrs {
-		if h.dead {
-			s.reloc[c] = noClause
-			continue
+	s.moves = s.moves[:0]
+	var to cref
+	for from := cref(0); int(from) < len(s.lits); {
+		n := cref(s.words(from))
+		if !s.isDead(from) {
+			if to != from {
+				copy(s.lits[to:to+n], s.lits[from:from+n])
+				s.moves = append(s.moves, move{from, to})
+			}
+			to += n
 		}
-		copy(s.lits[nl:], s.lits[h.start:h.start+h.size])
-		h.start = nl
-		nl += h.size
-		s.hdrs[nh] = h
-		s.reloc[c] = nh
-		nh++
+		from += n
 	}
-	s.hdrs = s.hdrs[:nh]
-	s.lits = s.lits[:nl]
+	s.lits = s.lits[:to]
 	s.wasted = 0
-	for _, ws := range s.watches {
+	for l := range s.watches {
+		ws := s.watchers(Lit(l))
 		for i := range ws {
-			ws[i].c = s.reloc[ws[i].c]
+			ws[i].c = s.relocate(ws[i].c)
 		}
 	}
 	for v, r := range s.reason {
 		if r != noClause {
-			s.reason[v] = s.reloc[r]
+			s.reason[v] = s.relocate(r)
 		}
 	}
 	for i, c := range s.learnts {
-		s.learnts[i] = s.reloc[c]
+		s.learnts[i] = s.relocate(c)
 	}
 	s.compactions++
+}
+
+// relocate returns where the last compaction put the live clause that was at
+// c: moves lists every clause that moved, ascending, and the rest stayed.
+func (s *Solver) relocate(c cref) cref {
+	if i, ok := slices.BinarySearchFunc(s.moves, c, func(m move, c cref) int { return cmp.Compare(m.from, c) }); ok {
+		return s.moves[i].to
+	}
+	return c
 }
 
 // Solve searches for a model. It returns Sat with a model readable via Value,
@@ -744,7 +894,7 @@ func (s *Solver) Solve(ctx context.Context) (Status, error) {
 				s.enqueue(learnt[0], noClause)
 			} else {
 				c := s.alloc(learnt, true)
-				s.hdrs[c].act = s.claInc
+				s.setAct(c, s.claInc)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.enqueue(learnt[0], c)

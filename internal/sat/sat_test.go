@@ -256,3 +256,23 @@ func BenchmarkSolvePigeonhole(b *testing.B) {
 		}
 	}
 }
+
+// TestFootprintKeptByReset: Footprint counts the buffers a formula grew,
+// and Reset keeps all of them, so a reused solver holds what its largest
+// formula needed.
+func TestFootprintKeptByReset(t *testing.T) {
+	s := New(Options{})
+	empty := s.Footprint()
+	pigeonhole(s, 7, 6)
+	if st, err := s.Solve(context.Background()); err != nil || st != Unsat {
+		t.Fatalf("PHP(7,6): status %v err %v", st, err)
+	}
+	used := s.Footprint()
+	if used <= empty {
+		t.Fatalf("footprint %d after a solve, %d empty", used, empty)
+	}
+	s.Reset(Options{})
+	if got := s.Footprint(); got != used {
+		t.Fatalf("footprint %d after Reset, %d before", got, used)
+	}
+}
