@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"regimap"
@@ -176,12 +177,12 @@ func checkOrUpdateGolden(t *testing.T, path string, got map[string]string) {
 }
 
 // goldenArchPath pins mapping determinism across the named-architecture zoo:
-// a fixed kernel subset mapped by REGIMap, keyed "arch/kernel", and every
-// suite kernel mapped by EMS, keyed "ems/arch/kernel", on every registered
-// architecture. The digests prove described fabrics (diagonals, torus wrap,
-// heterogeneous capabilities, banked buses) map deterministically, not just
-// the paper's default mesh; the EMS half covers the long route spans and
-// 64-PE route levels of torus-8x8 that the 4x4 mesh never exercises. The
+// every suite kernel mapped by REGIMap, keyed "arch/kernel", and by EMS,
+// keyed "ems/arch/kernel", on every registered architecture. The digests
+// prove described fabrics (diagonals, torus wrap, heterogeneous
+// capabilities, banked buses) map deterministically, not just the paper's
+// default mesh; they cover the 64-candidate placements and long route spans
+// of torus-8x8 that the 4x4 mesh never exercises. The
 // exact half, keyed "exact/arch/kernel", pins every certificate and rung of
 // the SAT engine on the suite kernels of at most goldenExactMaxOps ops, on
 // the fabrics of goldenExactArchs.
@@ -195,8 +196,7 @@ func TestGoldenArchZoo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("arch-zoo golden suite maps kernels on every zoo member; skipped in -short")
 	}
-	kernelSubset := []string{"dotprod_sat", "median3", "iir_biquad"}
-	resolve := func(name string) *regimap.CGRA {
+	resolve := func(t *testing.T, name string) *regimap.CGRA {
 		c, err := regimap.ResolveArch(name)
 		if err != nil {
 			t.Fatalf("arch %q: %v", name, err)
@@ -204,20 +204,29 @@ func TestGoldenArchZoo(t *testing.T) {
 		return c
 	}
 	got := map[string]string{}
-	for _, name := range regimap.ArchNames() {
-		for _, kn := range kernelSubset {
-			got[name+"/"+kn] = goldenHash(goldenRun(t, "regimap", kn, resolve(name)))
+	var mu sync.Mutex
+	// One parallel subtest per fabric: the REGIMap and EMS halves are 360
+	// independent compiles, the bulk of this test's time under -race.
+	t.Run("zoo", func(t *testing.T) {
+		for _, name := range regimap.ArchNames() {
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				for _, k := range regimap.Kernels() {
+					r := goldenHash(goldenRun(t, "regimap", k.Name, resolve(t, name)))
+					e := goldenHash(goldenRun(t, "ems", k.Name, resolve(t, name)))
+					mu.Lock()
+					got[name+"/"+k.Name], got["ems/"+name+"/"+k.Name] = r, e
+					mu.Unlock()
+				}
+			})
 		}
-		for _, k := range regimap.Kernels() {
-			got["ems/"+name+"/"+k.Name] = goldenHash(goldenRun(t, "ems", k.Name, resolve(name)))
-		}
-	}
+	})
 	for _, name := range goldenExactArchs {
 		for _, k := range regimap.Kernels() {
 			if k.Build().N() > goldenExactMaxOps {
 				continue
 			}
-			got["exact/"+name+"/"+k.Name] = goldenHash(goldenRun(t, "exact", k.Name, resolve(name)))
+			got["exact/"+name+"/"+k.Name] = goldenHash(goldenRun(t, "exact", k.Name, resolve(t, name)))
 		}
 	}
 	checkOrUpdateGolden(t, goldenArchPath, got)

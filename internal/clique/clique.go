@@ -38,20 +38,51 @@ type Graph struct {
 	adj       []*graph.Bitset
 	weight    []int // flat n*n directed weights (nil until AddWeight)
 	fn        func(u, v int) int
-	cluster   []int  // weight-interaction class per node (nil: global)
-	nClusters int    // 1 + max cluster id (0 when cluster is nil)
+	cluster   []int  // weight-interaction class per node (empty: global)
+	nClusters int    // 1 + max cluster id (0 when cluster is empty)
 	outW      []bool // whether a node has any outgoing weight
 	base      []int
 	anyW      bool // any non-zero weight or base exists (false => feasibility is vacuous)
 	cap       int
-	deg       []int // cached Degrees (emptied by any adjacency mutation)
-	degOrder  []int // cached DegreeOrder (nil after any adjacency mutation)
+	deg       []int      // cached Degrees (emptied by any adjacency mutation)
+	degOrder  []int      // cached DegreeOrder (nil after any adjacency mutation)
+	slab      graph.Slab // adj's storage, kept across Reset
 }
 
 // NewGraph returns an empty graph of n nodes with the given per-node weight
 // budget (the register-file size; negative means unconstrained).
 func NewGraph(n, cap int) *Graph {
-	return &Graph{n: n, adj: graph.NewBitsetSlab(n, n), outW: make([]bool, n), base: make([]int, n), cap: cap}
+	g := &Graph{}
+	g.Reset(n, cap)
+	return g
+}
+
+// Reset makes g a graph of n nodes with the given budget and no weights,
+// reusing its storage: the adjacency slab grows geometrically, so an owner
+// that resizes one graph again and again (the compat builder, reset for
+// every II and every inserted route node) stops allocating once it has seen
+// its largest size. The adjacency rows keep whatever the slab held — empty
+// on a new graph, stale words otherwise — so after a Reset the caller
+// rewrites every row (ResetAdjacency, then its edges) before searching.
+func (g *Graph) Reset(n, cap int) {
+	g.n, g.cap = n, cap
+	g.adj = g.slab.Carve(n, n)
+	g.weight, g.fn, g.anyW = nil, nil, false
+	g.cluster, g.nClusters = g.cluster[:0], 0
+	g.outW = resize(g.outW, n)
+	g.base = resize(g.base, n)
+	g.dropDegrees()
+}
+
+// resize returns s with n zero elements, reallocating only when it is too
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // AddBase adds an unconditional weight to node u, charged whenever u is in a
@@ -166,8 +197,8 @@ func (g *Graph) SetWeightFunc(fn func(u, v int) int, hasOut func(u int) bool, cl
 		panic("clique: SetWeightFunc after AddWeight")
 	}
 	g.fn = fn
-	if g.cluster == nil {
-		g.cluster = make([]int, g.n)
+	if len(g.cluster) != g.n {
+		g.cluster = resize(g.cluster, g.n)
 	}
 	g.nClusters = 0
 	g.anyW = false
@@ -276,12 +307,13 @@ func (g *Graph) IsFeasibleClique(members []int) bool {
 // they intend to keep before invoking it.
 type arena struct {
 	g       *Graph
+	n       int // the node count every state is sized for; g may be resized since
 	all     []*state
 	free    []*state
 	scratch *graph.Bitset // intersection-phase scratch (lazily allocated)
 }
 
-func newArena(g *Graph) *arena { return &arena{g: g} }
+func newArena(g *Graph) *arena { return &arena{g: g, n: g.n} }
 
 func (a *arena) get() *state {
 	if k := len(a.free); k > 0 {
@@ -293,14 +325,14 @@ func (a *arena) get() *state {
 	s := &state{
 		g:       a.g,
 		ar:      a,
-		inC:     graph.NewBitset(a.g.n),
-		cand:    graph.NewBitset(a.g.n),
-		miss1:   graph.NewBitset(a.g.n),
-		dead:    graph.NewBitset(a.g.n),
-		sum:     make([]int, a.g.n),
-		scoreUB: make([]int, a.g.n),
+		inC:     graph.NewBitset(a.n),
+		cand:    graph.NewBitset(a.n),
+		miss1:   graph.NewBitset(a.n),
+		dead:    graph.NewBitset(a.n),
+		sum:     make([]int, a.n),
+		scoreUB: make([]int, a.n),
 	}
-	if a.g.cluster != nil {
+	if len(a.g.cluster) > 0 {
 		s.byCluster = make([][]int, a.g.nClusters)
 	}
 	s.cand.Fill()
@@ -351,9 +383,11 @@ func (s *state) reset() {
 // so the check is O(ops per PE); otherwise only the weighted members can
 // exceed their budget.
 func (s *state) canAdd(u int) bool {
-	if s.inC.Has(u) || !s.cand.Has(u) {
-		return false
-	}
+	return !s.inC.Has(u) && s.cand.Has(u) && s.fits(u)
+}
+
+// fits is canAdd's weight walk, for a node u of the candidate set.
+func (s *state) fits(u int) bool {
 	if s.g.cap < 0 || !s.g.anyW {
 		return true // unconstrained, or no weight anywhere: always feasible
 	}
@@ -772,7 +806,7 @@ func removeMember(s *state, x int) *state {
 // fine for the transient seed of the re-seeding phase.
 func intersect(ar *arena, a, b []int) []int {
 	if ar.scratch == nil {
-		ar.scratch = graph.NewBitset(ar.g.n)
+		ar.scratch = graph.NewBitset(ar.n)
 	} else {
 		ar.scratch.Reset()
 	}

@@ -7,11 +7,113 @@ import (
 	"regimap/internal/graph"
 )
 
+// Groups indexes FindGrouped's groups over the nodes of one graph: each
+// group's candidate list, its mask and word span, the group of every node,
+// the nodes outside every group, and the constraint relation between
+// groups. Its owner builds it once per graph shape (the compat builder, once
+// per Reset) and every search reads it without writing it, so the raced
+// placement passes of one attempt share one index; each search keeps only
+// its own scratch.
+//
+// The relation holds one bit per group pair. A set bit promises nothing. A
+// clear bit promises that the two groups are complete bipartite in the
+// graph: every node of one is adjacent to every node of the other. The
+// search then knows the outcome of work on that pair without doing it (see
+// pickCandidate). Every pair starts constrained, and a group stays
+// constrained with itself.
+type Groups struct {
+	n       int
+	lists   [][]int
+	masks   []*graph.Bitset // each group's candidate mask
+	spanLo  []int           // word span [spanLo, spanHi) of each mask
+	spanHi  []int
+	maxSpan int
+	maxLen  int             // the largest group's size
+	groupOf []int           // group of each node, -1 outside every group
+	loose   *graph.Bitset   // nodes outside every group (nil: none)
+	rel     []*graph.Bitset // constraint relation, one row per group
+
+	maskSlab, relSlab graph.Slab // storage of masks and rel, kept across Reset
+}
+
+// NewGroups indexes lists, the groups of an n-node graph, with every group
+// pair constrained.
+func NewGroups(n int, lists [][]int) *Groups {
+	gx := &Groups{}
+	gx.Reset(n, lists)
+	return gx
+}
+
+// Reset re-indexes gx for lists, the groups of an n-node graph, reusing its
+// storage. Every group pair is constrained again. The index keeps lists
+// itself, so the caller leaves them unchanged until the next Reset.
+func (gx *Groups) Reset(n int, lists [][]int) {
+	k := len(lists)
+	gx.n, gx.lists, gx.maxSpan, gx.maxLen, gx.loose = n, lists, 0, 0, nil
+	gx.masks = gx.maskSlab.Carve(n, k)
+	gx.rel = gx.relSlab.Carve(k, k)
+	gx.spanLo = resize(gx.spanLo, k)
+	gx.spanHi = resize(gx.spanHi, k)
+	gx.groupOf = resize(gx.groupOf, n)
+	for u := range gx.groupOf {
+		gx.groupOf[u] = -1
+	}
+	for gi, cands := range lists {
+		m := gx.masks[gi]
+		m.Reset()
+		for _, u := range cands {
+			m.Set(u)
+			gx.groupOf[u] = gi
+		}
+		gx.spanLo[gi], gx.spanHi[gi] = m.WordBounds()
+		gx.maxSpan = max(gx.maxSpan, gx.spanHi[gi]-gx.spanLo[gi])
+		gx.maxLen = max(gx.maxLen, len(cands))
+		gx.rel[gi].Fill()
+	}
+	for u, gi := range gx.groupOf {
+		if gi < 0 {
+			if gx.loose == nil {
+				gx.loose = graph.NewBitset(n)
+			}
+			gx.loose.Set(u)
+		}
+	}
+}
+
+// Constrain records whether groups gi and gj are constrained, in both
+// directions. Passing false makes the promise of a clear bit (see Groups);
+// a group stays constrained with itself.
+func (gx *Groups) Constrain(gi, gj int, constrained bool) {
+	if gi == gj {
+		return
+	}
+	if constrained {
+		gx.rel[gi].Set(gj)
+		gx.rel[gj].Set(gi)
+	} else {
+		gx.rel[gi].Clear(gj)
+		gx.rel[gj].Clear(gi)
+	}
+}
+
+// Constrained reports whether groups gi and gj are constrained.
+func (gx *Groups) Constrained(gi, gj int) bool { return gx.rel[gi].Has(gj) }
+
+// Mask returns group gi's candidate mask. Callers must not modify it.
+func (gx *Groups) Mask(gi int) *graph.Bitset { return gx.masks[gi] }
+
+// Span returns the half-open word span [lo, hi) of group gi's mask.
+func (gx *Groups) Span(gi int) (lo, hi int) { return gx.spanLo[gi], gx.spanHi[gi] }
+
+// MaxSpan returns the widest group's span in words.
+func (gx *Groups) MaxSpan() int { return gx.maxSpan }
+
 // FindGrouped searches for a feasible clique containing exactly one node per
-// group. Groups are REGIMap's operations and a group's nodes its candidate
-// (operation, PE) bindings; since same-operation bindings are mutually
-// incompatible, any clique holds at most one node per group, and a clique of
-// one-per-group is a complete placement.
+// group of gx, an index built for g's node count. Groups are REGIMap's
+// operations and a group's nodes its candidate (operation, PE) bindings;
+// since same-operation bindings are mutually incompatible, any clique holds
+// at most one node per group, and a clique of one-per-group is a complete
+// placement.
 //
 // The search is constructive and deterministic: groups are placed most-
 // constrained first (smallest maximum candidate degree), each taking the
@@ -19,13 +121,19 @@ import (
 // set; groups that could not be placed are promoted to the front of the next
 // round — the same learn-from-failure flavour as the mapper's outer loop.
 // It returns the best clique found across rounds (possibly smaller than the
-// group count).
-func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
+// group count). As long as gx's relation keeps its promise (see Groups),
+// the result does not depend on it, only the work spent reaching it.
+func FindGrouped(g *Graph, gx *Groups, opts Options) (best []int) {
+	if gx.n != g.n {
+		panic("clique: group index built for another graph size")
+	}
+	groups := gx.lists
 	rounds := opts.GroupRounds
 	if rounds <= 0 {
 		rounds = DefaultGroupRounds
 	}
 
+	fc := newForwardChecker(gx)
 	sp := opts.Trace.Start("clique.grouped")
 	roundsRun, lastFailed := 0, 0
 	defer func() {
@@ -33,6 +141,8 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 		sp.Field("rounds", int64(roundsRun))
 		sp.Field("failed", int64(lastFailed))
 		sp.Field("best", int64(len(best)))
+		sp.Field("folds", int64(fc.folds))
+		sp.Field("free", int64(fc.free))
 		sp.End()
 	}()
 
@@ -66,19 +176,11 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 		})
 	}
 
-	groupOf := make([]int, g.n)
-	for gi, cands := range groups {
-		for _, u := range cands {
-			groupOf[u] = gi
-		}
-	}
-	fc := newForwardChecker(g.n, groups)
 	var sw swapTrial
-
 	ar := opts.Arenas.acquire(g)
 	defer opts.Arenas.release(ar)
-	pending := make([]bool, len(groups))
-	inFailed := make([]bool, len(groups))
+	flags := make([]bool, 2*len(groups))
+	pending, inFailed := flags[:len(groups)], flags[len(groups):]
 	for round := 0; round < rounds; round++ {
 		roundsRun++
 		s := ar.get()
@@ -88,9 +190,9 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 		}
 		for oi, gi := range order {
 			pending[gi] = false
-			pick := pickCandidate(g, s, groups, order[oi+1:], pending, gi, fc)
+			pick := pickCandidate(g, s, order[oi+1:], pending, gi, fc)
 			if pick == -1 {
-				if repaired := swapInGroup(g, s, groups, groupOf, gi, &sw); repaired != nil {
+				if repaired := swapInGroup(g, s, gx, gi, &sw); repaired != nil {
 					ar.put(s)
 					s = repaired
 					continue
@@ -107,7 +209,7 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 			progress := false
 			still := failed[:0]
 			for _, gi := range failed {
-				if repaired := swapInGroup(g, s, groups, groupOf, gi, &sw); repaired != nil {
+				if repaired := swapInGroup(g, s, gx, gi, &sw); repaired != nil {
 					ar.put(s)
 					s = repaired
 					progress = true
@@ -157,8 +259,8 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 // weights by fitsSwap, its candidate set as (C0 ∪ (C1 \ adj(x))) ∩ adj(u)
 // for the candidate set C0. Only the swap returned becomes a state, rebuilt
 // in the member order evicting x and adding u and the re-pick leaves.
-func swapInGroup(g *Graph, s *state, groups [][]int, groupOf []int, gi int, sw *swapTrial) *state {
-	for _, u := range groups[gi] {
+func swapInGroup(g *Graph, s *state, gx *Groups, gi int, sw *swapTrial) *state {
+	for _, u := range gx.lists[gi] {
 		if !s.miss1.Has(u) {
 			continue
 		}
@@ -171,7 +273,7 @@ func swapInGroup(g *Graph, s *state, groups [][]int, groupOf []int, gi int, sw *
 		// adj(u), and either candidates already or blocked by x alone.
 		adjU, adjX := g.adj[u], g.adj[x]
 		sw.repicks = sw.repicks[:0]
-		for _, w := range groups[groupOf[x]] {
+		for _, w := range gx.lists[gx.groupOf[x]] {
 			if !adjU.Has(w) || !(s.cand.Has(w) || s.miss1.Has(w) && !adjX.Has(w)) {
 				continue
 			}
@@ -224,53 +326,52 @@ type swapTrial struct {
 // groups in the order are the ones the choice constrains most.
 const maxLookahead = 24
 
-// forwardChecker is pickCandidate's reusable working set. A pending group's
-// verdict for a candidate u — how many of its live candidates are adjacent
-// to u, capped at 2 — is computed for every candidate of the picked group
-// at once, by walking the pending group's live candidates v and folding
-// adj(v) into two bit-slices over the picked group's word span: one holds
-// the candidates with at least one live neighbour, two those with at least
-// two. Adjacency is symmetric, so u ∈ adj(v) exactly when v ∈ adj(u).
+// forwardChecker is pickCandidate's working set, one per search; the group
+// index it reads is shared. A pending group's verdict for a candidate u —
+// how many of its live candidates are adjacent to u, capped at 2 — is
+// computed for every candidate of the picked group at once, by walking the
+// pending group's live candidates v and folding adj(v) into two bit-slices
+// over the picked group's word span: one holds the candidates with at least
+// one live neighbour, two those with at least two. Adjacency is symmetric,
+// so u ∈ adj(v) exactly when v ∈ adj(u).
 //
 // A group whose verdict is the same for every feasible candidate — all dead,
 // all exactly one, or all at least two — adds the same count to every
 // candidate's dead or tight tally, which never moves the argmin, so it is
 // dropped; the walk stops as soon as two covers every feasible candidate.
-// The slices of the groups that remain answer each candidate's (dead, tight)
-// with two bit probes.
-//
-// A group's candidate ids are clustered, so each group mask spans a few
-// words of the n-bit width. The spans are computed once per search.
+// A group free with the picked one (see Groups) is such a group: every
+// candidate sees all of its live candidates. It is dropped without a fold.
+// The slices of the groups that remain answer each candidate's (dead,
+// tight) with two bit probes.
 type forwardChecker struct {
-	masks    []*graph.Bitset // each group's candidate mask
-	spanLo   []int           // word span [spanLo, spanHi) of each group mask
-	spanHi   []int
+	gx       *Groups
 	feas     []uint64 // feasible candidates of the picked group, over its span
 	one, two []uint64 // kept groups' bit-slices, maxSpan words per group
 	nKept    int
 	cands    []int // feasible candidates of the group being picked
 	cDead    []int // their verdicts, parallel to cands
 	cTght    []int
+	tied     []int    // the candidates left for the tie-break
+	scope    []uint64 // the tie-break's live nodes, full width; zero between picks
+	scopeAt  []int    // the words of scope in use
+	folds    int      // pending groups folded, for the trace
+	free     int      // pending groups dropped as free, for the trace
 }
 
-func newForwardChecker(n int, groups [][]int) *forwardChecker {
-	fc := &forwardChecker{
-		masks:  graph.NewBitsetSlab(n, len(groups)),
-		spanLo: make([]int, len(groups)),
-		spanHi: make([]int, len(groups)),
+func newForwardChecker(gx *Groups) *forwardChecker {
+	w, k := gx.maxSpan, gx.maxLen
+	words := make([]uint64, (1+2*maxLookahead)*w)
+	ints := make([]int, 4*k)
+	return &forwardChecker{
+		gx:    gx,
+		feas:  words[:w],
+		one:   words[w : (1+maxLookahead)*w],
+		two:   words[(1+maxLookahead)*w:],
+		cands: ints[:0:k],
+		cDead: ints[k : k : 2*k],
+		cTght: ints[2*k : 2*k : 3*k],
+		tied:  ints[3*k : 3*k : 4*k],
 	}
-	maxSpan := 0
-	for gi, cands := range groups {
-		for _, u := range cands {
-			fc.masks[gi].Set(u)
-		}
-		fc.spanLo[gi], fc.spanHi[gi] = fc.masks[gi].WordBounds()
-		maxSpan = max(maxSpan, fc.spanHi[gi]-fc.spanLo[gi])
-	}
-	fc.feas = make([]uint64, maxSpan)
-	fc.one = make([]uint64, maxLookahead*maxSpan)
-	fc.two = make([]uint64, maxLookahead*maxSpan)
-	return fc
 }
 
 // pickCandidate chooses group gi's binding by CSP-style forward checking:
@@ -278,16 +379,20 @@ func newForwardChecker(n int, groups [][]int) *forwardChecker {
 // group at least one (and ideally several) live candidates — the
 // least-constraining-value rule — with overall compatibility as the final
 // tie-break. It returns -1 when no candidate is feasible.
-func pickCandidate(g *Graph, s *state, groups [][]int, rest []int, pending []bool, gi int, fc *forwardChecker) int {
-	lo, hi := fc.spanLo[gi], fc.spanHi[gi]
+func pickCandidate(g *Graph, s *state, rest []int, pending []bool, gi int, fc *forwardChecker) int {
+	gx := fc.gx
+	lo, hi := gx.spanLo[gi], gx.spanHi[gi]
 	nw := hi - lo
 	feas := fc.feas[:nw]
 	clear(feas)
 	fc.cands = fc.cands[:0]
-	for _, u := range groups[gi] {
-		if s.canAdd(u) {
+	cand := s.cand.Words()
+	for _, u := range gx.lists[gi] {
+		// A candidate is no member, so cand membership leaves only the
+		// weight walk of canAdd.
+		if bit := uint64(1) << uint(u&63); cand[u>>6]&bit != 0 && s.fits(u) {
 			fc.cands = append(fc.cands, u)
-			feas[u>>6-lo] |= 1 << uint(u&63)
+			feas[u>>6-lo] |= bit
 		}
 	}
 	switch len(fc.cands) {
@@ -298,7 +403,7 @@ func pickCandidate(g *Graph, s *state, groups [][]int, rest []int, pending []boo
 	}
 
 	fc.nKept = 0
-	cand := s.cand.Words()
+	rel := gx.rel[gi]
 	looked := 0
 	for _, gj := range rest {
 		if !pending[gj] {
@@ -307,6 +412,11 @@ func pickCandidate(g *Graph, s *state, groups [][]int, rest []int, pending []boo
 		if looked++; looked > maxLookahead {
 			break
 		}
+		if !rel.Has(gj) {
+			fc.free++
+			continue
+		}
+		fc.folds++
 		if fc.fold(g, gj, cand, lo, fc.one[fc.nKept*nw:(fc.nKept+1)*nw], fc.two[fc.nKept*nw:(fc.nKept+1)*nw]) {
 			fc.nKept++
 		}
@@ -314,8 +424,7 @@ func pickCandidate(g *Graph, s *state, groups [][]int, rest []int, pending []boo
 
 	// (dead, tight) for each feasible candidate; the compatibility score is
 	// only the final tie-break, so it is deferred to the candidates still
-	// tied after this pass (usually one or two) instead of paying a
-	// full-width popcount for every candidate.
+	// tied after this pass.
 	fc.cDead, fc.cTght = fc.cDead[:0], fc.cTght[:0]
 	minDead, minTight := 1<<30, 1<<30
 	for _, u := range fc.cands {
@@ -335,16 +444,67 @@ func pickCandidate(g *Graph, s *state, groups [][]int, rest []int, pending []boo
 			minDead, minTight = dead, tight
 		}
 	}
-	best, bestScore := -1, -1
+	fc.tied = fc.tied[:0]
 	for i, u := range fc.cands {
-		if fc.cDead[i] != minDead || fc.cTght[i] != minTight {
-			continue
+		if fc.cDead[i] == minDead && fc.cTght[i] == minTight {
+			fc.tied = append(fc.tied, u)
 		}
-		if score := g.adj[u].IntersectCount(s.cand); score > bestScore {
+	}
+	if len(fc.tied) == 1 {
+		return fc.tied[0]
+	}
+
+	// The score |adj(u) ∩ cand| counts only the live nodes of gi, of the
+	// groups constrained with it and of no group: every live node of a free
+	// group is adjacent to every candidate, so it adds the same to each
+	// score and never moves the argmax or its first-in-list tie-break.
+	fc.scopeTo(gi, cand)
+	best, bestScore := -1, -1
+	for _, u := range fc.tied {
+		row, score := g.adj[u].Words(), 0
+		for _, w := range fc.scopeAt {
+			score += bits.OnesCount64(row[w] & fc.scope[w])
+		}
+		if score > bestScore {
 			best, bestScore = u, score
 		}
 	}
+	for _, w := range fc.scopeAt {
+		fc.scope[w] = 0
+	}
 	return best
+}
+
+// scopeTo fills the tie-break scope for group gi: the nodes of cand in gi,
+// in the groups constrained with it, and outside every group.
+func (fc *forwardChecker) scopeTo(gi int, cand []uint64) {
+	gx := fc.gx
+	if fc.scope == nil {
+		fc.scope = make([]uint64, len(cand))
+		fc.scopeAt = make([]int, 0, len(cand))
+	}
+	fc.scopeAt = fc.scopeAt[:0]
+	for wi, w := range gx.rel[gi].Words() {
+		for ; w != 0; w &= w - 1 {
+			gj := wi<<6 | bits.TrailingZeros64(w)
+			fc.addScope(gx.masks[gj].Words(), gx.spanLo[gj], gx.spanHi[gj], cand)
+		}
+	}
+	if gx.loose != nil {
+		fc.addScope(gx.loose.Words(), 0, len(cand), cand)
+	}
+}
+
+// addScope ORs mask ∩ cand over the words [lo, hi) into the scope.
+func (fc *forwardChecker) addScope(mask []uint64, lo, hi int, cand []uint64) {
+	for w := lo; w < hi; w++ {
+		if live := mask[w] & cand[w]; live != 0 {
+			if fc.scope[w] == 0 {
+				fc.scopeAt = append(fc.scopeAt, w)
+			}
+			fc.scope[w] |= live
+		}
+	}
 }
 
 // fold computes pending group gj's bit-slices over the picked group's span
@@ -357,8 +517,8 @@ func (fc *forwardChecker) fold(g *Graph, gj int, cand []uint64, lo int, one, two
 	feas := fc.feas[:len(one)]
 	clear(one)
 	clear(two)
-	mask := fc.masks[gj].Words()
-	for w := fc.spanLo[gj]; w < fc.spanHi[gj]; w++ {
+	mask := fc.gx.masks[gj].Words()
+	for w := fc.gx.spanLo[gj]; w < fc.gx.spanHi[gj]; w++ {
 		for live := mask[w] & cand[w]; live != 0; live &= live - 1 {
 			v := w<<6 | bits.TrailingZeros64(live)
 			covered := true

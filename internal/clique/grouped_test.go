@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"regimap/internal/graph"
+	"regimap/internal/obs"
 )
 
 type graphBitset = graph.Bitset
@@ -39,7 +40,7 @@ func groupedFixture(g, c int, blocked func(gi, ci, gj, cj int) bool) (*Graph, []
 
 func TestFindGroupedComplete(t *testing.T) {
 	g, groups := groupedFixture(6, 3, nil)
-	sol := FindGrouped(g, groups, Options{})
+	sol := FindGrouped(g, NewGroups(g.N(), groups), Options{})
 	if len(sol) != 6 {
 		t.Fatalf("placed %d/6 groups", len(sol))
 	}
@@ -63,7 +64,7 @@ func TestFindGroupedResourceExclusive(t *testing.T) {
 	g, groups := groupedFixture(4, 4, func(gi, ci, gj, cj int) bool {
 		return ci == cj // same PE
 	})
-	sol := FindGrouped(g, groups, Options{})
+	sol := FindGrouped(g, NewGroups(g.N(), groups), Options{})
 	if len(sol) != 4 {
 		t.Fatalf("placed %d/4 groups (a perfect matching exists)", len(sol))
 	}
@@ -94,7 +95,7 @@ func TestFindGroupedSwapRepair(t *testing.T) {
 	addAll(groups[0], groups[1])
 	addAll([]int{1}, groups[2]) // group2 compatible only with candidate 1 of group 0
 	addAll(groups[1], groups[2])
-	sol := FindGrouped(g, groups, Options{GroupOrder: []int{0, 1, 2}})
+	sol := FindGrouped(g, NewGroups(g.N(), groups), Options{GroupOrder: []int{0, 1, 2}})
 	if len(sol) != 3 {
 		t.Fatalf("placed %d/3 groups; swap repair should fix group 2 (%v)", len(sol), sol)
 	}
@@ -106,7 +107,7 @@ func TestFindGroupedWeightBudget(t *testing.T) {
 	g := NewGraph(2, 1)
 	g.AddEdge(0, 1)
 	g.AddWeight(0, 1, 2)
-	sol := FindGrouped(g, [][]int{{0}, {1}}, Options{})
+	sol := FindGrouped(g, NewGroups(2, [][]int{{0}, {1}}), Options{})
 	if len(sol) != 1 {
 		t.Fatalf("placed %d groups, want 1 (budget binds)", len(sol))
 	}
@@ -127,7 +128,7 @@ func TestFindGroupedPromotion(t *testing.T) {
 	})
 	// Restrict group 3 to its single viable candidate.
 	groups[3] = groups[3][:1]
-	sol := FindGrouped(g, groups, Options{GroupOrder: []int{0, 1, 2, 3}, GroupRounds: 4})
+	sol := FindGrouped(g, NewGroups(g.N(), groups), Options{GroupOrder: []int{0, 1, 2, 3}, GroupRounds: 4})
 	if len(sol) != 4 {
 		t.Fatalf("placed %d/4 groups (%v)", len(sol), sol)
 	}
@@ -147,8 +148,8 @@ func TestFindGroupedDeterministic(t *testing.T) {
 		}
 		g1, gr1 := mk()
 		g2, gr2 := mk()
-		a := FindGrouped(g1, gr1, Options{})
-		b := FindGrouped(g2, gr2, Options{})
+		a := FindGrouped(g1, NewGroups(g1.N(), gr1), Options{})
+		b := FindGrouped(g2, NewGroups(g2.N(), gr2), Options{})
 		if len(a) != len(b) {
 			t.Fatal("FindGrouped not deterministic")
 		}
@@ -236,7 +237,7 @@ func TestExactAgreesOnGroupedInstances(t *testing.T) {
 		g, groups := groupedFixture(n, c, func(gi, ci, gj, cj int) bool {
 			return rng.Intn(3) == 0
 		})
-		got := FindGrouped(g, groups, Options{})
+		got := FindGrouped(g, NewGroups(g.N(), groups), Options{})
 		exact := refFindExact(g, n*c)
 		if len(got) > len(exact) {
 			t.Fatalf("grouped found %d members, exact maximum is %d", len(got), len(exact))
@@ -251,4 +252,34 @@ func newMask(n int, members ...int) *graphBitset {
 		b.Set(m)
 	}
 	return b
+}
+
+// TestFindGroupedTraceFields checks the clique.grouped span's effort
+// fields: a relation derived from the graph skips some pending groups as
+// free, and since the search path does not depend on the relation, its folds
+// and free skips add up to the folds of the all-constrained run.
+func TestFindGroupedTraceFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g, groups := randomProductGraph(rng, 400)
+	effort := func(gx *Groups) (folds, free int64) {
+		sink := &obs.MemSink{}
+		FindGrouped(g, gx, Options{Trace: obs.New(sink)})
+		evs := sink.Events()
+		if len(evs) != 1 || evs[0].Name != "clique.grouped" {
+			t.Fatalf("want one clique.grouped event, got %v", sink.Names())
+		}
+		folds, ok1 := evs[0].FieldVal("folds")
+		free, ok2 := evs[0].FieldVal("free")
+		if !ok1 || !ok2 {
+			t.Fatal("clique.grouped lacks its folds or free field")
+		}
+		return folds, free
+	}
+	allFolds, allFree := effort(NewGroups(g.N(), groups))
+	gx := NewGroups(g.N(), groups)
+	relate(rng, g, gx, groups, 0)
+	folds, free := effort(gx)
+	if allFree != 0 || free == 0 || folds+free != allFolds {
+		t.Fatalf("all constrained: %d folds, %d free; derived: %d folds, %d free", allFolds, allFree, folds, free)
+	}
 }

@@ -46,7 +46,7 @@ func (p *Pool) acquire(g *Graph) *arena {
 	var ar *arena
 	p.mu.Lock()
 	for i := len(p.free) - 1; i >= 0; i-- {
-		if p.free[i].g.n == g.n {
+		if p.free[i].n == g.n {
 			ar = p.free[i]
 			p.free = slices.Delete(p.free, i, i+1)
 			break
@@ -79,7 +79,7 @@ func (p *Pool) release(ar *arena) {
 // unchanged — rebind wipes every state completely: the previous request's
 // graph (weights, clusters) is gone, so nothing incremental can be trusted.
 func (a *arena) rebind(g *Graph) {
-	if g.n != a.g.n {
+	if g.n != a.n {
 		panic("clique: pool rebind across capacities")
 	}
 	a.g = g
@@ -93,7 +93,7 @@ func (a *arena) rebind(g *Graph) {
 		s.inC.Reset()
 		s.cand.Fill()
 		s.miss1.Reset()
-		if g.cluster == nil {
+		if len(g.cluster) == 0 {
 			s.byCluster = nil
 		} else if len(s.byCluster) >= g.nClusters {
 			s.byCluster = s.byCluster[:g.nClusters]

@@ -49,16 +49,31 @@ func TestFindParallelMatchesSequential(t *testing.T) {
 
 func TestFindParallelSharedPoolMatchesSequential(t *testing.T) {
 	// One pool across every trial, graph size, and worker count: arenas hop
-	// between graphs exactly as regimapd's long-lived pool does.
+	// between graphs exactly as regimapd's long-lived pool does. Each trial
+	// also searches one long-lived graph reset in place to the trial's
+	// graph, as a compat builder's graph is, so the pool holds arenas
+	// sized for the graph's earlier sizes.
 	pool := NewPool()
+	reused := NewGraph(0, 0)
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(11000 + trial)))
 		g := randomFlatGraph(rng, 8+rng.Intn(24), 2+rng.Intn(4), 0.55, 0.5)
+		reused.Reset(g.N(), g.Cap())
+		for u := 0; u < g.N(); u++ {
+			reused.ResetAdjacency(u)
+			reused.OrAdjacency(u, g.adj[u])
+			reused.AddBase(u, g.Base(u))
+			for v := 0; v < g.N(); v++ {
+				reused.AddWeight(u, v, g.Weight(u, v))
+			}
+		}
 		want := Find(g, g.N(), Options{})
 		for _, w := range []int{1, 2, 8} {
-			got := Find(g, g.N(), Options{Workers: w, Arenas: pool})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d workers %d with shared pool: got %v, want %v", trial, w, got, want)
+			for _, graph := range []*Graph{g, reused} {
+				got := Find(graph, g.N(), Options{Workers: w, Arenas: pool})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d workers %d with shared pool (reused graph %v): got %v, want %v", trial, w, graph == reused, got, want)
+				}
 			}
 		}
 	}

@@ -719,13 +719,47 @@ func randomProductGraph(rng *rand.Rand, n int) (*Graph, [][]int) {
 	return g, groups
 }
 
+// completeBipartite reports whether every node of a is adjacent to every
+// node of b, the promise a free pair of a group index makes.
+func completeBipartite(g *Graph, a, b []int) bool {
+	for _, u := range a {
+		for _, v := range b {
+			if u == v || !g.Adjacent(u, v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// relate marks on gx every group pair of g that is complete bipartite free,
+// except that each such pair stays constrained with probability coarsen: a
+// coarser relation is still a true one, since only free bits promise
+// anything.
+func relate(rng *rand.Rand, g *Graph, gx *Groups, groups [][]int, coarsen float64) {
+	for gi := range groups {
+		for gj := gi + 1; gj < len(groups); gj++ {
+			if completeBipartite(g, groups[gi], groups[gj]) && (coarsen == 0 || rng.Float64() >= coarsen) {
+				gx.Constrain(gi, gj, false)
+			}
+		}
+	}
+}
+
 // TestFindGroupedMatchesReference diffs FindGrouped against the naive
 // rebuild-and-rescan reference elementwise, on random flat and clustered
 // graphs and on product-shaped ones (randomProductGraph) under weight
-// budgets, default and random group orders, and round budgets. One Pool per
-// case serves every trial, and the node counts repeat, so arenas are rebound
-// across graphs of one size as regimapd's are; a generic Find on the same
-// pool between searches leaves its states dirty.
+// budgets, default and random group orders, and round budgets. The
+// reference ignores the group index's constraint relation, and FindGrouped
+// must match it under three relations: every pair constrained, the pairs
+// derived exactly from the graph (free when complete bipartite), and a
+// coarsened derivation that keeps random free pairs constrained. Some graphs
+// leave nodes outside every group, which the tie-break counts as
+// constrained, and some keep edges inside groups, which makes the picked
+// group's own live candidates count. One Pool per case serves every trial,
+// and the node counts repeat, so arenas are rebound across graphs of one
+// size as regimapd's are; a generic Find on the same pool between searches
+// leaves its states dirty.
 func TestFindGroupedMatchesReference(t *testing.T) {
 	sizes := []int{24, 40, 96, 150}
 	cases := []struct {
@@ -734,16 +768,21 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 		maxSize   int
 		scattered bool
 		product   bool // gen is unused: randomProductGraph builds graph and groups
+		loose     bool // about one node in eight belongs to no group
+		intra     bool // half the pairs inside a group are adjacent
 	}{
-		{"flat/unconstrained", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, -1, 0.6, 0) }, 4, false, false},
-		{"flat/weighted", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(4), 0.65, 0.5) }, 5, false, false},
-		{"flat/tight-cap", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, r.Intn(3), 0.7, 0.6) }, 4, false, false},
-		{"flat/scattered", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(3), 0.65, 0.5) }, 6, true, false},
-		{"cluster/REGIMap-shape", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2+r.Intn(3), 2+r.Intn(6), 0.7) }, 6, false, false},
-		{"cluster/tight-cap", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 1, 2+r.Intn(3), 0.75) }, 4, false, false},
-		{"cluster/scattered", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2, 3+r.Intn(4), 0.7) }, 8, true, false},
-		{"dense", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 3, 0.85, 0.4) }, 3, false, false},
-		{"product/REGIMap-shape", nil, 0, false, true},
+		{"flat/unconstrained", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, -1, 0.6, 0) }, 4, false, false, false, false},
+		{"flat/weighted", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(4), 0.65, 0.5) }, 5, false, false, false, false},
+		{"flat/tight-cap", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, r.Intn(3), 0.7, 0.6) }, 4, false, false, false, false},
+		{"flat/scattered", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(3), 0.65, 0.5) }, 6, true, false, false, false},
+		{"flat/loose-nodes", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(3), 0.8, 0.3) }, 3, false, false, true, false},
+		{"flat/intra-group-edges", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, -1, 0.6, 0) }, 8, false, false, false, true},
+		{"cluster/REGIMap-shape", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2+r.Intn(3), 2+r.Intn(6), 0.7) }, 6, false, false, false, false},
+		{"cluster/tight-cap", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 1, 2+r.Intn(3), 0.75) }, 4, false, false, false, false},
+		{"cluster/scattered", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2, 3+r.Intn(4), 0.7) }, 8, true, false, false, false},
+		{"cluster/intra-group-edges", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2, 3+r.Intn(4), 0.7) }, 8, false, false, false, true},
+		{"dense", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 3, 0.85, 0.4) }, 3, false, false, false, false},
+		{"product/REGIMap-shape", nil, 0, false, true, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -758,21 +797,43 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 					g = tc.gen(rng, sizes[trial%len(sizes)])
 					groups = randomGroups(rng, g, tc.maxSize, tc.scattered)
 				}
+				if tc.loose {
+					for gi, grp := range groups {
+						if len(grp) > 1 && rng.Intn(4) == 0 {
+							groups[gi] = grp[1:]
+						}
+					}
+				}
+				if tc.intra {
+					for _, grp := range groups {
+						for i, u := range grp {
+							for _, v := range grp[i+1:] {
+								if rng.Intn(2) == 0 {
+									g.AddEdge(u, v)
+								}
+							}
+						}
+					}
+				}
 				opts := Options{GroupRounds: rng.Intn(7), Arenas: pool}
 				if trial%2 == 1 {
 					opts.GroupOrder = rng.Perm(len(groups))
 				}
 				want := refFindGrouped(g, groups, opts)
-				got := FindGrouped(g, groups, opts)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d (n=%d groups=%d): FindGrouped=%v reference=%v", trial, g.N(), len(groups), got, want)
-				}
-				if !g.IsFeasibleClique(got) {
-					t.Fatalf("trial %d: FindGrouped returned infeasible clique %v", trial, got)
-				}
-				Find(g, len(groups), Options{Arenas: pool})
-				if again := FindGrouped(g, groups, opts); !reflect.DeepEqual(got, again) {
-					t.Fatalf("trial %d: pooled rerun differs: %v then %v", trial, got, again)
+				for _, coarsen := range []float64{1, 0, 0.3} {
+					gx := NewGroups(g.N(), groups)
+					relate(rng, g, gx, groups, coarsen)
+					got := FindGrouped(g, gx, opts)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d (n=%d groups=%d, coarsen %v): FindGrouped=%v reference=%v", trial, g.N(), len(groups), coarsen, got, want)
+					}
+					if !g.IsFeasibleClique(got) {
+						t.Fatalf("trial %d: FindGrouped returned infeasible clique %v", trial, got)
+					}
+					Find(g, len(groups), Options{Arenas: pool})
+					if again := FindGrouped(g, gx, opts); !reflect.DeepEqual(got, again) {
+						t.Fatalf("trial %d: pooled rerun differs: %v then %v", trial, got, again)
+					}
 				}
 			}
 		})
@@ -808,7 +869,8 @@ func TestFindGroupedDeterministicAndFeasible(t *testing.T) {
 				}
 			}
 		}
-		got := FindGrouped(g, groups, Options{})
+		gx := NewGroups(n, groups)
+		got := FindGrouped(g, gx, Options{})
 		if !g.IsFeasibleClique(got) {
 			t.Fatalf("trial %d: FindGrouped returned infeasible clique %v", trial, got)
 		}
@@ -819,7 +881,7 @@ func TestFindGroupedDeterministicAndFeasible(t *testing.T) {
 			}
 			seen[groupOf[u]] = true
 		}
-		if again := FindGrouped(g, groups, Options{}); !reflect.DeepEqual(got, again) {
+		if again := FindGrouped(g, gx, Options{}); !reflect.DeepEqual(got, again) {
 			t.Fatalf("trial %d: FindGrouped not deterministic: %v then %v", trial, got, again)
 		}
 	}

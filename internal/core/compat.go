@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"regimap/internal/graph"
 
@@ -34,7 +35,8 @@ type Compat struct {
 	II    int
 
 	d    *dfg.DFG
-	byOp [][]int // candidate node indices per operation
+	byOp [][]int        // candidate node indices per operation
+	gx   *clique.Groups // byOp indexed for the grouped search, with the constraint relation
 }
 
 // CompatOptions tunes construction; the zero value is this reproduction's
@@ -53,18 +55,27 @@ type CompatOptions struct {
 
 // CompatBuilder constructs compatibility graphs for one (kernel, array, II)
 // repeatedly across the mapping loop's schedule attempts. The schedule-
-// independent work — candidate pair enumeration, per-operation candidate
-// masks, the clique graph's storage — is done once; each Build then reuses
-// it, and when only a few operations moved slots since the previous Build,
-// only the adjacency rows of those operations' candidates are rebuilt
-// (unchanged-pair constraints depend solely on the two operations' own
-// slots, so their edges are provably identical). Register weights are
-// re-derived wholesale every Build: they are O(V+E) to compute and follow
-// the schedule's spans.
+// independent work — candidate pair enumeration, the per-operation group
+// index (candidate lists, masks and spans), the clique graph's storage — is
+// done once per Reset; each Build then reuses it, and when only a few
+// operations moved slots since the previous Build, only the adjacency rows
+// of those operations' candidates are rebuilt (unchanged-pair constraints
+// depend solely on the two operations' own slots, so their edges are
+// provably identical). Register weights are re-derived wholesale every
+// Build: they are O(V+E) to compute and follow the schedule's spans.
+//
+// Each Build also records, per operation pair, whether any Appendix A.2
+// rule binds the two (a dependence either way, or a shared modulo slot).
+// A pair with neither is complete bipartite in the graph, and the grouped
+// clique search skips work on it (see clique.Groups).
+//
+// One builder serves a whole core.Map call: Reset re-targets it at every II
+// and every route-inserted work DFG, keeping its storage.
 //
 // The produced *Compat aliases the builder's storage: it is valid until the
-// next Build call, which matches the mapping loop's schedule/place/learn
-// cadence. A builder is single-goroutine; portfolio racers each own one.
+// next Build or Reset, which matches the mapping loop's
+// schedule/place/learn cadence. A builder is single-goroutine; the searches
+// over its graph may share it read-only.
 type CompatBuilder struct {
 	d    *dfg.DFG
 	c    *arch.CGRA
@@ -73,29 +84,34 @@ type CompatBuilder struct {
 
 	pairs []Pair
 	byOp  [][]int
-	masks []*graph.Bitset // candidate mask per operation
-	opLo  []int           // word span [opLo, opHi) of each candidate mask
-	opHi  []int
-	memOp []bool // operation touches a shared memory bus
-	g     *clique.Graph
+	gx    clique.Groups // byOp's masks and word spans, and the constraint relation
+	memOp []bool        // operation touches a shared memory bus
+	g     clique.Graph
 	cg    Compat
 
-	// Per-PE rule masks over pair ids, built once (see orPartners): the ids
-	// bound to PE p, to the PEs connected to p (one set serves both
-	// directions, since arch.Connected is symmetric), and to the PEs of p's
-	// bus group (busOf is nil unless memory pairs can clash; PEs of one group
-	// share one mask).
-	onPE    []*graph.Bitset
-	reach   []*graph.Bitset
-	busOf   []*graph.Bitset
-	rowSpan []uint64 // orPartners' scratch: one composed span of a row
+	// arenas pools clique search states sized for g; nil until the first
+	// search, and dropped by a Reset that changes the node count, since a
+	// pool's arenas serve one size only.
+	arenas *clique.Pool
+
+	// Per-PE rule masks over pair ids, built once per Reset (see
+	// orPartners): the ids bound to PE p, to the PEs connected to p (one set
+	// serves both directions, since arch.Connected is symmetric), and to the
+	// PEs of p's bus group (busOf is nil unless memory pairs can clash; PEs of
+	// one group share one mask).
+	onPE     []*graph.Bitset
+	reach    []*graph.Bitset
+	busOf    []*graph.Bitset
+	rowSpan  []uint64 // orPartners' scratch: one composed span of a row
+	ruleSlab graph.Slab
+	busSlab  graph.Slab
 
 	// memPairwise is false only for a single global bus group of capacity
 	// >= 2, where memory contention is enforced wholesale by the scheduler
 	// and no pairwise conflict exists.
 	memPairwise bool
 
-	// Fanout scratch (allocated only on fanout-bounded fabrics): per-pair
+	// Fanout scratch (sized only on fanout-bounded fabrics): per-pair
 	// dedup and per-producer forwardable-consumer counts.
 	fanCnt   []int
 	fanSeen  []bool
@@ -116,36 +132,51 @@ type CompatBuilder struct {
 	// smaller than the nominal NumRegs (a register-file fault): the clique
 	// budget is global, so charging the deficit as an unconditional base
 	// weight makes the per-node budget check exactly the *usable* per-PE
-	// capacity. nil on healthy arrays — the fault-free path is unchanged.
+	// capacity. Empty on healthy arrays — the fault-free path is unchanged.
 	handicap []int
 
-	prevTimes []int // schedule of the previous successful Build (nil: none)
+	prevTimes []int // schedule of the previous successful Build (empty: none)
 
 	// Per-build scratch, allocated once.
 	changed      []bool
 	changedList  []int
-	changedMask  *graph.Bitset
-	union        *graph.Bitset
+	changedMask  graph.Bitset
+	union        graph.Bitset
 	depFree      [][]int // dep-free partners per op (this build's touched pairs)
 	sameSlotFree [][2]int
 }
 
 // NewCompatBuilder enumerates candidate pairs for the kernel on the array
-// and prepares reusable storage. It fails when the II is non-positive or an
-// operation has no supporting PE — the same early outs as a from-scratch
-// BuildCompat.
+// and prepares reusable storage: Reset on a zero builder.
 func NewCompatBuilder(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptions) (*CompatBuilder, error) {
-	if ii <= 0 {
-		return nil, fmt.Errorf("core: non-positive II %d", ii)
+	b := &CompatBuilder{}
+	if err := b.Reset(d, c, ii, opts); err != nil {
+		return nil, err
 	}
-	b := &CompatBuilder{d: d, c: c, ii: ii, opts: opts}
+	return b, nil
+}
+
+// Reset re-targets the builder at kernel d on array c at the given II,
+// reusing its storage: the adjacency slab grows geometrically and is
+// overwritten by the next Build, which is a full one. It fails when the II
+// is non-positive or an operation has no supporting PE — the same early outs
+// as a from-scratch BuildCompat — and a builder whose Reset failed must be
+// Reset again before its next Build.
+func (b *CompatBuilder) Reset(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptions) error {
+	if ii <= 0 {
+		return fmt.Errorf("core: non-positive II %d", ii)
+	}
+	b.d, b.c, b.ii, b.opts = d, c, ii, opts
+	N, nodes := d.N(), len(b.pairs)
 
 	// Enumerate candidate pairs: operation x supporting PE. The schedule has
 	// already pruned the time dimension — this is the paper's point that
 	// scheduling shrinks the product graph (only |V| x |PEs| pairs remain
 	// instead of |V| x |PEs| x II).
-	b.byOp = make([][]int, d.N())
+	b.pairs = b.pairs[:0]
+	b.byOp = regrow(b.byOp, N)
 	for v := range d.Nodes {
+		b.byOp[v] = b.byOp[v][:0]
 		for p := 0; p < c.NumPEs(); p++ {
 			if !c.Supports(p, d.Nodes[v].Kind) {
 				continue // heterogeneous restriction or a broken PE
@@ -157,18 +188,23 @@ func NewCompatBuilder(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptions) (*Co
 			b.pairs = append(b.pairs, Pair{Op: v, PE: p})
 		}
 		if len(b.byOp[v]) == 0 {
-			return nil, fmt.Errorf("core: no PE supports op %s (%s)", d.Nodes[v].Name, d.Nodes[v].Kind)
+			return fmt.Errorf("core: no PE supports op %s (%s)", d.Nodes[v].Name, d.Nodes[v].Kind)
 		}
 	}
 
 	n := len(b.pairs)
-	b.g = clique.NewGraph(n, c.NumRegs)
-	b.cg = Compat{G: b.g, Pairs: b.pairs, II: ii, d: d, byOp: b.byOp}
+	if n != nodes {
+		b.arenas = nil
+	}
+	b.g.Reset(n, c.NumRegs)
+	b.gx.Reset(n, b.byOp)
+	b.cg = Compat{G: &b.g, Pairs: b.pairs, II: ii, d: d, byOp: b.byOp, gx: &b.gx}
+	b.handicap = b.handicap[:0]
 	if !c.Healthy() || !c.UniformRegs() {
 		for id, pr := range b.pairs {
 			if h := c.NumRegs - c.RegsAt(pr.PE); h > 0 {
-				if b.handicap == nil {
-					b.handicap = make([]int, n)
+				if len(b.handicap) == 0 {
+					b.handicap = resize(b.handicap, n)
 				}
 				b.handicap[id] = h
 			}
@@ -181,29 +217,24 @@ func NewCompatBuilder(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptions) (*Co
 	// a group is exactly a pairwise conflict.
 	b.memPairwise = !(c.NumBusGroups() == 1 && c.BusGroupCap(0) > 1)
 	if c.Fanout() > 0 {
-		b.fanCnt = make([]int, d.N())
-		b.fanSeen = make([]bool, d.N()*d.N())
+		b.fanCnt = resize(b.fanCnt, N)
+		b.fanSeen = resize(b.fanSeen, N*N)
 	}
 
-	b.masks = graph.NewBitsetSlab(n, d.N())
-	b.opLo = make([]int, d.N())
-	b.opHi = make([]int, d.N())
-	b.memOp = make([]bool, d.N())
-	memOps, maxSpan := 0, 0
+	b.memOp = resize(b.memOp, N)
+	memOps := 0
 	for v := range b.byOp {
-		for _, id := range b.byOp[v] {
-			b.masks[v].Set(id)
-		}
-		b.opLo[v], b.opHi[v] = b.masks[v].WordBounds()
-		maxSpan = max(maxSpan, b.opHi[v]-b.opLo[v])
 		if b.memOp[v] = d.Nodes[v].Kind.IsMem(); b.memOp[v] {
 			memOps++
 		}
 	}
-	b.rowSpan = make([]uint64, maxSpan)
+	b.rowSpan = resize(b.rowSpan, b.gx.MaxSpan())
 
 	pes := c.NumPEs()
-	rules := graph.NewBitsetSlab(n, 2*pes)
+	rules := b.ruleSlab.Carve(n, 2*pes)
+	for _, r := range rules {
+		r.Reset()
+	}
 	b.onPE, b.reach = rules[:pes], rules[pes:]
 	for id, pr := range b.pairs {
 		b.onPE[pr.PE].Set(id)
@@ -215,47 +246,64 @@ func NewCompatBuilder(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptions) (*Co
 			return true
 		})
 	}
+	b.busOf = b.busOf[:0]
 	if b.memPairwise && memOps >= 2 {
-		groups := graph.NewBitsetSlab(n, c.NumBusGroups())
+		groups := b.busSlab.Carve(n, c.NumBusGroups())
+		for _, grp := range groups {
+			grp.Reset()
+		}
 		for id, pr := range b.pairs {
 			groups[c.BusGroupOf(pr.PE)].Set(id)
 		}
-		b.busOf = make([]*graph.Bitset, pes)
+		b.busOf = resize(b.busOf, pes)
 		for p := range b.busOf {
 			b.busOf[p] = groups[c.BusGroupOf(p)]
 		}
 	}
 
-	nn := d.N() * d.N()
-	b.depHas = make([]bool, nn)
-	b.depNeedAdj = make([]bool, nn)
-	b.depCarried = make([]bool, nn)
-	b.regDemand = make([]int, d.N())
-	b.maxCarried = make([]int, d.N())
+	nn := N * N
+	b.depHas = resize(b.depHas, nn)
+	b.depNeedAdj = resize(b.depNeedAdj, nn)
+	b.depCarried = resize(b.depCarried, nn)
+	b.regDemand = resize(b.regDemand, N)
+	b.maxCarried = resize(b.maxCarried, N)
 
-	b.changed = make([]bool, d.N())
-	b.changedMask = graph.NewBitset(n)
-	b.union = graph.NewBitset(n)
-	b.depFree = make([][]int, d.N())
+	b.changed = resize(b.changed, N)
+	b.changedMask.Grow(n)
+	b.union.Grow(n)
+	b.depFree = regrow(b.depFree, N)
+	for v := range b.depFree {
+		b.depFree[v] = b.depFree[v][:0]
+	}
+	b.sameSlotFree = b.sameSlotFree[:0]
+	b.prevTimes = b.prevTimes[:0]
+	return nil
+}
 
-	// Register weights as a computed function (Appendix B, Theorem C.1):
-	// w(u -> v) is v's demand when the two bindings share a PE. The closure
-	// reads the builder's regDemand, which every Build refreshes in place.
-	b.g.SetWeightFunc(
-		func(u, v int) int {
-			if b.pairs[u].PE != b.pairs[v].PE {
-				return 0
-			}
-			return b.regDemand[b.pairs[v].Op]
-		},
-		func(u int) bool { return b.anyDemand },
-		func(u int) int { return b.pairs[u].PE })
-	return b, nil
+// resize returns s with n zero elements, reallocating only when it is too
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// regrow returns s with n elements, keeping the elements it already holds
+// (the storage of inner slices, which the caller truncates and refills).
+func regrow[T any](s []T, n int) []T {
+	if n > len(s) {
+		s = slices.Grow(s, n-len(s))
+	}
+	return s[:n]
 }
 
 // Build constructs (or incrementally rebuilds) the compatibility graph for
 // the given schedule. times holds the absolute slot of each operation. The
-// returned Compat aliases builder storage and is valid until the next Build.
+// returned Compat aliases builder storage and is valid until the next Build
+// or Reset.
 func (b *CompatBuilder) Build(times []int) (*Compat, error) {
 	d, ii := b.d, b.ii
 	if len(times) != d.N() {
@@ -351,12 +399,14 @@ func (b *CompatBuilder) Build(times []int) (*Compat, error) {
 
 	// Weights: a value parked in a PE's file is paid for by *every* mapping
 	// resident on that PE (the per-node budget check is then exactly the
-	// per-PE capacity constraint). Bases carry each node's own demand;
-	// re-installing the weight function refreshes the graph's outgoing-weight
-	// summaries for this schedule's demands.
+	// per-PE capacity constraint). Bases carry each node's own demand. The
+	// weights are a computed function (Appendix B, Theorem C.1): w(u -> v)
+	// is v's demand when the two bindings share a PE. Re-installing it
+	// refreshes the graph's outgoing-weight summaries for this schedule's
+	// demands.
 	for v, demand := range b.regDemand {
 		for _, id := range b.byOp[v] {
-			if b.handicap != nil {
+			if len(b.handicap) > 0 {
 				b.g.SetBase(id, demand+b.handicap[id])
 			} else {
 				b.g.SetBase(id, demand)
@@ -383,7 +433,7 @@ func (b *CompatBuilder) Build(times []int) (*Compat, error) {
 	// a pair between two unchanged operations can still flip. Rebuild fully
 	// on fanout-bounded fabrics.
 	b.changedList = b.changedList[:0]
-	full := b.prevTimes == nil || b.c.Fanout() > 0
+	full := len(b.prevTimes) == 0 || b.c.Fanout() > 0
 	if !full {
 		for v := range times {
 			if times[v] != b.prevTimes[v] {
@@ -409,7 +459,8 @@ func (b *CompatBuilder) Build(times []int) (*Compat, error) {
 }
 
 // classifyPair applies the Appendix A.2 rules to the ordered pair vi < vj:
-// dependence-free pairs are recorded for the bulk mask fast path (the
+// it records whether any rule binds the two in the constraint relation,
+// then dependence-free pairs are recorded for the bulk mask fast path (the
 // overwhelming majority on large arrays); a dependent or bus-clashing pair
 // ORs each candidate's legal partners into its row, one word span at a
 // time, from both sides.
@@ -419,7 +470,9 @@ func (b *CompatBuilder) classifyPair(times []int, vi, vj int) {
 	memClash := sameSlot && b.memOp[vi] && b.memOp[vj] && b.memPairwise
 	kf, kr := vi*d.N()+vj, vj*d.N()+vi
 
-	if !b.depHas[kf] && !b.depHas[kr] && !memClash {
+	dep := b.depHas[kf] || b.depHas[kr]
+	b.gx.Constrain(vi, vj, dep || sameSlot) // a bus clash shares the slot
+	if !dep && !memClash {
 		b.depFree[vi] = append(b.depFree[vi], vj)
 		b.depFree[vj] = append(b.depFree[vj], vi)
 		if sameSlot {
@@ -452,8 +505,8 @@ type pairRule struct {
 // candidate's PE, over w's word span. Zero-cap bus groups never appear:
 // their PEs were excluded from memory-op candidates at enumeration.
 func (b *CompatBuilder) orPartners(v, w int, r pairRule) {
-	lo, hi := b.opLo[w], b.opHi[w]
-	span := b.masks[w].Words()[lo:hi]
+	lo, hi := b.gx.Span(w)
+	span := b.gx.Mask(w).Words()[lo:hi]
 	row := b.rowSpan[:hi-lo]
 	for _, i := range b.byOp[v] {
 		p := b.pairs[i].PE
@@ -476,8 +529,8 @@ func (b *CompatBuilder) orPartners(v, w int, r pairRule) {
 
 // orMask unions op v's candidate mask into dst over the mask's word span.
 func (b *CompatBuilder) orMask(dst *graph.Bitset, v int) {
-	lo, hi := b.opLo[v], b.opHi[v]
-	dst.OrWords(lo, b.masks[v].Words()[lo:hi])
+	lo, hi := b.gx.Span(v)
+	dst.OrWords(lo, b.gx.Mask(v).Words()[lo:hi])
 }
 
 // andWords intersects row with m's words starting at word lo.
@@ -504,10 +557,10 @@ func (b *CompatBuilder) applyDepFree() {
 		}
 		b.union.Reset()
 		for _, vj := range partners {
-			b.orMask(b.union, vj)
+			b.orMask(&b.union, vj)
 		}
 		for _, i := range b.byOp[vi] {
-			b.g.OrAdjacency(i, b.union)
+			b.g.OrAdjacency(i, &b.union)
 		}
 		b.depFree[vi] = b.depFree[vi][:0]
 	}
@@ -553,7 +606,7 @@ func (b *CompatBuilder) rebuildAdjacencyFull(times []int) {
 func (b *CompatBuilder) rebuildAdjacencyRows(times []int) {
 	b.changedMask.Reset()
 	for _, v := range b.changedList {
-		b.orMask(b.changedMask, v)
+		b.orMask(&b.changedMask, v)
 	}
 	for v := 0; v < b.d.N(); v++ {
 		if b.changed[v] {
@@ -562,7 +615,7 @@ func (b *CompatBuilder) rebuildAdjacencyRows(times []int) {
 			}
 		} else {
 			for _, id := range b.byOp[v] {
-				b.g.AndNotAdjacency(id, b.changedMask)
+				b.g.AndNotAdjacency(id, &b.changedMask)
 			}
 		}
 	}
@@ -595,6 +648,11 @@ func BuildCompat(d *dfg.DFG, c *arch.CGRA, times []int, ii int, opts CompatOptio
 
 // Candidates returns the compatibility-graph node indices that bind op v.
 func (cg *Compat) Candidates(v int) []int { return cg.byOp[v] }
+
+// Groups returns the candidates indexed for clique.FindGrouped, one group per
+// operation, with the operation pairs no Appendix A.2 rule binds marked
+// free.
+func (cg *Compat) Groups() *clique.Groups { return cg.gx }
 
 // Nodes returns the number of (operation, PE) pairs.
 func (cg *Compat) Nodes() int { return len(cg.Pairs) }

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"regimap/internal/arch"
 	"regimap/internal/dfg"
+	"regimap/internal/graph"
 	"regimap/internal/kernels"
 	"regimap/internal/sched"
 )
@@ -176,6 +178,45 @@ func diffCompat(t *testing.T, where string, got *Compat, want *refCompat, crossP
 	}
 }
 
+// diffRelation fails the test unless the builder's constraint relation
+// marks exactly the operation pairs that a dependence either way or a shared
+// modulo slot binds, keeps every operation constrained with itself, and
+// every pair it marks free is complete bipartite in the builder's graph and
+// in the reference.
+func diffRelation(t *testing.T, where string, got *Compat, want *refCompat, d *dfg.DFG, times []int, ii int) {
+	t.Helper()
+	N := d.N()
+	dep := make([]bool, N*N)
+	for _, e := range d.Edges {
+		dep[e.From*N+e.To], dep[e.To*N+e.From] = true, true
+	}
+	gx := got.Groups()
+	for va := 0; va < N; va++ {
+		if !gx.Constrained(va, va) {
+			t.Fatalf("%s: op %d is free with itself", where, va)
+		}
+		for vb := 0; vb < N; vb++ {
+			if vb == va {
+				continue
+			}
+			bound := dep[va*N+vb] || times[va]%ii == times[vb]%ii
+			if gx.Constrained(va, vb) != bound {
+				t.Fatalf("%s: ops (%d, %d) constrained=%v, rules bind them: %v", where, va, vb, gx.Constrained(va, vb), bound)
+			}
+			if bound {
+				continue
+			}
+			for _, i := range got.Candidates(va) {
+				for _, j := range got.Candidates(vb) {
+					if !got.G.Adjacent(i, j) || want.adj[i][j>>6]>>uint(j&63)&1 == 0 {
+						t.Fatalf("%s: free ops (%d, %d) have non-adjacent bindings (%+v, %+v)", where, va, vb, got.Pairs[i], got.Pairs[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 // zooFault breaks one PE and cuts one surviving link of c.
 func zooFault(rng *rand.Rand, c *arch.CGRA) {
 	broken := rng.Intn(c.NumPEs())
@@ -196,6 +237,7 @@ func zooFault(rng *rand.Rand, c *arch.CGRA) {
 // healthy and faulted (a broken PE plus a cut link), with and without
 // StrictInterIteration, plus a fanout-1 fabric: the first Build of each
 // schedule, and an incremental sequence of reschedules through one builder.
+// Every Build's constraint relation is checked too (diffRelation).
 func TestCompatBuilderMatchesReferenceZoo(t *testing.T) {
 	type fabric struct {
 		name string
@@ -265,9 +307,136 @@ func TestCompatBuilderMatchesReferenceZoo(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s round %d: Build: %v", where, round, err)
 					}
-					diffCompat(t, fmt.Sprintf("%s round %d", where, round), got, refBuildCompat(d, c, times, res.II, opts), round == 0 && !strict)
+					ref := refBuildCompat(d, c, times, res.II, opts)
+					diffCompat(t, fmt.Sprintf("%s round %d", where, round), got, ref, round == 0 && !strict)
+					diffRelation(t, fmt.Sprintf("%s round %d", where, round), got, ref, d, times, res.II)
 				}
 			}
 		}
+	}
+}
+
+// sameGroups fails the test unless two compatibility graphs index the same
+// candidate lists, masks and word spans, and mark the same operation pairs
+// free.
+func sameGroups(t *testing.T, where string, got, want *Compat, nOps int) {
+	t.Helper()
+	gg, wg := got.Groups(), want.Groups()
+	for va := 0; va < nOps; va++ {
+		if !reflect.DeepEqual(got.Candidates(va), want.Candidates(va)) {
+			t.Fatalf("%s: op %d candidates %v, fresh builder %v", where, va, got.Candidates(va), want.Candidates(va))
+		}
+		glo, ghi := gg.Span(va)
+		wlo, whi := wg.Span(va)
+		if glo != wlo || ghi != whi || !reflect.DeepEqual(gg.Mask(va).Members(), wg.Mask(va).Members()) {
+			t.Fatalf("%s: op %d mask or span differs from a fresh builder's", where, va)
+		}
+		for vb := 0; vb < nOps; vb++ {
+			if gg.Constrained(va, vb) != wg.Constrained(va, vb) {
+				t.Fatalf("%s: ops (%d, %d) constrained=%v, fresh builder %v", where, va, vb, gg.Constrained(va, vb), wg.Constrained(va, vb))
+			}
+		}
+	}
+}
+
+// poisonBuilder scribbles over the storage a Reset reuses: every adjacency
+// row full, every base and register demand wrong, every operation pair
+// marked free, and the dependence and scratch flags set.
+func poisonBuilder(b *CompatBuilder) {
+	full := graph.NewBitset(len(b.pairs))
+	full.Fill()
+	for i := range b.pairs {
+		b.g.OrAdjacency(i, full)
+		b.g.SetBase(i, 99)
+	}
+	for va := range b.byOp {
+		for vb := range b.byOp {
+			b.gx.Constrain(va, vb, false)
+		}
+	}
+	for _, flags := range [][]bool{b.depHas, b.depNeedAdj, b.depCarried, b.changed, b.fanSeen} {
+		for i := range flags {
+			flags[i] = true
+		}
+	}
+	for i := range b.regDemand {
+		b.regDemand[i] = 7
+	}
+}
+
+// TestCompatBuilderResetMatchesFresh drives one builder the way one Map call
+// does — reset for the original kernel, a route-inserted work DFG, a
+// recomputed one, then back to the original and the route-inserted one at
+// higher IIs — with its storage poisoned before every Reset, and checks
+// every Build, first and incremental, against a fresh builder's.
+func TestCompatBuilderResetMatchesFresh(t *testing.T) {
+	fabrics := []string{"paper-4x4", "hetero-mem-col", "band2-4x4", "adres-4x4", "grid 4x4; topo mesh+; regs 4; fanout 1"}
+	steps, resets := 0, 0
+	for fi, name := range fabrics {
+		c, err := arch.Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi == 2 {
+			zooFault(rand.New(rand.NewSource(3)), c)
+		}
+		pes, memRows := c.MIIResources()
+		for _, kn := range []string{"sobel", "fir8", "iir_biquad", "dotprod_sat"} {
+			k, ok := kernels.ByName(kn)
+			if !ok {
+				t.Fatalf("no kernel %s", kn)
+			}
+			d := k.Build()
+			routed := d.Clone()
+			routed.InsertRoute(0)
+			recomputed := routed.Clone()
+			for v := range recomputed.Nodes {
+				if out := recomputed.OutEdges(v); len(out) >= 2 {
+					recomputed.Duplicate(v, out[:1])
+					break
+				}
+			}
+			mii := d.MII(pes, memRows)
+			rng := rand.New(rand.NewSource(int64(fi)))
+			b := new(CompatBuilder)
+			for step, target := range []struct {
+				d  *dfg.DFG
+				ii int
+			}{{d, mii}, {routed, mii}, {recomputed, mii + 1}, {d, mii + 1}, {routed, mii + 2}} {
+				where := fmt.Sprintf("%s/%s step %d", name, kn, step)
+				steps++
+				res, err := sched.New(target.d, pes, memRows).ScheduleMinII(target.ii, target.ii+6, sched.Options{})
+				if err != nil {
+					continue
+				}
+				resets++
+				opts := CompatOptions{StrictInterIteration: step%2 == 1}
+				if step > 0 {
+					poisonBuilder(b)
+				}
+				if err := b.Reset(target.d, c, res.II, opts); err != nil {
+					t.Fatalf("%s: Reset: %v", where, err)
+				}
+				times := append([]int(nil), res.Time...)
+				for round := 0; round < 2; round++ {
+					if round == 1 {
+						perturbSchedule(rng, target.d, times, res.II, 2)
+					}
+					got, err := b.Build(times)
+					if err != nil {
+						t.Fatalf("%s round %d: Build: %v", where, round, err)
+					}
+					want, err := BuildCompat(target.d, c, times, res.II, opts)
+					if err != nil {
+						t.Fatalf("%s round %d: fresh BuildCompat: %v", where, round, err)
+					}
+					sameCompat(t, step, round, got, want)
+					sameGroups(t, fmt.Sprintf("%s round %d", where, round), got, want, target.d.N())
+				}
+			}
+		}
+	}
+	if resets < steps*3/4 {
+		t.Fatalf("only %d of %d steps scheduled", resets, steps)
 	}
 }

@@ -55,10 +55,9 @@ type Attempt struct {
 	prevUnplaced []int
 	seen         map[string]bool // schedules already placed (and failed)
 
-	cb      *CompatBuilder // incremental compat builder for the current work DFG
-	cbFor   *dfg.DFG       // the DFG cb was built for (route insertion replaces it)
+	cb      *CompatBuilder // the Map call's compat builder (see PassCompat)
+	cbFor   *dfg.DFG       // the DFG cb was last reset for at this II (nil: not yet)
 	cbNodes int            // node count cb was sized for (in-place growth invalidates)
-	cbPool  *clique.Pool   // cb's own search arenas when the caller passes no pool
 }
 
 // NewAttempt prepares the pipeline state for one II.
@@ -135,27 +134,28 @@ func (a *Attempt) PassPrecheck(res *sched.Result) (skip []int, proceed bool) {
 // incrementally: the builder persists across rounds at this II and only
 // rebuilds the rows of rescheduled operations. Structural learning moves
 // (route insertion, recomputation) grow the work DFG — sometimes by mutating
-// the already-cloned DFG in place — so the builder is invalidated both on
-// identity change and on node-count change, and its graph with it.
+// the already-cloned DFG in place — so the builder is reset both on identity
+// change and on node-count change, and its graph with it.
 //
-// Every graph one builder produces has the same node count, so when the
-// caller passes no clique.Pool each new builder gets its own: every search
-// over its graphs reuses one set of arenas, and the arenas go when the
-// builder does. (One pool per Map call would keep arenas for every route-
-// inserted size until the call ends.)
+// One builder serves the whole Map call (mapAtII hands it over), reset in
+// place for every II and every grown work DFG, so its adjacency slab is
+// allocated a few times per call rather than once per reset. When the
+// caller passes no clique.Pool, the searches draw arenas from the builder's
+// own pool, which a reset that changes the node count replaces: one pool
+// per Map call would keep arenas for every route-inserted size until the
+// call ends.
 func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 	sp := a.tr.Start("pass.compat")
-	if a.cb == nil || a.cbFor != a.ds || a.cbNodes != a.ds.N() {
-		cb, err := NewCompatBuilder(a.ds, a.c, a.ii, a.opts.Compat)
-		if err != nil {
+	if a.cb == nil {
+		a.cb = new(CompatBuilder)
+	}
+	if a.cbFor != a.ds || a.cbNodes != a.ds.N() {
+		if err := a.cb.Reset(a.ds, a.c, a.ii, a.opts.Compat); err != nil {
 			sp.FieldBool("ok", false)
 			sp.End()
 			return nil, err
 		}
-		a.cb, a.cbFor, a.cbNodes = cb, a.ds, a.ds.N()
-		if a.opts.Clique.Arenas == nil {
-			a.cbPool = clique.NewPool()
-		}
+		a.cbFor, a.cbNodes = a.ds, a.ds.N()
 	}
 	cg, err := a.cb.Build(res.Time)
 	if err == nil {
@@ -178,7 +178,10 @@ func (a *Attempt) PassPlace(ctx context.Context, cg *Compat, res *sched.Result) 
 	opts := a.opts.Clique
 	opts.Ctx = ctx
 	if opts.Arenas == nil {
-		opts.Arenas = a.cbPool
+		if a.cb.arenas == nil {
+			a.cb.arenas = clique.NewPool()
+		}
+		opts.Arenas = a.cb.arenas
 	}
 	sol := findPlacement(cg, a.ds.N(), res.Time, opts, a.tr)
 	sp.Field("placed", int64(len(sol)))
@@ -372,7 +375,7 @@ func findPlacement(cg *Compat, target int, times []int, opts clique.Options, tr 
 			// rounds still reorder the stragglers.
 			passes = append(passes, func(o clique.Options) []int {
 				o.GroupOrder = scheduleOrder(times)
-				return clique.FindGrouped(cg.G, cg.byOp, o)
+				return clique.FindGrouped(cg.G, cg.gx, o)
 			})
 		}
 		// Depth-first dataflow order, so chains (address streams, reduction
@@ -380,12 +383,12 @@ func findPlacement(cg *Compat, target int, times []int, opts clique.Options, tr 
 		// consecutive slots.
 		passes = append(passes, func(o clique.Options) []int {
 			o.GroupOrder = dfsOrder(cg.d)
-			return clique.FindGrouped(cg.G, cg.byOp, o)
+			return clique.FindGrouped(cg.G, cg.gx, o)
 		})
 	}
 	// Most-constrained-first order (FindGrouped's default).
 	passes = append(passes, func(o clique.Options) []int {
-		return clique.FindGrouped(cg.G, cg.byOp, o)
+		return clique.FindGrouped(cg.G, cg.gx, o)
 	})
 	// The generic greedy/swap/intersection heuristic explores more of the
 	// graph but scales with its square; beyond a few hundred nodes the

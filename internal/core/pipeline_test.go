@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"regimap/internal/arch"
+	"regimap/internal/clique"
+	"regimap/internal/kernels"
 	"regimap/internal/obs"
 	"regimap/internal/sched"
 )
@@ -82,23 +85,42 @@ func TestPassPrecheckOverflowComponent(t *testing.T) {
 }
 
 func TestPassCompatReusesBuilderAcrossRounds(t *testing.T) {
-	a, _ := newTestAttempt(t, Options{})
+	a, ii := newTestAttempt(t, Options{})
 	res := a.PassSchedule()
-	if _, err := a.PassCompat(res); err != nil {
+	cg, err := a.PassCompat(res)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cb := a.cb
 	if cb == nil {
 		t.Fatal("builder not retained")
 	}
-	if _, err := a.PassCompat(res); err != nil {
+	// Mark two bindings of op 0 adjacent. No rule writes that edge, so only a
+	// rebuild of op 0's rows, as a reset builder's full Build does, drops it.
+	u, v := cg.Candidates(0)[0], cg.Candidates(0)[1]
+	cg.G.AddEdge(u, v)
+	if cg, err = a.PassCompat(res); err != nil {
 		t.Fatal(err)
 	}
-	if a.cb != cb {
+	if a.cb != cb || !cg.G.Adjacent(u, v) {
 		t.Fatal("unchanged work DFG should reuse the incremental builder")
 	}
 	if a.stats.CompatNodes == 0 || a.stats.CompatEdges == 0 {
 		t.Fatalf("compat stats not recorded: %+v", a.stats)
+	}
+	// The next II's attempt shares the builder, as mapAtII hands it over,
+	// and resets it.
+	next := NewAttempt(a.d, a.c, ii+1, Options{}, a.stats, nil)
+	next.cb = cb
+	res = next.PassSchedule()
+	if res == nil {
+		t.Fatal("fig2 should schedule at MII+1")
+	}
+	if cg, err = next.PassCompat(res); err != nil {
+		t.Fatal(err)
+	}
+	if next.cb != cb || cg.II != ii+1 || cg.G.Adjacent(u, v) {
+		t.Fatal("the next II should reset the shared builder")
 	}
 }
 
@@ -213,6 +235,40 @@ func TestPipelineUntracedMatchesTraced(t *testing.T) {
 	for v := range m1.PE {
 		if m1.PE[v] != m2.PE[v] || m1.Time[v] != m2.Time[v] {
 			t.Fatalf("tracing changed op %d: PE %d/%d T %d/%d", v, m1.PE[v], m2.PE[v], m1.Time[v], m2.Time[v])
+		}
+	}
+}
+
+// TestFindPlacementSharesGroupIndex runs the placement passes over one
+// compatibility graph inline and raced on 2 and 8 workers. The raced passes
+// read the builder's group index and graph at once, so under -race this
+// pins that no search writes them; each raced run must return the inline
+// placement.
+func TestFindPlacementSharesGroupIndex(t *testing.T) {
+	for _, name := range []string{"paper-4x4", "hetero-mem-col", "torus-8x8"} {
+		c, err := arch.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pes, memRows := c.MIIResources()
+		for _, kn := range []string{"sobel", "fir8", "iir_biquad"} {
+			k, _ := kernels.ByName(kn)
+			d := k.Build()
+			mii := d.MII(pes, memRows)
+			res, err := sched.New(d, pes, memRows).ScheduleMinII(mii, mii+6, sched.Options{})
+			if err != nil {
+				continue
+			}
+			cg, err := BuildCompat(d, c, res.Time, res.II, CompatOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := findPlacement(cg, d.N(), res.Time, clique.Options{}, nil)
+			for _, w := range []int{2, 8} {
+				if got := findPlacement(cg, d.N(), res.Time, clique.Options{Workers: w}, nil); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s at %d workers: placement %v, inline %v", name, kn, w, got, want)
+				}
+			}
 		}
 	}
 }

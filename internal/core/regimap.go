@@ -141,6 +141,8 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 		totalBudget = 8*d.N() + 32
 	}
 
+	// One compat builder serves every II and route insertion of this call.
+	cb := new(CompatBuilder)
 	for ii := startII; ii <= maxII && stats.Attempts < totalBudget; ii++ {
 		if err := ctx.Err(); err != nil {
 			done()
@@ -152,7 +154,7 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 		}
 		rounds := stats.Attempts
 		iisp := tr.Start("ii.attempt")
-		m := mapAtII(ctx, d, c, ii, budget, opts, stats, tr)
+		m := mapAtII(ctx, d, c, ii, budget, opts, stats, tr, cb)
 		iisp.Field("ii", int64(ii))
 		iisp.Field("rounds", int64(stats.Attempts-rounds))
 		iisp.FieldBool("ok", m != nil)
@@ -184,8 +186,8 @@ func hasMemOps(d *dfg.DFG) bool {
 }
 
 // mapAtII attempts to map at one fixed II by driving the pass pipeline over
-// a fresh Attempt, returning nil to escalate. A cancelled ctx ends the
-// attempt loop early (the caller reports the abort).
+// a fresh Attempt, which resets and reuses cb, returning nil to escalate. A
+// cancelled ctx ends the attempt loop early (the caller reports the abort).
 //
 // The pipeline order per round is the paper's Figure 3 loop:
 //
@@ -194,8 +196,9 @@ func hasMemOps(d *dfg.DFG) bool {
 // with PassLearn (and the precheck shortcuts) feeding the next round's
 // schedule until the round budget is spent or learning concludes the II must
 // escalate.
-func mapAtII(ctx context.Context, d *dfg.DFG, c *arch.CGRA, ii, maxAttempts int, opts Options, stats *Stats, tr *obs.Tracer) *mapping.Mapping {
+func mapAtII(ctx context.Context, d *dfg.DFG, c *arch.CGRA, ii, maxAttempts int, opts Options, stats *Stats, tr *obs.Tracer, cb *CompatBuilder) *mapping.Mapping {
 	a := NewAttempt(d, c, ii, opts, stats, tr)
+	a.cb = cb
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if ctx.Err() != nil {
 			return nil

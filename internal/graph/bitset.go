@@ -23,18 +23,44 @@ func NewBitset(n int) *Bitset {
 // and the compat builder's candidate masks are allocated this way: one graph
 // no longer costs two allocations per row.
 func NewBitsetSlab(n, count int) []*Bitset {
+	var s Slab
+	return s.Carve(n, count)
+}
+
+// Slab is NewBitsetSlab's storage kept for reuse: one word array and the
+// set headers carved from it. A long-lived owner that resizes often (the
+// compat builder's adjacency rows, reset for every II and every inserted
+// route node) carves its sets from a Slab so the words are allocated once
+// and grown geometrically, not once per size. The zero value is empty.
+type Slab struct {
+	words []uint64
+	sets  []Bitset
+	ptrs  []*Bitset
+}
+
+// Carve returns count bitsets of capacity n over the slab's storage,
+// invalidating the sets of the previous Carve. The storage grows to at least
+// twice its size when the sets no longer fit. The sets are not cleared: they
+// hold whatever the slab's words held, so the caller resets or overwrites
+// every set before reading it. Sets carved from a fresh slab are empty.
+func (s *Slab) Carve(n, count int) []*Bitset {
 	if n < 0 || count < 0 {
 		panic("graph: negative bitset slab size")
 	}
 	wpr := (n + 63) / 64
-	words := make([]uint64, wpr*count)
-	sets := make([]Bitset, count)
-	out := make([]*Bitset, count)
-	for i := range sets {
-		sets[i] = Bitset{words: words[i*wpr : (i+1)*wpr : (i+1)*wpr], n: n}
-		out[i] = &sets[i]
+	if need := wpr * count; need > cap(s.words) {
+		s.words = make([]uint64, max(need, 2*cap(s.words)))
 	}
-	return out
+	if count > cap(s.sets) {
+		s.sets = make([]Bitset, count)
+		s.ptrs = make([]*Bitset, count)
+	}
+	s.sets, s.ptrs = s.sets[:count], s.ptrs[:count]
+	for i := range s.sets {
+		s.sets[i] = Bitset{words: s.words[i*wpr : (i+1)*wpr : (i+1)*wpr], n: n}
+		s.ptrs[i] = &s.sets[i]
+	}
+	return s.ptrs
 }
 
 // Cap returns the capacity of the bitset.

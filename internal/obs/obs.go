@@ -19,12 +19,12 @@
 //	ii.attempt          one II escalation step fields: ii, rounds, ok
 //	pass.schedule       modulo scheduling      fields: length, width, ok
 //	pass.precheck       schedule rejected before placement (point) fields: dup or overflow
-//	pass.compat         compat-graph build     fields: nodes, edges (ok=0 when the builder cannot be created)
+//	pass.compat         compat-graph build     fields: nodes, edges (ok=0 when the builder cannot be reset)
 //	pass.clique         placement search       fields: placed, target
 //	pass.learn          learn-from-failure     fields: reschedule (point), or inserts, thins, ok (span)
 //	clique.find         generic clique engine  fields: nodes, seeds, pairs, best, target
 //	clique.parallel     parallel clique engine fields: nodes, workers, seeds, pairs, waves, best, target
-//	clique.grouped      grouped constructive   fields: groups, rounds, failed, best
+//	clique.grouped      grouped constructive   fields: groups, rounds, failed, best, folds (pending groups folded), free (pending groups skipped as free)
 //	sched.schedule      one scheduler call     fields: ii, length, ok
 //	dresc.anneal        one II annealing run   fields: ii, moves, accepts, ok
 //	ems.place           one II greedy pass     fields: ii, placements, routes, ok
