@@ -282,23 +282,6 @@ func BenchmarkCliqueFind(b *testing.B) {
 	}
 }
 
-// BenchmarkCliqueFindParallel measures the same search with the parallel
-// engine at several worker counts. Results are byte-identical to the
-// sequential engine (DESIGN.md section 8g); only wall-clock may differ, so
-// the bench-compare job tracks these series alongside BenchmarkCliqueFind.
-func BenchmarkCliqueFindParallel(b *testing.B) {
-	d, cg := benchCompat(b, arch.NewMesh(4, 4, 4))
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			pool := clique.NewPool()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clique.Find(cg.G, d.N(), clique.Options{Workers: w, Arenas: pool})
-			}
-		})
-	}
-}
-
 // BenchmarkCliqueFindGrouped measures the group-aware constructive search
 // behind REGIMap's first placement passes, here in its default
 // most-constrained-first order, on the same compatibility graph with the
@@ -334,14 +317,14 @@ func mapREGIMapPass(b *testing.B, c *arch.CGRA) {
 	}
 }
 
-// BenchmarkMapREGIMapParallel is the end-to-end run with the clique search
-// parallelized, the configuration the ISSUE's 8-worker latency target is
-// measured on.
+// BenchmarkMapREGIMapParallel is the end-to-end run with the placement
+// passes raced across w goroutines (core.Options.Workers), REGIMap's one
+// parallel path inside a Map call.
 func BenchmarkMapREGIMapParallel(b *testing.B) {
 	c := arch.NewMesh(4, 4, 4)
 	for _, w := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := core.Options{Clique: clique.Options{Workers: w, Arenas: clique.NewPool()}}
+			opts := core.Options{Workers: w, Clique: clique.Options{Arenas: clique.NewPool()}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.Map(context.Background(), benchKernel(), c, opts); err != nil {

@@ -42,12 +42,11 @@ func main() {
 		run           = flag.String("run", "all", "experiment to run: all, fig2, fig5, fig6, fig7, fig8, archsweep, ablation, power, registers, phases, optgap")
 		archList      = flag.String("archs", "", "archsweep: comma-separated named architectures (default: the whole registry)")
 		quick         = flag.Bool("quick", false, "shrink the DRESC annealing budget")
-		seed          = flag.Int64("seed", 0, "base seed: DRESC annealing / portfolio diversification")
+		seed          = flag.Int64("seed", 0, "base seed: DRESC annealing")
 		csvPath       = flag.String("csv", "", "also write Figure 6 per-loop rows as CSV to this file")
 		jobs          = flag.Int("jobs", runtime.NumCPU(), "map this many kernels concurrently (results are identical at any value)")
 		timeout       = flag.Duration("timeout", 0, "abort any single mapper run after this long (0: unbounded)")
-		portfolio     = flag.Int("portfolio", 1, "race this many diversified REGIMap attempts per II")
-		cliqueWorkers = flag.Int("clique-workers", 0, "parallelize the clique search inside every REGIMap run across this many goroutines (<=1: sequential; results are byte-identical at any value)")
+		cliqueWorkers = flag.Int("clique-workers", 0, "race the placement passes inside every REGIMap run across this many goroutines (<=1: inline; results are byte-identical at any value)")
 		drescRestarts = flag.Int("dresc-restarts", 0, "race this many seed-derived annealing chains per II inside every DRESC run (<=1: one chain; part of the experimental setup)")
 		drescWorkers  = flag.Int("dresc-workers", 0, "goroutines racing the DRESC restart chains (0: GOMAXPROCS; results are byte-identical at any value)")
 		runChaos      = flag.Bool("chaos", false, "run the fault-injection chaos harness instead of the paper experiments")
@@ -71,7 +70,7 @@ func main() {
 	base := experiments.Config{
 		Rows: 4, Cols: 4, Regs: 4,
 		Seed: *seed, Quick: *quick,
-		Workers: *jobs, Timeout: *timeout, Portfolio: *portfolio, CliqueWorkers: *cliqueWorkers,
+		Workers: *jobs, Timeout: *timeout, CliqueWorkers: *cliqueWorkers,
 		DRESCRestarts: *drescRestarts, DRESCWorkers: *drescWorkers,
 	}
 	if *tracePath != "" {

@@ -13,7 +13,7 @@
 //	regimap -kernel fir8 -arch torus-8x8             # a zoo member by name
 //	regimap -kernel fir8 -arch "grid 4x4; topo mesh+; regs 8"   # an inline ADL description
 //	regimap -kernel fir8 -arch-file fabric.adl       # the same, from a file
-//	regimap -kernel fir8 -portfolio 8 -timeout 30s   # same answer, less waiting
+//	regimap -kernel fir8 -clique-workers 2 -timeout 30s   # same answer, less waiting
 //	regimap -kernel fft_radix2 -explore 3            # hunt for a lower II
 //	regimap -kernel fir8 -trace trace.jsonl          # per-pass timing spans, one JSON object per line
 //	regimap -kernel fir8 -faults "pe 1,1; link 0,0-0,1"            # map around defects
@@ -30,7 +30,6 @@ import (
 
 	"regimap"
 	"regimap/internal/arch"
-	"regimap/internal/clique"
 	"regimap/internal/engine"
 	"regimap/internal/obs"
 	"regimap/internal/profiling"
@@ -64,11 +63,10 @@ func main() {
 		svgPath       = flag.String("svg", "", "write the mapping as an SVG picture to this file (regimap mapper only)")
 		vcdPath       = flag.String("vcd", "", "write a VCD waveform of the execution to this file (regimap mapper only)")
 		jsonOut       = flag.Bool("json", false, "emit mapper statistics as JSON (regimap mapper only)")
-		seed          = flag.Int64("seed", 1, "base seed: DRESC annealing / portfolio diversification")
+		seed          = flag.Int64("seed", 1, "base seed: DRESC annealing / exact solver tie-breaking")
 		timeout       = flag.Duration("timeout", 0, "abort mapping after this long (0: unbounded)")
-		portfolio     = flag.Int("portfolio", 1, "speculate on this many IIs in parallel (regimap mapper only; result-identical; DRESC races seeds with -dresc-restarts)")
-		explore       = flag.Int("explore", 0, "also race this many budget-widened scout searches per II (regimap mapper; may lower the II)")
-		cliqueWorkers = flag.Int("clique-workers", 0, "parallelize the clique search across this many goroutines (regimap mapper; <=1: sequential; results are byte-identical at any value)")
+		explore       = flag.Int("explore", 0, "also race this many budget-widened scout searches, each a whole II escalation (regimap mapper; may lower the II)")
+		cliqueWorkers = flag.Int("clique-workers", 0, "race the placement passes across this many goroutines (regimap mapper; <=1: inline; results are byte-identical at any value)")
 		drescRestarts = flag.Int("dresc-restarts", 0, "race this many seed-derived annealing chains per II (dresc mapper; <=1: one chain; results depend on this, not on -dresc-workers)")
 		drescWorkers  = flag.Int("dresc-workers", 0, "goroutines racing the restart chains (dresc mapper; 0: GOMAXPROCS; results are byte-identical at any value)")
 		cpuProf       = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -176,48 +174,24 @@ func main() {
 
 	switch *mapper {
 	case "regimap":
-		var m *regimap.Mapping
-		if *portfolio > 1 || *explore > 0 {
-			won, pstats, err := regimap.MapPortfolio(ctx, d, c, regimap.PortfolioOptions{Attempts: *portfolio, Explore: *explore, Seed: *seed, Base: cliqueOpts(*cliqueWorkers)})
-			exitOn(err)
-			m = won
-			if *jsonOut {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				exitOn(enc.Encode(struct {
-					Kernel string
-					Array  string
-					*regimap.PortfolioStats
-				}{title, c.String(), pstats}))
-				if *simN > 0 {
-					exitOn(regimap.Simulate(m, *simN))
-				}
-				return
+		m, stats, err := regimap.MapContext(ctx, d, c, regimap.Options{Workers: *cliqueWorkers, Explore: *explore})
+		exitOn(err)
+		if *jsonOut {
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			exitOn(enc.Encode(struct {
+				Kernel string
+				Array  string
+				*regimap.Stats
+			}{title, c.String(), stats}))
+			if *simN > 0 {
+				exitOn(regimap.Simulate(m, *simN))
 			}
-			fmt.Printf("REGIMap portfolio: II=%d (MII=%d, perf %.2f) in %v — racer %d won after %d IIs raced, %d schedule rounds, %d losers cancelled\n",
-				pstats.II, pstats.MII, pstats.Perf(), pstats.Elapsed,
-				pstats.Winner, pstats.Races, pstats.Attempts, pstats.Cancelled)
-		} else {
-			won, stats, err := regimap.MapContext(ctx, d, c, cliqueOpts(*cliqueWorkers))
-			exitOn(err)
-			m = won
-			if *jsonOut {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				exitOn(enc.Encode(struct {
-					Kernel string
-					Array  string
-					*regimap.Stats
-				}{title, c.String(), stats}))
-				if *simN > 0 {
-					exitOn(regimap.Simulate(m, *simN))
-				}
-				return
-			}
-			fmt.Printf("REGIMap: II=%d (MII=%d, perf %.2f) in %v — %d attempts, %d reschedules, %d routing nodes, %d thinnings\n",
-				stats.II, stats.MII, stats.Perf(), stats.Elapsed,
-				stats.Attempts, stats.Reschedules, stats.RouteInserts, stats.Thinnings)
+			return
 		}
+		fmt.Printf("REGIMap: II=%d (MII=%d, perf %.2f) in %v — %d attempts, %d reschedules, %d routing nodes, %d thinnings\n",
+			stats.II, stats.MII, stats.Perf(), stats.Elapsed,
+			stats.Attempts, stats.Reschedules, stats.RouteInserts, stats.Thinnings)
 		fmt.Print(m)
 		fmt.Printf("register pressure per PE: %v\n", m.RegisterPressure())
 		if *svgPath != "" {
@@ -382,11 +356,6 @@ func resolveArch(name, file string, rows, cols, regs int) (*regimap.CGRA, error)
 	default:
 		return arch.Uniform(rows, cols, regs, arch.Mesh)
 	}
-}
-
-// cliqueOpts returns the REGIMap options the -clique-workers flag implies.
-func cliqueOpts(workers int) regimap.Options {
-	return regimap.Options{Clique: clique.Options{Workers: workers}}
 }
 
 func exitOn(err error) {

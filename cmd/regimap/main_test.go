@@ -15,7 +15,7 @@ func TestUnknownMapperMessageListsRegistry(t *testing.T) {
 	}
 	// Pin the registry exactly, so a re-registered duplicate engine fails.
 	names := engine.Names()
-	if want := []string{"dresc", "ems", "exact", "portfolio", "regimap", "resilient"}; !reflect.DeepEqual(names, want) {
+	if want := []string{"dresc", "ems", "exact", "regimap", "resilient"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry = %v, want exactly %v", names, want)
 	}
 	for _, n := range names {

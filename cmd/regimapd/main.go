@@ -24,7 +24,7 @@
 //	curl -s localhost:8090/v1/mappers
 //	curl -s -X POST localhost:8090/v1/map -d '{"kernel":"fir8"}'
 //	curl -s -X POST localhost:8090/v1/map \
-//	    -d '{"source":"acc = acc + x[i]*h[i]","name":"mac","mapper":"portfolio"}'
+//	    -d '{"source":"acc = acc + x[i]*h[i]","name":"mac","mapper":"exact"}'
 //	curl -s -X POST localhost:8090/v1/jobs \
 //	    -d '{"kernel":"fir8","idempotency_key":"fir8-run-1"}'
 //	curl -s localhost:8090/v1/jobs/j-00000001
@@ -51,7 +51,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8090", "listen address")
 		workers     = flag.Int("workers", 0, "max concurrent mapping computations (0: GOMAXPROCS)")
-		cliqueWork  = flag.Int("clique-workers", 0, "goroutines inside each regimap clique search (<=1: sequential; results are byte-identical at any value)")
+		cliqueWork  = flag.Int("clique-workers", 0, "goroutines racing the placement passes inside each regimap run (<=1: inline; results are byte-identical at any value)")
 		drescRetry  = flag.Int("dresc-restarts", 0, "seed-derived annealing chains raced per II inside each dresc run (<=1: one chain; changes served placements, so part of the cache identity)")
 		drescWork   = flag.Int("dresc-workers", 0, "goroutines racing the dresc restart chains (0: GOMAXPROCS; results are byte-identical at any value)")
 		queue       = flag.Int("queue", 64, "max computations waiting for a worker; beyond this, requests are shed with 429")

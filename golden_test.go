@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -105,6 +106,14 @@ func goldenRun(t *testing.T, engine, kernel string, c *regimap.CGRA) string {
 			b.WriteString(m.String())
 		}
 		return b.String()
+	case "explore":
+		// The II and the mapping only: Explore reports the winning
+		// candidate's Stats, which the digests do not pin.
+		m, stats, err := regimap.Map(d, c, regimap.Options{Explore: goldenExplore})
+		if err != nil {
+			return fmt.Sprintf("unmapped MII=%d", stats.MII)
+		}
+		return fmt.Sprintf("II=%d\n%s", stats.II, m)
 	default:
 		t.Fatalf("unknown golden engine %q", engine)
 		return ""
@@ -176,6 +185,20 @@ func checkOrUpdateGolden(t *testing.T, path string, got map[string]string) {
 	}
 }
 
+// goldenExplore is the scout count the explore digests pin: the
+// `regimap -explore 3` configuration.
+const goldenExplore = 3
+
+// goldenExplorePairs are the zoo pairs off paper-4x4 on which Explore maps
+// at a lower II than the base search. The explore digests cover them and
+// every paper-4x4 kernel.
+var goldenExplorePairs = []string{
+	"adres-4x4/sobel", "band2-4x4/dct4_row", "band2-4x4/lbm_stream",
+	"hetero-mem-col/dct4_row", "hetero-mem-col/lbm_stream", "hetero-mem-col/milc_su3",
+	"hetero-mem-col/wavelet_lift", "onehop-4x4/dct4_row", "torus-8x8/alpha_blend",
+	"torus-8x8/matmul4_inner", "torus-8x8/sjeng_eval",
+}
+
 // goldenArchPath pins mapping determinism across the named-architecture zoo:
 // every suite kernel mapped by REGIMap, keyed "arch/kernel", and by EMS,
 // keyed "ems/arch/kernel", on every registered architecture. The digests
@@ -185,7 +208,9 @@ func checkOrUpdateGolden(t *testing.T, path string, got map[string]string) {
 // of torus-8x8 that the 4x4 mesh never exercises. The
 // exact half, keyed "exact/arch/kernel", pins every certificate and rung of
 // the SAT engine on the suite kernels of at most goldenExactMaxOps ops, on
-// the fabrics of goldenExactArchs.
+// the fabrics of goldenExactArchs. The explore half, keyed
+// "explore/arch/kernel", pins REGIMap with goldenExplore scouts on every
+// paper-4x4 kernel and on goldenExplorePairs.
 const goldenArchPath = "testdata/golden_archzoo.json"
 
 // goldenExactArchs covers a homogeneous mesh, a banked-bus mesh and a
@@ -229,15 +254,23 @@ func TestGoldenArchZoo(t *testing.T) {
 			got["exact/"+name+"/"+k.Name] = goldenHash(goldenRun(t, "exact", k.Name, resolve(t, name)))
 		}
 	}
+	pairs := slices.Clone(goldenExplorePairs)
+	for _, k := range regimap.Kernels() {
+		pairs = append(pairs, "paper-4x4/"+k.Name)
+	}
+	for _, pair := range pairs {
+		name, kernel, _ := strings.Cut(pair, "/")
+		got["explore/"+pair] = goldenHash(goldenRun(t, "explore", kernel, resolve(t, name)))
+	}
 	checkOrUpdateGolden(t, goldenArchPath, got)
 }
 
-// TestGoldenMappingsWorkerSweep proves the parallel clique engine's
+// TestGoldenMappingsWorkerSweep proves the raced placement passes'
 // deterministic reduction end to end: every kernel mapped with 1, 2, and 8
-// clique workers must produce byte-identical canonical text. Workers=1 is
-// the sequential engine (also covered against the golden file above), so a
-// sweep failure isolates the parallel reduction, not an algorithm change.
-// CI re-runs this sweep under -race at several GOMAXPROCS values.
+// pass workers must produce byte-identical canonical text. Workers=1 runs
+// the passes inline (also covered against the golden file above), so a
+// sweep failure isolates the race, not an algorithm change. CI re-runs
+// this sweep under -race at several GOMAXPROCS values.
 func TestGoldenMappingsWorkerSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("worker sweep maps every kernel three times; skipped in -short")
@@ -247,8 +280,7 @@ func TestGoldenMappingsWorkerSweep(t *testing.T) {
 		for _, w := range []int{1, 2, 8} {
 			d := k.Build()
 			c := regimap.NewMesh(4, 4, 4)
-			opts := regimap.Options{}
-			opts.Clique.Workers = w
+			opts := regimap.Options{Workers: w}
 			var text string
 			m, stats, err := regimap.Map(d, c, opts)
 			if err != nil {
@@ -261,7 +293,7 @@ func TestGoldenMappingsWorkerSweep(t *testing.T) {
 				continue
 			}
 			if text != want {
-				t.Errorf("kernel %s: mapping at %d clique workers differs from sequential:\n--- workers=1\n%s\n--- workers=%d\n%s",
+				t.Errorf("kernel %s: mapping at %d pass workers differs from inline:\n--- workers=1\n%s\n--- workers=%d\n%s",
 					k.Name, w, want, w, text)
 			}
 		}

@@ -24,7 +24,6 @@
 package clique
 
 import (
-	"context"
 	"sort"
 
 	"regimap/internal/graph"
@@ -585,9 +584,9 @@ func rebuild(ar *arena, members []int) *state {
 	return s
 }
 
-// The search budgets Options' zero values select. Find and its parallel
-// twin read the first two, FindGrouped the third; the portfolio's Explore
-// scouts widen all three from here.
+// The search budgets Options' zero values select. Find reads the first
+// two, FindGrouped the third; core.Map's Explore scouts widen all three
+// from here.
 const (
 	DefaultMaxSeeds         = 16
 	DefaultMaxIntersections = 32
@@ -619,16 +618,6 @@ type Options struct {
 	// results to match the default). REGIMap computes it once per
 	// compatibility graph and reuses it across clique.Find calls.
 	SeedOrder []int
-	// Workers > 1 runs Find's seed and intersection phases across that many
-	// goroutines. Results are byte-identical at every worker count — the
-	// parallel engine merges partition results in the sequential order (see
-	// parallel.go and DESIGN.md section 8g).
-	Workers int
-	// Ctx, when non-nil, lets the parallel engine stop between partitions
-	// once the context is cancelled. The result of a cancelled search is
-	// best-effort; core.Map discards the attempt anyway. The sequential
-	// engine ignores it.
-	Ctx context.Context
 	// Arenas, when non-nil, supplies pooled search arenas reused across
 	// calls and requests (regimapd installs one per process). Arenas are
 	// fully wiped on reuse, so results are unaffected.
@@ -643,9 +632,6 @@ type Options struct {
 // returns the best feasible clique found (possibly smaller than target) —
 // never nil, possibly empty.
 func Find(g *Graph, target int, opts Options) (best []int) {
-	if opts.Workers > 1 {
-		return findParallel(g, target, opts)
-	}
 	maxSeeds := opts.MaxSeeds
 	if maxSeeds <= 0 {
 		maxSeeds = DefaultMaxSeeds

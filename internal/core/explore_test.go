@@ -1,0 +1,192 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"regimap/internal/arch"
+	"regimap/internal/dfg"
+	"regimap/internal/engine"
+	"regimap/internal/kernels"
+	"regimap/internal/sim"
+)
+
+// unmappable returns a kernel/array pair no mapper can place: a wide
+// synthetic kernel on a 1x2 array with no registers keeps the escalation
+// loop grinding until MaxII, which the tests raise to make the search long.
+func unmappable() (*dfg.DFG, *arch.CGRA) {
+	d := kernels.Random(99, kernels.RandomOptions{Ops: 48, MemFraction: 0.3, Recurrence: 4})
+	return d, arch.NewMesh(1, 2, 0)
+}
+
+// endless is an escalation that only a cancelled context ends.
+var endless = Options{MaxII: 500, MaxTotalAttempts: 1 << 30, MaxAttemptsPerII: 1 << 20}
+
+// mapText maps kernel name on c and renders the II and the mapping.
+func mapText(t *testing.T, name string, c *arch.CGRA, opts Options) (string, *Stats) {
+	t.Helper()
+	k, ok := kernels.ByName(name)
+	if !ok {
+		t.Fatalf("kernel %q missing", name)
+	}
+	m, stats, err := Map(context.Background(), k.Build(), c, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := sim.Check(m, 4); err != nil {
+		t.Fatalf("%s: mapping mis-executes: %v", name, err)
+	}
+	return fmt.Sprintf("II=%d\n%s", stats.II, m), stats
+}
+
+// TestCoreDeadlineDirect: a deadline aborts core.Map within one II-attempt
+// boundary, even where MaxTotalAttempts would let the search run on.
+func TestCoreDeadlineDirect(t *testing.T) {
+	d, c := unmappable()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := Map(ctx, d, c, endless)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error %v does not wrap context.DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("core.Map held the deadline for %v", waited)
+	}
+}
+
+// TestEngineHonoursMinII: the regimap engine, given a MinII of MII+2 (as
+// regimapd's min_ii passes it), maps every suite kernel at an II of at
+// least MinII, and every mapping executes correctly.
+func TestEngineHonoursMinII(t *testing.T) {
+	c := arch.NewMesh(4, 4, 4)
+	pes, memRows := c.MIIResources()
+	eng := engine.MustLookup("regimap")
+	for _, k := range kernels.All() {
+		t.Run(k.Name, func(t *testing.T) {
+			t.Parallel()
+			minII := k.Build().MII(pes, memRows) + 2
+			res, err := eng.Map(context.Background(), k.Build(), c, engine.Options{MinII: minII})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.II < minII {
+				t.Fatalf("II %d is below MinII %d", res.II, minII)
+			}
+			if err := sim.Check(res.Mapping, 4); err != nil {
+				t.Fatalf("mapping at MinII %d mis-executes: %v", minII, err)
+			}
+		})
+	}
+}
+
+// TestExploreNeverWorseAndRepeats: Explore's scouts may unlock an II the
+// base search misses (they do on fft_radix2 and sjeng_eval), can never do
+// worse than the base search, which races too, and repeat exactly.
+func TestExploreNeverWorseAndRepeats(t *testing.T) {
+	c := arch.NewMesh(4, 4, 4)
+	lowered := 0
+	for _, name := range []string{"fft_radix2", "sjeng_eval", "sobel", "adpcm_step"} {
+		_, base := mapText(t, name, c, Options{})
+		first, stats := mapText(t, name, c, Options{Explore: 3})
+		if stats.II > base.II {
+			t.Fatalf("%s: Explore regressed the II: %d against %d for the base", name, stats.II, base.II)
+		}
+		if stats.II < base.II {
+			lowered++
+		}
+		if again, _ := mapText(t, name, c, Options{Explore: 3}); again != first {
+			t.Fatalf("%s: two Explore runs diverged:\n%s\n--- vs ---\n%s", name, first, again)
+		}
+	}
+	if lowered != 2 {
+		t.Fatalf("Explore lowered the II of %d kernels, want 2 (fft_radix2, sjeng_eval)", lowered)
+	}
+}
+
+// TestVariantContract pins the rules the Explore race rests on: candidate
+// 0 is the caller's search, and every scout widens clique budgets only,
+// never the II window, the learning switches or the other options.
+func TestVariantContract(t *testing.T) {
+	base := Options{MinII: 3, MaxII: 9, Workers: 2, Explore: 5}
+	if got := variant(base, 0); !reflect.DeepEqual(got, base) {
+		t.Fatalf("candidate 0 perturbed the options: %+v", got)
+	}
+	for s := 1; s < 12; s++ {
+		v := variant(base, s)
+		if reflect.DeepEqual(v, base) {
+			t.Fatalf("scout %d is not diversified", s)
+		}
+		if v.Clique.MaxSeeds < 0 || v.Clique.MaxIntersections < 0 || v.Clique.GroupRounds < 0 {
+			t.Fatalf("scout %d has a negative budget: %+v", s, v.Clique)
+		}
+		v.Clique.MaxSeeds, v.Clique.MaxIntersections, v.Clique.GroupRounds = 0, 0, 0
+		if !reflect.DeepEqual(v, base) {
+			t.Fatalf("scout %d changed more than the clique budgets: %+v", s, v)
+		}
+	}
+}
+
+// TestExploreCancelledPromptly: cancelling an Explore race stuck on an
+// unmappable kernel aborts every candidate within one attempt, with
+// context.Canceled in the error chain.
+func TestExploreCancelledPromptly(t *testing.T) {
+	d, c := unmappable()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	opts := endless
+	opts.Explore = 3
+	_, stats, err := Map(ctx, d, c, opts)
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrAborted) {
+		t.Fatalf("error %v does not wrap context.Canceled and ErrAborted", err)
+	}
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("cancellation took %v; attempts should abort within one schedule/place round", waited)
+	}
+	if stats == nil || stats.II != 0 {
+		t.Fatalf("aborted run reported %+v", stats)
+	}
+}
+
+// TestExploreIdenticalAcrossGOMAXPROCS: the race returns the same II and
+// mapping bytes at GOMAXPROCS 1 (inline, in index order), 2 and 8, where
+// the base wins at the floor (adpcm_step), a scout wins (sjeng_eval, and
+// alpha_blend on torus-8x8) and nobody reaches the floor (sobel). CI runs
+// it under -race.
+func TestExploreIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	torus, err := arch.Lookup("torus-8x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		kernel string
+		c      *arch.CGRA
+	}{
+		{"adpcm_step", arch.NewMesh(4, 4, 4)},
+		{"sjeng_eval", arch.NewMesh(4, 4, 4)},
+		{"sobel", arch.NewMesh(4, 4, 4)},
+		{"alpha_blend", torus},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		var want string
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, _ := mapText(t, tc.kernel, tc.c, Options{Explore: 3})
+			if procs == 1 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s on %s at GOMAXPROCS %d:\n%s\n--- GOMAXPROCS 1:\n%s", tc.kernel, tc.c, procs, got, want)
+			}
+		}
+	}
+}

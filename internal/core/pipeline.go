@@ -170,20 +170,19 @@ func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 
 // PassPlace runs the clique search over the compatibility graph. On a full
 // placement it assembles and returns the mapping; otherwise it returns nil
-// and the operations left unplaced (the paper's V_Ds − V_C). ctx reaches the
-// parallel clique engine so a cancelled request stops between partitions;
-// the Clique options' Workers count selects the engine.
+// and the operations left unplaced (the paper's V_Ds − V_C). Options.Workers
+// > 1 races the placement passes, and a cancelled ctx starts no further
+// pass.
 func (a *Attempt) PassPlace(ctx context.Context, cg *Compat, res *sched.Result) (*mapping.Mapping, []int) {
 	sp := a.tr.Start("pass.clique")
 	opts := a.opts.Clique
-	opts.Ctx = ctx
 	if opts.Arenas == nil {
 		if a.cb.arenas == nil {
 			a.cb.arenas = clique.NewPool()
 		}
 		opts.Arenas = a.cb.arenas
 	}
-	sol := findPlacement(cg, a.ds.N(), res.Time, opts, a.tr)
+	sol := findPlacement(ctx, cg, a.ds.N(), res.Time, opts, a.opts.Workers, a.tr)
 	sp.Field("placed", int64(len(sol)))
 	sp.Field("target", int64(a.ds.N()))
 	sp.End()
@@ -358,11 +357,9 @@ func routeBudgetFor(n int) int {
 // the first pass that places every operation wins; when none does, the
 // largest partial placement wins, the earlier pass breaking ties. Every pass
 // is a pure function of the frozen compatibility graph, so par.First returns
-// the same placement whether it runs the passes inline (opts.Workers <= 1)
-// or races them — the ROADMAP's "parallel clique search inside one
-// attempt". The generic pass additionally splits its own seed partitions
-// across opts.Workers (see clique.Find).
-func findPlacement(cg *Compat, target int, times []int, opts clique.Options, tr *obs.Tracer) []int {
+// the same placement whether it runs the passes inline (workers <= 1) or
+// races them: this race is REGIMap's one parallel path inside a Map call.
+func findPlacement(ctx context.Context, cg *Compat, target int, times []int, opts clique.Options, workers int, tr *obs.Tracer) []int {
 	opts.Trace = tr
 	// The passes read the graph's lazily cached degrees; fill the cache
 	// before par.First may run them concurrently.
@@ -403,15 +400,9 @@ func findPlacement(cg *Compat, target int, times []int, opts clique.Options, tr 
 			return clique.Find(cg.G, target, o)
 		})
 	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	sols := make([][]int, len(passes))
-	if won := par.First(ctx, len(passes), opts.Workers, func(ctx context.Context, _, i int) bool {
-		o := opts
-		o.Ctx = ctx
-		sols[i] = passes[i](o)
+	if won := par.First(ctx, len(passes), workers, func(_ context.Context, _, i int) bool {
+		sols[i] = passes[i](opts)
 		return len(sols[i]) >= target
 	}); won < len(passes) {
 		return sols[won]

@@ -263,9 +263,9 @@ func TestFindPlacementSharesGroupIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := findPlacement(cg, d.N(), res.Time, clique.Options{}, nil)
+			want := findPlacement(context.Background(), cg, d.N(), res.Time, clique.Options{}, 1, nil)
 			for _, w := range []int{2, 8} {
-				if got := findPlacement(cg, d.N(), res.Time, clique.Options{Workers: w}, nil); !reflect.DeepEqual(got, want) {
+				if got := findPlacement(context.Background(), cg, d.N(), res.Time, clique.Options{}, w, nil); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s at %d workers: placement %v, inline %v", name, kn, w, got, want)
 				}
 			}

@@ -32,8 +32,8 @@ type InvalidMappingError = maperr.InvalidMappingError
 // Options configures the REGIMap mapper. The zero value is the paper's
 // configuration.
 type Options struct {
-	// MinII raises the II the escalation starts from (0: MII). The portfolio
-	// runner pins MinII == MaxII to race diversified attempts at one fixed II.
+	// MinII raises the II the escalation starts from (0: MII). regimapd's
+	// min_ii and the job path's II bounds reach it through engine.Options.
 	MinII int
 	// MaxII caps II escalation (0: MII + 16; see MaxIIFor).
 	MaxII int
@@ -57,6 +57,17 @@ type Options struct {
 	Compat CompatOptions
 	// Clique tunes the clique search.
 	Clique clique.Options
+	// Workers > 1 races the placement passes of every attempt across that
+	// many goroutines (see findPlacement). Mappings are byte-identical at
+	// any value.
+	Workers int
+	// Explore > 0 races the base search against this many budget-widened
+	// scouts (see variant), each a whole II escalation, on GOMAXPROCS
+	// goroutines, and keeps the lowest II, the lowest index breaking ties.
+	// A scout can unlock an II the base budget misses, so the result may
+	// beat the base search but never trail it; it repeats exactly for a
+	// fixed Explore.
+	Explore int
 }
 
 // MaxIIFor returns the highest II the escalation tries for a kernel whose
@@ -107,7 +118,18 @@ func (s *Stats) Perf() float64 {
 //
 // A tracer in ctx (obs.With) receives per-pass and per-II-attempt events;
 // without one, the instrumentation is free (see internal/obs).
+//
+// Options.Explore > 0 races budget-widened scouts against this search, each
+// a whole escalation (see explore).
 func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.Mapping, *Stats, error) {
+	if opts.Explore > 0 {
+		return explore(ctx, d, c, opts)
+	}
+	return escalate(ctx, d, c, opts)
+}
+
+// escalate is one II escalation: Map without Explore.
+func escalate(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.Mapping, *Stats, error) {
 	start := time.Now()
 	if err := d.Validate(); err != nil {
 		return nil, nil, err

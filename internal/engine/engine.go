@@ -2,11 +2,10 @@
 // is reached through, plus the process-wide registry binding names to
 // implementations.
 //
-// Before this package, each engine (REGIMap, EMS, DRESC, the portfolio
-// racers, the resilient ladder) exposed a bespoke entry point, and every
-// caller — the root package's public wrappers, the portfolio, the
-// degradation ladder, both CLIs — hard-coded which concrete function to
-// call. The registry inverts that: engines register themselves at init time
+// Before this package, each engine (REGIMap, EMS, DRESC, the resilient
+// ladder) exposed a bespoke entry point, and every caller — the root
+// package's public wrappers, the degradation ladder, both CLIs —
+// hard-coded which concrete function to call. The registry inverts that: engines register themselves at init time
 // (each internal mapper package carries an `engine.Register` call), and
 // callers dispatch by name, so racing, degrading, or exposing a new backend
 // is a registry lookup instead of another switch arm. SAT-MapIt-style
@@ -57,7 +56,7 @@ type Result struct {
 	MII, II int
 	// Rounds is the engine's own progress unit — schedule/place attempts for
 	// REGIMap, greedy placements for EMS, annealing moves for DRESC — the
-	// comparable "how hard did it work" count the portfolio aggregates.
+	// comparable "how hard did it work" count regimapd reports.
 	Rounds int
 	// Stats is the engine's full stats struct (e.g. *core.Stats), for
 	// callers that know the concrete engine.
@@ -77,7 +76,7 @@ func (r *Result) Perf() float64 {
 // Mapper is the unified engine contract. Map returns the engine's result;
 // on failure it returns a non-nil error and, whenever the run got far enough
 // to measure anything, a partial Result carrying MII/Rounds/Stats — callers
-// that aggregate effort (the portfolio) read those even from failed runs.
+// that report effort (regimapd) read those even from failed runs.
 // Implementations must honour ctx cancellation at their natural attempt
 // boundaries and be safe for concurrent use.
 type Mapper interface {

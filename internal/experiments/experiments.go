@@ -20,13 +20,11 @@ import (
 	"time"
 
 	"regimap/internal/arch"
-	"regimap/internal/clique"
 	"regimap/internal/core"
 	"regimap/internal/dresc"
 	"regimap/internal/ems"
 	"regimap/internal/kernels"
 	"regimap/internal/obs"
-	"regimap/internal/portfolio"
 )
 
 // Mapper selects one of the three mappers under comparison.
@@ -61,14 +59,10 @@ type Config struct {
 	// Timeout caps each individual mapper run (0: unbounded), enforced via
 	// the mappers' context support; a timed-out run reports OK=false.
 	Timeout time.Duration
-	// Portfolio races this many diversified REGIMap attempts per II through
-	// internal/portfolio (<=1: plain core.Map). The deterministic tiebreak
-	// keeps rows reproducible for any value.
-	Portfolio int
-	// CliqueWorkers parallelizes the clique search inside every REGIMap run
-	// (<=1: sequential). Mappings are byte-identical at any value — the
-	// parallel engine's reduction is deterministic (DESIGN.md section 8g) —
-	// so it composes freely with Workers and Portfolio.
+	// CliqueWorkers races the placement passes inside every REGIMap run
+	// across this many goroutines (core.Options.Workers; <=1: inline).
+	// Mappings are byte-identical at any value (DESIGN.md section 8g), so it
+	// composes freely with Workers.
 	CliqueWorkers int
 	// DRESCRestarts races this many seed-derived annealing chains per II
 	// inside every DRESC run (<=1: the single-chain escalation). The result
@@ -171,9 +165,9 @@ func (c Config) CGRA() *arch.CGRA {
 }
 
 // coreOptions returns the REGIMap options one mapper run uses: the base
-// configuration plus the clique worker count.
+// configuration plus the placement-pass worker count.
 func (c Config) coreOptions() core.Options {
-	return core.Options{Clique: clique.Options{Workers: c.CliqueWorkers}}
+	return core.Options{Workers: c.CliqueWorkers}
 }
 
 func (c Config) drescOptions() dresc.Options {
@@ -213,15 +207,6 @@ func RunLoop(k kernels.Kernel, mapper Mapper, cfg Config) LoopRow {
 	defer cancel()
 	switch mapper {
 	case REGIMap:
-		if cfg.Portfolio > 1 {
-			m, stats, err := portfolio.Map(ctx, d, c, portfolio.Options{Attempts: cfg.Portfolio, Seed: cfg.Seed, Base: cfg.coreOptions()})
-			row.MII, row.CompileTime = stats.MII, stats.Elapsed
-			if err == nil {
-				row.II, row.Perf, row.OK = stats.II, stats.Perf(), true
-				row.IPC = m.IPC()
-			}
-			break
-		}
 		m, stats, err := core.Map(ctx, d, c, cfg.coreOptions())
 		row.MII, row.CompileTime = stats.MII, stats.Elapsed
 		if err == nil {

@@ -214,16 +214,16 @@ func TestTimeoutBoundsRunLoop(t *testing.T) {
 	}
 }
 
-// TestPortfolioConfigMatchesSingle: routing RunLoop through the portfolio
-// runner must reproduce the single-attempt result.
-func TestPortfolioConfigMatchesSingle(t *testing.T) {
+// TestCliqueWorkersConfigMatchesSingle: racing RunLoop's placement passes
+// must reproduce the inline result.
+func TestCliqueWorkersConfigMatchesSingle(t *testing.T) {
 	k, _ := kernels.ByName("sphinx_dot")
 	one := RunLoop(k, REGIMap, quickCfg(4))
 	cfg := quickCfg(4)
-	cfg.Portfolio = 4
+	cfg.CliqueWorkers = 4
 	four := RunLoop(k, REGIMap, cfg)
-	if one.II != four.II || one.MII != four.MII || one.OK != four.OK {
-		t.Errorf("portfolio=4 row %+v diverges from single-attempt row %+v", four, one)
+	if one.II != four.II || one.MII != four.MII || one.OK != four.OK || one.IPC != four.IPC {
+		t.Errorf("clique-workers=4 row %+v diverges from inline row %+v", four, one)
 	}
 }
 

@@ -8,9 +8,10 @@
 //   - ErrAborted: the search was cut short by context cancellation before the
 //     space was exhausted; the underlying ctx.Err() is also in the wrap chain,
 //     so errors.Is(err, context.DeadlineExceeded) keeps working.
-//   - ErrWorkerPanic / *WorkerPanicError: a worker goroutine (a portfolio
-//     scout, a resilience rung) panicked; the typed error carries the
-//     recovered value and stack instead of crashing the process.
+//   - ErrWorkerPanic / *WorkerPanicError: a worker goroutine (a raced
+//     placement pass, a DRESC restart chain, a resilience rung) panicked;
+//     the typed error carries the recovered value and stack instead of
+//     crashing the process.
 //   - ErrTransient: the failure is environmental, not a property of the
 //     (kernel, array, budget) inputs — retrying the identical call may
 //     succeed. The job subsystem's retry/backoff loop keys on IsTransient.
@@ -18,7 +19,7 @@
 //     rejects — always a bug in the mapper, never a property of the kernel.
 //
 // The sentinels are deliberately package-neutral: core, ems, dresc, and
-// portfolio all wrap the same values, so a caller holding results from any
+// exact all wrap the same values, so a caller holding results from any
 // mapper needs exactly one errors.Is test per failure class.
 package maperr
 
@@ -112,7 +113,7 @@ func (e *InvalidMappingError) Unwrap() error { return e.Err }
 // its stack so the failure is diagnosable after the fact. It wraps
 // ErrWorkerPanic for class tests.
 type WorkerPanicError struct {
-	Worker string // which worker panicked, e.g. "portfolio racer 3"
+	Worker string // which worker panicked, e.g. "parallel worker 1 at index 3"
 	Value  any    // the recovered value
 	Stack  []byte // the panicking goroutine's stack
 }

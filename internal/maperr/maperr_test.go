@@ -60,19 +60,19 @@ func TestInvalidMappingError(t *testing.T) {
 }
 
 func TestWorkerPanicError(t *testing.T) {
-	err := error(&WorkerPanicError{Worker: "portfolio racer 3", Value: "boom", Stack: []byte("stack")})
-	if got, want := err.Error(), "portfolio racer 3 panicked: boom"; got != want {
+	err := error(&WorkerPanicError{Worker: "parallel worker 1 at index 3", Value: "boom", Stack: []byte("stack")})
+	if got, want := err.Error(), "parallel worker 1 at index 3 panicked: boom"; got != want {
 		t.Fatalf("message %q, want %q", got, want)
 	}
 	if !errors.Is(err, ErrWorkerPanic) {
 		t.Fatal("not ErrWorkerPanic")
 	}
-	wrappedUp := Wrap([]error{ErrNoMapping, err}, "portfolio: no mapping")
+	wrappedUp := Wrap([]error{ErrNoMapping, err}, "core: no mapping")
 	if !errors.Is(wrappedUp, ErrWorkerPanic) || !errors.Is(wrappedUp, ErrNoMapping) {
 		t.Fatal("multi-cause wrap lost a class")
 	}
 	var wp *WorkerPanicError
-	if !errors.As(wrappedUp, &wp) || wp.Worker != "portfolio racer 3" {
+	if !errors.As(wrappedUp, &wp) || wp.Worker != "parallel worker 1 at index 3" {
 		t.Fatal("typed panic error unreachable through the wrap")
 	}
 }

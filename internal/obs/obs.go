@@ -1,8 +1,7 @@
 // Package obs is the observability layer threaded through every mapper: trace
 // spans, point events, and integer fields describing what each pipeline pass
 // did (schedule length, compatibility-graph size, clique search effort,
-// learn-from-failure moves, annealing epochs, portfolio races, resilience
-// rungs).
+// learn-from-failure moves, annealing epochs, resilience rungs).
 //
 // The design goal is that instrumentation is free when nobody is looking. A
 // nil *Tracer is the disabled state: every method on it returns immediately,
@@ -23,12 +22,10 @@
 //	pass.clique         placement search       fields: placed, target
 //	pass.learn          learn-from-failure     fields: reschedule (point), or inserts, thins, ok (span)
 //	clique.find         generic clique engine  fields: nodes, seeds, pairs, best, target
-//	clique.parallel     parallel clique engine fields: nodes, workers, seeds, pairs, waves, best, target
 //	clique.grouped      grouped constructive   fields: groups, rounds, failed, best, folds (pending groups folded), free (pending groups skipped as free)
 //	sched.schedule      one scheduler call     fields: ii, length, ok
 //	dresc.anneal        one II annealing run   fields: ii, moves, accepts, ok
 //	ems.place           one II greedy pass     fields: ii, placements, routes, ok
-//	portfolio.window    one speculative window fields: lo, width, racers, ok
 //	resilient.rung      one ladder rung        fields: rung, ii, ok
 //	map.done            end-to-end result      fields: ii, mii, attempts
 //	server.request      one /v1/map request    fields: code, ok, cached
@@ -96,8 +93,8 @@ func (e *Event) FieldVal(key string) (int64, bool) {
 }
 
 // Sink receives completed events. Implementations must be safe for
-// concurrent use: the portfolio racers and the parallel experiment drivers
-// emit from many goroutines at once.
+// concurrent use: Explore's racing escalations, the raced placement passes
+// and the parallel experiment drivers emit from many goroutines at once.
 type Sink interface {
 	Emit(e *Event)
 }

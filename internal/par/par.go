@@ -1,9 +1,9 @@
 // Package par is the one parallel reduction the mappers share: run
 // candidates 0..n-1 concurrently and keep the lowest index that succeeded.
-// The portfolio's speculative II window, DRESC's restart chains, the clique
-// engine's seed phase and intersection waves, and REGIMap's placement passes
-// all reduce this way, which is what keeps each of them byte-identical to
-// its sequential loop at any worker count (DESIGN.md section 8b).
+// REGIMap's placement passes and its Explore race, DRESC's restart chains
+// and the exact engine's II ladder all reduce this way, which is what keeps
+// each of them byte-identical to its sequential loop at any worker count
+// (DESIGN.md section 8b).
 package par
 
 import (

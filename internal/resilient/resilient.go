@@ -75,9 +75,9 @@ func DefaultLadder() []RungSpec {
 
 // Downgrades returns the engines to fall back to, in order, when the named
 // engine is unavailable (its circuit breaker is open, say). Ladder members
-// step down the REGIMap→EMS→DRESC sequence from their own position;
-// composite engines (portfolio, resilient, ...) restart at the top of the
-// ladder, since each already races or wraps the rungs itself. The last rung
+// step down the REGIMap→EMS→DRESC sequence from their own position; every
+// other engine (exact, resilient, ...) restarts at the top of the ladder,
+// resilient because it already wraps the rungs itself. The last rung
 // has nowhere to go: an empty slice means "no fallback exists".
 func Downgrades(name string) []string {
 	ladder := DefaultLadder()

@@ -29,10 +29,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // classify maps a mapping-path error onto (HTTP status, taxonomy class).
 // Order matters: a shed is checked before the abort class because the
 // admission path wraps ctx errors, and not-found before generic client
-// errors.
+// errors. An unknown engine reaches it only from a job recovered from an
+// older build's WAL (submits are refused earlier), and keeps the class the
+// wire answers it with.
 func classify(err error) (int, string) {
 	var bad *engine.BadOptionsError
+	var be *badEngineError
 	switch {
+	case errors.As(err, &be):
+		return http.StatusBadRequest, "bad-engine"
 	case errors.Is(err, errShed):
 		return http.StatusTooManyRequests, "overloaded"
 	case errors.Is(err, errDraining):

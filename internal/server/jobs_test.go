@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -17,6 +19,7 @@ import (
 	"regimap/internal/arch"
 	"regimap/internal/dfg"
 	"regimap/internal/engine"
+	"regimap/internal/jobs"
 	"regimap/internal/maperr"
 )
 
@@ -273,6 +276,51 @@ func TestJobCrashRecovery(t *testing.T) {
 	dup := submitJob(t, ts2, `{"kernel":"fir8","idempotency_key":"crash-1"}`, http.StatusOK)
 	if dup.ID != ids[1] || dup.State != "done" {
 		t.Fatalf("post-crash duplicate = %+v, want job %s done", dup, ids[1])
+	}
+}
+
+// TestRetiredEngineName: "portfolio", an engine earlier builds registered,
+// is refused on the wire with the typed 400 "bad-engine", and a job WAL
+// holding a non-terminal portfolio job, as such a build leaves behind,
+// recovers to a terminal failed job carrying the bad-engine error after
+// one attempt.
+func TestRetiredEngineName(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, path := range []string{"/v1/map", "/v1/jobs"} {
+		code, blob, _ := postJSON(t, ts, path, `{"kernel":"fir8","mapper":"portfolio"}`)
+		if code != http.StatusBadRequest || errClass(t, blob) != "bad-engine" {
+			t.Fatalf("%s with the portfolio engine: %d %s", path, code, blob)
+		}
+	}
+
+	for i, state := range []jobs.State{jobs.StateQueued, jobs.StateRunning} {
+		rec, err := json.Marshal(jobs.Job{
+			ID:        fmt.Sprintf("j-%08d", i+1),
+			Request:   []byte(`{"kernel":"fir8","mapper":"portfolio"}`),
+			Requested: "portfolio",
+			Engine:    "portfolio",
+			State:     state,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(filepath.Join(dir, "wal.jsonl"), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(append(rec, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	_, ts2 := newTestServer(t, Config{Workers: 2, JobWorkers: 1, WALDir: dir})
+	for i := range 2 {
+		job := pollJob(t, ts2, fmt.Sprintf("j-%08d", i+1))
+		if job.State != "failed" || job.Class != "bad-engine" || job.Attempts != 1 ||
+			!strings.Contains(job.Error, `unknown mapper "portfolio"`) {
+			t.Fatalf("recovered portfolio job = %+v", job)
+		}
 	}
 }
 

@@ -50,23 +50,22 @@ import (
 	// Importing the mapper packages is what populates the engine registry
 	// the server dispatches through (resilient above registers itself too).
 	// core is also imported by name: resolve hands the regimap engine a
-	// core.Options carrying the clique worker count and the shared arena pool.
+	// core.Options carrying the pass worker count and the shared arena pool.
 	"regimap/internal/clique"
 	"regimap/internal/core"
 	"regimap/internal/dresc"
 	_ "regimap/internal/ems"
 	_ "regimap/internal/exact"
-	_ "regimap/internal/portfolio"
 )
 
 // Config tunes one Server. The zero value selects sensible defaults.
 type Config struct {
 	// Workers bounds concurrent mapping computations (default: GOMAXPROCS).
 	Workers int
-	// CliqueWorkers parallelizes the clique search inside each regimap-engine
-	// run (<=1: sequential). Mappings are byte-identical at any value — the
-	// parallel engine's reduction is deterministic (DESIGN.md section 8g) —
-	// so the result cache never observes a worker-count-dependent answer.
+	// CliqueWorkers races the placement passes inside each regimap-engine
+	// run across this many goroutines (core.Options.Workers; <=1: inline).
+	// Mappings are byte-identical at any value (DESIGN.md section 8g), so
+	// the result cache never observes a worker-count-dependent answer.
 	// Search arenas are pooled on the Server and reused across requests
 	// regardless of this setting.
 	CliqueWorkers int
@@ -488,11 +487,11 @@ func (s *Server) resolve(req *MapRequest) (d *dfg.DFG, c *arch.CGRA, eng engine.
 	drescOpts := dresc.Options{Restarts: s.cfg.DRESCRestarts, Workers: s.cfg.DRESCWorkers}
 	switch mapperName {
 	case "regimap":
-		// Hand the engine the server's clique configuration: the worker
-		// count and the process-wide arena pool, so repeated requests reuse
-		// search state instead of reallocating it. Byte-identical results
-		// at any worker count keep the cache coherent.
-		eo.Extra = core.Options{Clique: clique.Options{Workers: s.cfg.CliqueWorkers, Arenas: s.arenas}}
+		// Hand the engine the server's placement configuration: the pass
+		// worker count and the process-wide arena pool, so repeated requests
+		// reuse search state instead of reallocating it. Byte-identical
+		// results at any worker count keep the cache coherent.
+		eo.Extra = core.Options{Workers: s.cfg.CliqueWorkers, Clique: clique.Options{Arenas: s.arenas}}
 	case "dresc":
 		eo.Extra = drescOpts
 	case "resilient":

@@ -576,7 +576,7 @@ func TestDiscoveryEndpoints(t *testing.T) {
 		for _, m := range engines {
 			found[m.Name] = m.Description
 		}
-		for _, want := range []string{"regimap", "ems", "dresc", "portfolio", "resilient", "exact"} {
+		for _, want := range []string{"dresc", "ems", "exact", "regimap", "resilient"} {
 			desc, ok := found[want]
 			if !ok {
 				t.Errorf("%s missing %q (got %v)", path, want, engines)
@@ -585,6 +585,9 @@ func TestDiscoveryEndpoints(t *testing.T) {
 			if desc == "" {
 				t.Errorf("%s lists %q without a description", path, want)
 			}
+		}
+		if _, ok := found["portfolio"]; ok {
+			t.Errorf("%s lists the retired portfolio engine", path)
 		}
 	}
 

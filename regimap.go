@@ -54,7 +54,6 @@ import (
 	"regimap/internal/loopir"
 	"regimap/internal/maperr"
 	"regimap/internal/mapping"
-	"regimap/internal/portfolio"
 	"regimap/internal/resilient"
 	"regimap/internal/sim"
 	"regimap/internal/viz"
@@ -166,7 +165,7 @@ type (
 
 // Every Map* entry point below is a thin shim over the unified engine
 // registry (regimap/internal/engine): the wrapper looks its engine up by name
-// ("regimap", "ems", "dresc", "exact", "portfolio", "resilient"),
+// ("regimap", "ems", "dresc", "exact", "resilient"),
 // dispatches through the common Mapper interface, and narrows the result back
 // to the concrete types this package's API promises. Mapper packages register
 // themselves at init time via engine.Register — adding a backend means
@@ -203,26 +202,6 @@ func Map(d *DFG, c *CGRA, opts Options) (*Mapping, *Stats, error) {
 // wraps ctx.Err() when the abort was context-driven.
 func MapContext(ctx context.Context, d *DFG, c *CGRA, opts Options) (*Mapping, *Stats, error) {
 	return mapVia[core.Stats](ctx, "regimap", d, c, opts)
-}
-
-// Portfolio types.
-type (
-	// PortfolioOptions configures MapPortfolio.
-	PortfolioOptions = portfolio.Options
-	// PortfolioStats reports a portfolio run (winner index, races, cancels).
-	PortfolioStats = portfolio.Stats
-)
-
-// MapPortfolio races the REGIMap search over an Attempts-wide speculative II
-// window in goroutines, cancelling losers as soon as they cannot win, and
-// returns a deterministic winner: lowest II first, base search before scouts
-// on ties. Every raced II runs the unmodified base options, so any window
-// width returns a byte-identical mapping — parallelism buys latency, never
-// changes results. Opting into PortfolioOptions.Explore adds budget-widened
-// scout searches per II that can unlock a lower II than the base escalation
-// reaches, trading that invariance for quality.
-func MapPortfolio(ctx context.Context, d *DFG, c *CGRA, opts PortfolioOptions) (*Mapping, *PortfolioStats, error) {
-	return mapVia[portfolio.Stats](ctx, "portfolio", d, c, opts)
 }
 
 // Baseline mapper types.
