@@ -324,7 +324,7 @@ func BenchmarkMapREGIMapParallel(b *testing.B) {
 	c := arch.NewMesh(4, 4, 4)
 	for _, w := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := core.Options{Workers: w, Clique: clique.Options{Arenas: clique.NewPool()}}
+			opts := core.Options{Workers: w}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.Map(context.Background(), benchKernel(), c, opts); err != nil {

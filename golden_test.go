@@ -68,6 +68,9 @@ func goldenRun(t *testing.T, engine, kernel string, c *regimap.CGRA) string {
 	switch engine {
 	case "regimap":
 		m, stats, err := regimap.Map(d, c, regimap.Options{})
+		if stats == nil {
+			t.Fatalf("regimap %s on %s: %v", kernel, c, err)
+		}
 		if err != nil {
 			return fmt.Sprintf("unmapped MII=%d", stats.MII)
 		}
@@ -210,8 +213,19 @@ var goldenExplorePairs = []string{
 // the SAT engine on the suite kernels of at most goldenExactMaxOps ops, on
 // the fabrics of goldenExactArchs. The explore half, keyed
 // "explore/arch/kernel", pins REGIMap with goldenExplore scouts on every
-// paper-4x4 kernel and on goldenExplorePairs.
+// paper-4x4 kernel and on goldenExplorePairs. The regs half, keyed
+// "regs/fabric/kernel", pins REGIMap on the goldenRegsFabrics.
 const goldenArchPath = "testdata/golden_archzoo.json"
+
+// goldenRegsFabrics are fabrics whose register files differ by PE, which no
+// zoo member has (every one is "regs 4"): a faulted paper-4x4 and two
+// described banked files, so the clique search's per-PE register capacity
+// meets files both smaller and larger than the array's largest.
+var goldenRegsFabrics = []struct{ name, arch, faults string }{
+	{"paper-4x4-regfaults", "paper-4x4", "regs 1,1=1; regs 2,2=2"},
+	{"meshplus-banked", "grid 4x4; topo mesh+; regs 2; regs row 0=6; regs 3,3=1", ""},
+	{"mesh-banked", "grid 4x4; regs 3; regs 1,2=8; regs row 2=1", ""},
+}
 
 // goldenExactArchs covers a homogeneous mesh, a banked-bus mesh and a
 // heterogeneous fabric with memory-capable columns.
@@ -261,6 +275,19 @@ func TestGoldenArchZoo(t *testing.T) {
 	for _, pair := range pairs {
 		name, kernel, _ := strings.Cut(pair, "/")
 		got["explore/"+pair] = goldenHash(goldenRun(t, "explore", kernel, resolve(t, name)))
+	}
+	for _, f := range goldenRegsFabrics {
+		fs, err := regimap.ParseFaults(f.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range regimap.Kernels() {
+			c, err := fs.Apply(resolve(t, f.arch))
+			if err != nil {
+				t.Fatalf("faults %q on %s: %v", f.faults, f.arch, err)
+			}
+			got["regs/"+f.name+"/"+k.Name] = goldenHash(goldenRun(t, "regimap", k.Name, c))
+		}
 	}
 	checkOrUpdateGolden(t, goldenArchPath, got)
 }

@@ -287,11 +287,6 @@ func (c *CGRA) Supports(p int, k dfg.OpKind) bool {
 // Homogeneous reports whether every PE supports every operation.
 func (c *CGRA) Homogeneous() bool { return c.caps == nil && c.broken == nil }
 
-// UniformRegs reports whether every PE's nominal register file has NumRegs
-// entries (the paper's model). Heterogeneous files make the clique engine
-// charge a per-PE handicap exactly like fault-limited files do.
-func (c *CGRA) UniformRegs() bool { return c.nomRegs == nil }
-
 // DisablePE marks PE p permanently broken: its ALU executes nothing and its
 // output register and register file are unusable, so it is also severed from
 // the mesh (no neighbour can read it, it can read no neighbour).

@@ -1,75 +1,88 @@
-// Package clique finds register-weight-constrained maximal cliques, the
+// Package clique finds register-constrained maximal cliques, the
 // computational heart of REGIMap's placement step (paper Appendix C/D).
 //
-// The input is an undirected compatibility graph whose directed arc weights
-// encode register demand: weight(u, v) is the number of registers node u's
-// mapping must hold while node v's mapping is also in the solution. A clique
-// C is *feasible* when every member's outgoing weight into C stays within the
-// register-file budget:
+// The input is an undirected compatibility graph whose nodes carry register
+// demand. Every node belongs to one cluster (REGIMap: the PE of its binding)
+// and holds demand(u) registers of that cluster's file while it is in the
+// clique; every cluster has a register file of regs(c) entries. A clique C
+// is *feasible* when no cluster's load exceeds its file:
 //
-//	for all u in C:  sum over v in C of weight(u, v)  <=  Cap
+//	for every cluster c:  sum over u in C on c of demand(u)  <=  regs(c)
 //
-// Feasibility is hereditary (removing members never increases any sum), so
-// the paper's constructive heuristic can grow a clique one member at a time
-// and repair it by removal. The repository's exact oracle is the SAT engine
-// (internal/exact); tests cross-validate the heuristic against a naive
-// exhaustive search (reference_test.go).
+// This is Theorem C.1's per-PE register capacity, the paper's directed
+// weight constraint for REGIMap's weights: w(u -> v) is demand(v) when u and
+// v share a PE, so every member on PE c carries the same weight sum, c's
+// load (DESIGN.md section 7.1). Feasibility is hereditary (removing members
+// never raises a load), so the paper's constructive heuristic can grow a
+// clique one member at a time and repair it by removal. The repository's
+// exact oracle is the SAT engine (internal/exact); tests cross-validate the
+// heuristic against a naive exhaustive search that sums the directed
+// weights (reference_test.go).
 //
-// The engine is allocation-free on its hot path: every search call owns a
-// search-local arena that pools clique states and their bitsets across
-// seeds, swap-repair rounds, and grouped swaps (see DESIGN.md's hot-path
-// memory model). Pooling is deterministic — states are fully reset
-// on reuse, so results are byte-identical to fresh allocation (enforced by
-// the reference property tests in reference_test.go).
+// The engine is allocation-free on its hot path: every search draws an
+// arena of clique states and bitsets from its graph, reuses the states
+// across seeds, swap-repair rounds and grouped swaps, and hands the arena
+// back for the graph's next search (see DESIGN.md's hot-path memory model).
+// Reuse is deterministic — states are fully reset on reuse, so results are
+// byte-identical to fresh allocation (enforced by the reference property
+// tests in reference_test.go).
 package clique
 
 import (
 	"sort"
+	"sync"
 
 	"regimap/internal/graph"
 	"regimap/internal/obs"
 )
 
-// Graph is a weighted compatibility graph. Adjacency is symmetric; weights
-// are directed and default to zero.
+// Graph is a compatibility graph whose nodes carry register demand in the
+// register file of their cluster. Adjacency is symmetric. A graph holds its
+// idle search arenas behind a mutex, so it must not be copied.
 type Graph struct {
-	n         int
-	adj       []*graph.Bitset
-	weight    []int // flat n*n directed weights (nil until AddWeight)
-	fn        func(u, v int) int
-	cluster   []int  // weight-interaction class per node (empty: global)
-	nClusters int    // 1 + max cluster id (0 when cluster is empty)
-	outW      []bool // whether a node has any outgoing weight
-	base      []int
-	anyW      bool // any non-zero weight or base exists (false => feasibility is vacuous)
-	cap       int
-	deg       []int      // cached Degrees (emptied by any adjacency mutation)
-	degOrder  []int      // cached DegreeOrder (nil after any adjacency mutation)
-	slab      graph.Slab // adj's storage, kept across Reset
+	n        int
+	adj      []*graph.Bitset
+	cluster  []int      // cluster of each node
+	demand   []int      // registers each node holds in its cluster's file
+	regs     []int      // register file of each cluster
+	deg      []int      // cached Degrees (emptied by any adjacency mutation)
+	degOrder []int      // cached DegreeOrder (nil after any adjacency mutation)
+	slab     graph.Slab // adj's storage, kept across Reset
+
+	mu   sync.Mutex
+	idle []*arena // search arenas sized for this node and cluster count
 }
 
-// NewGraph returns an empty graph of n nodes with the given per-node weight
-// budget (the register-file size; negative means unconstrained).
-func NewGraph(n, cap int) *Graph {
+// NewGraph returns an empty graph of n nodes and the given number of
+// clusters. Every node starts in cluster 0 with no demand, and every file
+// holds no registers, so the graph is unconstrained until demands are set.
+func NewGraph(n, clusters int) *Graph {
 	g := &Graph{}
-	g.Reset(n, cap)
+	g.Reset(n, clusters)
 	return g
 }
 
-// Reset makes g a graph of n nodes with the given budget and no weights,
-// reusing its storage: the adjacency slab grows geometrically, so an owner
-// that resizes one graph again and again (the compat builder, reset for
-// every II and every inserted route node) stops allocating once it has seen
-// its largest size. The adjacency rows keep whatever the slab held — empty
-// on a new graph, stale words otherwise — so after a Reset the caller
-// rewrites every row (ResetAdjacency, then its edges) before searching.
-func (g *Graph) Reset(n, cap int) {
-	g.n, g.cap = n, cap
+// Reset makes g a graph of n nodes and the given number of clusters, every
+// node in cluster 0 with no demand and every file empty, reusing its
+// storage: the adjacency slab grows geometrically, so an owner that resizes
+// one graph again and again (the compat builder, reset for every II and
+// every inserted route node) stops allocating once it has seen its largest
+// size. The adjacency rows keep whatever the slab held — empty on a new
+// graph, stale words otherwise — so after a Reset the caller rewrites every
+// row (ResetAdjacency, then its edges) before searching. The idle search
+// arenas are dropped when the node or cluster count changes, since they are
+// sized for both. No search may run during a Reset.
+func (g *Graph) Reset(n, clusters int) {
+	if n != g.n || clusters != len(g.regs) {
+		g.mu.Lock()
+		g.idle = nil
+		g.mu.Unlock()
+	}
+	g.n = n
 	g.adj = g.slab.Carve(n, n)
-	g.weight, g.fn, g.anyW = nil, nil, false
-	g.cluster, g.nClusters = g.cluster[:0], 0
-	g.outW = resize(g.outW, n)
-	g.base = resize(g.base, n)
+	g.cluster = resize(g.cluster, n)
+	g.demand = resize(g.demand, n)
+	g.regs = resize(g.regs, clusters)
 	g.dropDegrees()
 }
 
@@ -84,33 +97,31 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// AddBase adds an unconditional weight to node u, charged whenever u is in a
-// clique (REGIMap uses this for self-recurrence register demand: an
-// accumulator holds its registers regardless of which other mappings join).
-func (g *Graph) AddBase(u, w int) {
-	g.base[u] += w
-	if g.base[u] != 0 {
-		g.anyW = true
-	}
-}
+// SetCluster puts node u in cluster c.
+func (g *Graph) SetCluster(u, c int) { g.cluster[u] = c }
 
-// SetBase overwrites node u's unconditional weight (the incremental compat
-// builder re-derives every base per schedule attempt).
-func (g *Graph) SetBase(u, w int) {
-	g.base[u] = w
-	if w != 0 {
-		g.anyW = true
-	}
-}
+// SetDemand sets the registers node u holds in its cluster's file while it
+// is in a clique (REGIMap: its operation's rotating registers). Demands are
+// non-negative, which keeps feasibility hereditary.
+func (g *Graph) SetDemand(u, d int) { g.demand[u] = d }
 
-// Base returns node u's unconditional weight.
-func (g *Graph) Base(u int) int { return g.base[u] }
+// SetRegs sets cluster c's register file.
+func (g *Graph) SetRegs(c, r int) { g.regs[c] = r }
+
+// Cluster returns node u's cluster.
+func (g *Graph) Cluster(u int) int { return g.cluster[u] }
+
+// Demand returns node u's register demand.
+func (g *Graph) Demand(u int) int { return g.demand[u] }
+
+// Regs returns cluster c's register file.
+func (g *Graph) Regs(c int) int { return g.regs[c] }
+
+// Clusters returns the cluster count.
+func (g *Graph) Clusters() int { return len(g.regs) }
 
 // N returns the node count.
 func (g *Graph) N() int { return g.n }
-
-// Cap returns the per-node weight budget.
-func (g *Graph) Cap() int { return g.cap }
 
 // AddEdge marks u and v compatible (symmetric).
 func (g *Graph) AddEdge(u, v int) {
@@ -125,28 +136,20 @@ func (g *Graph) AddEdge(u, v int) {
 // Adjacent reports whether u and v are compatible.
 func (g *Graph) Adjacent(u, v int) bool { return g.adj[u].Has(v) }
 
-// OrAdjacency bulk-marks u compatible with every member of mask. Callers are
-// responsible for symmetry (apply the mirrored mask to the other side) and
-// for masks that exclude u itself; REGIMap's compatibility construction uses
-// this for the dependence-free operation pairs that dominate large arrays.
-func (g *Graph) OrAdjacency(u int, mask *graph.Bitset) {
-	g.adj[u].Or(mask)
-	g.dropDegrees()
-}
-
-// OrAdjacencyWords is OrAdjacency over one word range: it ORs words into
-// u's row starting at word lo, covering node ids 64*lo onwards. Symmetry is
-// the caller's responsibility, as for OrAdjacency; the compat builder passes
-// the few words one partner operation's candidates span.
+// OrAdjacencyWords bulk-marks u compatible with the members of one word
+// range: it ORs words into u's row starting at word lo, covering node ids
+// 64*lo onwards. Callers are responsible for symmetry (apply the mirrored
+// words to the other side) and for words that exclude u itself; the compat
+// builder passes the few words one partner operation's candidates span.
 func (g *Graph) OrAdjacencyWords(u, lo int, words []uint64) {
 	g.adj[u].OrWords(lo, words)
 	g.dropDegrees()
 }
 
 // AndNotAdjacency bulk-clears every member of mask from u's adjacency row.
-// Like OrAdjacency, symmetry is the caller's responsibility; the incremental
-// compat builder uses this to drop a rescheduled operation's stale edges
-// before rebuilding only its rows.
+// Like OrAdjacencyWords, symmetry is the caller's responsibility; the
+// incremental compat builder uses this to drop a rescheduled operation's
+// stale edges before rebuilding only its rows.
 func (g *Graph) AndNotAdjacency(u int, mask *graph.Bitset) {
 	g.adj[u].AndNot(mask)
 	g.dropDegrees()
@@ -165,65 +168,6 @@ func (g *Graph) ClearEdge(u, v int) {
 	g.dropDegrees()
 }
 
-// AddWeight increases the directed weight u -> v (both directions are stored
-// independently, matching the paper's asymmetric register demand). Mutually
-// exclusive with SetWeightFunc. Storage is a flat n*n slice, allocated on the
-// first non-zero weight: the search's inner loops stay hash- and
-// allocation-free, and the common all-zero graphs pay nothing.
-func (g *Graph) AddWeight(u, v, w int) {
-	if g.fn != nil {
-		panic("clique: AddWeight after SetWeightFunc")
-	}
-	if w != 0 {
-		if g.weight == nil {
-			g.weight = make([]int, g.n*g.n)
-		}
-		g.weight[u*g.n+v] += w
-		g.outW[u] = true
-		g.anyW = true
-	}
-}
-
-// SetWeightFunc installs a computed weight in place of the stored slice —
-// REGIMap's register demand is a pure function of the pair (same PE ->
-// consumer demand), and avoiding materialized weights keeps the search's
-// inner loops allocation- and hash-free. hasOut must report whether a node
-// has any non-zero outgoing weight. Calling it again refreshes the outgoing
-// and cluster summaries (the incremental compat builder does this once per
-// schedule attempt, because register demands move with the schedule).
-func (g *Graph) SetWeightFunc(fn func(u, v int) int, hasOut func(u int) bool, cluster func(u int) int) {
-	if g.weight != nil {
-		panic("clique: SetWeightFunc after AddWeight")
-	}
-	g.fn = fn
-	if len(g.cluster) != g.n {
-		g.cluster = resize(g.cluster, g.n)
-	}
-	g.nClusters = 0
-	g.anyW = false
-	for u := 0; u < g.n; u++ {
-		g.outW[u] = hasOut(u)
-		g.cluster[u] = cluster(u)
-		if g.cluster[u]+1 > g.nClusters {
-			g.nClusters = g.cluster[u] + 1
-		}
-		if g.outW[u] || g.base[u] != 0 {
-			g.anyW = true
-		}
-	}
-}
-
-// Weight returns the directed weight u -> v.
-func (g *Graph) Weight(u, v int) int {
-	if g.fn != nil {
-		return g.fn(u, v)
-	}
-	if g.weight == nil {
-		return 0
-	}
-	return g.weight[u*g.n+v]
-}
-
 // dropDegrees invalidates the degree caches after an adjacency mutation,
 // keeping the degree vector's storage for the next sweep.
 func (g *Graph) dropDegrees() {
@@ -235,8 +179,9 @@ func (g *Graph) dropDegrees() {
 // it), computed in one popcount sweep over the adjacency rows and cached
 // until the next adjacency mutation; Degree, DegreeOrder and the grouped
 // search's default order all read this one vector. Callers must not modify
-// it. The cache fills lazily, so a caller about to search one graph from
-// several goroutines calls Degrees first.
+// it. The caches fill lazily, so a caller about to search one graph from
+// several goroutines fills them first: Degrees for FindGrouped, DegreeOrder
+// for Find.
 func (g *Graph) Degrees() []int {
 	if len(g.deg) != g.n {
 		if cap(g.deg) < g.n {
@@ -255,8 +200,7 @@ func (g *Graph) Degree(u int) int { return g.Degrees()[u] }
 
 // DegreeOrder returns the node ids sorted by descending degree (id as the
 // deterministic tie-break) — Find's seed order. The order is cached until
-// the next adjacency mutation, so repeated searches of one graph sort once;
-// callers running Find several times can also pass it via Options.SeedOrder.
+// the next adjacency mutation, so repeated searches of one graph sort once.
 func (g *Graph) DegreeOrder() []int {
 	if g.degOrder != nil {
 		return g.degOrder
@@ -276,43 +220,58 @@ func (g *Graph) DegreeOrder() []int {
 	return order
 }
 
-// IsFeasibleClique verifies that members form a clique and every member's
-// outgoing weight into the clique respects the budget. Exposed so callers
-// (and property tests) can independently audit results.
+// IsFeasibleClique verifies that members form a clique and that no
+// cluster's load exceeds its register file, counting loads from scratch.
+// Exposed so callers (and property tests) can independently audit results.
 func (g *Graph) IsFeasibleClique(members []int) bool {
+	load := make([]int, len(g.regs))
 	for i, u := range members {
-		sum := g.base[u]
 		for j, v := range members {
-			if i == j {
-				continue
-			}
-			if !g.adj[u].Has(v) {
+			if i != j && !g.adj[u].Has(v) {
 				return false
 			}
-			sum += g.Weight(u, v)
 		}
-		if g.cap >= 0 && sum > g.cap {
+		c := g.cluster[u]
+		if load[c] += g.demand[u]; load[c] > g.regs[c] {
 			return false
 		}
 	}
 	return true
 }
 
-// arena pools clique states for one search invocation. It is search-local —
-// never shared across goroutines and never a sync.Pool — so reuse is fully
-// deterministic: get() returns either a brand-new state or a recycled one
-// reset to exactly the fresh-state contents. recycleAll() returns every
-// state ever created to the free list; callers must copy any member slice
-// they intend to keep before invoking it.
+// arena pools clique states for one search invocation. A search takes it
+// from its graph and hands it back when done, and no two searches hold one
+// arena at once, so reuse is fully deterministic: get() returns either a
+// brand-new state or a recycled one reset to exactly the fresh-state
+// contents. recycleAll() returns every state ever created to the free list;
+// callers must copy any member slice they intend to keep before invoking it.
 type arena struct {
 	g       *Graph
-	n       int // the node count every state is sized for; g may be resized since
 	all     []*state
 	free    []*state
 	scratch *graph.Bitset // intersection-phase scratch (lazily allocated)
 }
 
-func newArena(g *Graph) *arena { return &arena{g: g, n: g.n} }
+// acquire returns one of g's idle arenas, or a new one.
+func (g *Graph) acquire() *arena {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	k := len(g.idle)
+	if k == 0 {
+		return &arena{g: g}
+	}
+	ar := g.idle[k-1]
+	g.idle = g.idle[:k-1]
+	return ar
+}
+
+// release hands an arena back to g with every state free.
+func (g *Graph) release(ar *arena) {
+	ar.recycleAll()
+	g.mu.Lock()
+	g.idle = append(g.idle, ar)
+	g.mu.Unlock()
+}
 
 func (a *arena) get() *state {
 	if k := len(a.free); k > 0 {
@@ -321,18 +280,16 @@ func (a *arena) get() *state {
 		s.reset()
 		return s
 	}
+	n := a.g.n
 	s := &state{
 		g:       a.g,
 		ar:      a,
-		inC:     graph.NewBitset(a.n),
-		cand:    graph.NewBitset(a.n),
-		miss1:   graph.NewBitset(a.n),
-		dead:    graph.NewBitset(a.n),
-		sum:     make([]int, a.n),
-		scoreUB: make([]int, a.n),
-	}
-	if len(a.g.cluster) > 0 {
-		s.byCluster = make([][]int, a.g.nClusters)
+		load:    make([]int, len(a.g.regs)),
+		inC:     graph.NewBitset(n),
+		cand:    graph.NewBitset(n),
+		miss1:   graph.NewBitset(n),
+		dead:    graph.NewBitset(n),
+		scoreUB: make([]int, n),
 	}
 	s.cand.Fill()
 	a.all = append(a.all, s)
@@ -345,100 +302,41 @@ func (a *arena) put(s *state) { a.free = append(a.free, s) }
 // recycleAll makes every state created so far available for reuse.
 func (a *arena) recycleAll() { a.free = append(a.free[:0], a.all...) }
 
-// state tracks one growing clique with incremental weight sums.
+// state tracks one growing clique with its register load per cluster.
 type state struct {
-	g         *Graph
-	ar        *arena
-	members   []int
-	wMembers  []int   // members with outgoing weights (the only growable sums)
-	byCluster [][]int // members per weight-interaction class (when installed)
-	inC       *graph.Bitset
-	cand      *graph.Bitset // nodes adjacent to every member
-	miss1     *graph.Bitset // non-members adjacent to every member but one
-	dead      *graph.Bitset // grow's scratch: candidates proven weight-infeasible
-	sum       []int         // node -> outgoing weight into the clique (members only)
-	scoreUB   []int         // grow's scratch: stale upper bound on |adj(u) ∩ cand|
+	g       *Graph
+	ar      *arena
+	members []int
+	load    []int // cluster -> summed demand of the members on it
+	inC     *graph.Bitset
+	cand    *graph.Bitset // nodes adjacent to every member
+	miss1   *graph.Bitset // non-members adjacent to every member but one
+	dead    *graph.Bitset // grow's scratch: candidates proven register-infeasible
+	scoreUB []int         // grow's scratch: stale upper bound on |adj(u) ∩ cand|
 }
 
-// reset restores the fresh-state invariants. Only member-touched entries of
-// sum/byCluster are dirty, so the cost is O(|members| + words), not O(n).
+// reset restores the fresh-state invariants, in O(clusters + words).
 func (s *state) reset() {
-	for _, m := range s.members {
-		s.sum[m] = 0
-		if s.byCluster != nil {
-			cl := s.g.cluster[m]
-			s.byCluster[cl] = s.byCluster[cl][:0]
-		}
-	}
 	s.members = s.members[:0]
-	s.wMembers = s.wMembers[:0]
+	clear(s.load)
 	s.inC.Reset()
 	s.cand.Fill()
 	s.miss1.Reset()
 }
 
-// canAdd reports whether u keeps the clique feasible. When weight clusters
-// are installed (REGIMap's PEs), only same-cluster members interact with u,
-// so the check is O(ops per PE); otherwise only the weighted members can
-// exceed their budget.
+// canAdd reports whether u keeps the clique feasible.
 func (s *state) canAdd(u int) bool {
 	return !s.inC.Has(u) && s.cand.Has(u) && s.fits(u)
 }
 
-// fits is canAdd's weight walk, for a node u of the candidate set.
+// fits is canAdd's register check: u's demand fits its cluster's file.
 func (s *state) fits(u int) bool {
-	if s.g.cap < 0 || !s.g.anyW {
-		return true // unconstrained, or no weight anywhere: always feasible
-	}
-	uSum := s.g.base[u]
-	if s.byCluster != nil {
-		for _, v := range s.byCluster[s.g.cluster[u]] {
-			if s.sum[v]+s.g.Weight(v, u) > s.g.cap {
-				return false
-			}
-			if s.g.outW[u] {
-				uSum += s.g.Weight(u, v)
-			}
-		}
-		return uSum <= s.g.cap
-	}
-	for _, v := range s.wMembers {
-		if s.sum[v]+s.g.Weight(v, u) > s.g.cap {
-			return false
-		}
-	}
-	if s.g.outW[u] {
-		for _, v := range s.members {
-			uSum += s.g.Weight(u, v)
-		}
-	}
-	return uSum <= s.g.cap
+	c := s.g.cluster[u]
+	return s.load[c]+s.g.demand[u] <= s.g.regs[c]
 }
 
 func (s *state) add(u int) {
-	s.sum[u] += s.g.base[u]
-	if s.byCluster != nil {
-		cl := s.g.cluster[u]
-		for _, v := range s.byCluster[cl] {
-			s.sum[v] += s.g.Weight(v, u)
-			if s.g.outW[u] {
-				s.sum[u] += s.g.Weight(u, v)
-			}
-		}
-		s.byCluster[cl] = append(s.byCluster[cl], u)
-	} else {
-		for _, v := range s.wMembers {
-			s.sum[v] += s.g.Weight(v, u)
-		}
-		if s.g.outW[u] {
-			for _, v := range s.members {
-				s.sum[u] += s.g.Weight(u, v)
-			}
-		}
-	}
-	if s.g.outW[u] {
-		s.wMembers = append(s.wMembers, u)
-	}
+	s.load[s.g.cluster[u]] += s.g.demand[u]
 	s.members = append(s.members, u)
 	s.inC.Set(u)
 	// A node u is not adjacent to moves one miss up: candidates outside
@@ -448,77 +346,21 @@ func (s *state) add(u int) {
 	s.miss1.Clear(u)
 }
 
-// fitsSwap is canAdd(w) against the clique C - x + y without building it,
-// for swapInGroup's trials: the member sums lose x's weight and gain y's
-// (y = -1 adds nobody), and ySum is y's own sum in C - x, as fitsSwap(y, x,
-// -1, 0) returned it. Adjacency is the caller's job. C - x itself needs no
-// check: weights are non-negative, so feasibility is hereditary and every
-// member C keeps still fits.
-func (s *state) fitsSwap(w, x, y, ySum int) (wSum int, ok bool) {
+// fitsSwap is fits(w) against the clique C - x + y without building it, for
+// swapInGroup's trials (y = -1 adds nobody): w's cluster c loses x's demand
+// when x is on c and gains y's when y is. Adjacency is the caller's job.
+// C - x itself needs no check: feasibility is hereditary.
+func (s *state) fitsSwap(w, x, y int) bool {
 	g := s.g
-	if g.cap < 0 || !g.anyW {
-		return 0, true
+	c := g.cluster[w]
+	load := s.load[c] + g.demand[w]
+	if g.cluster[x] == c {
+		load -= g.demand[x]
 	}
-	wSum = g.base[w]
-	if s.byCluster != nil {
-		// Only same-cluster members carry weight to or from w.
-		cw := g.cluster[w]
-		dropX := g.cluster[x] == cw
-		addY := y >= 0 && g.cluster[y] == cw
-		for _, v := range s.byCluster[cw] {
-			if v == x {
-				continue
-			}
-			vSum := s.sum[v] + g.Weight(v, w)
-			if dropX {
-				vSum -= g.Weight(v, x)
-			}
-			if addY {
-				vSum += g.Weight(v, y)
-			}
-			if vSum > g.cap {
-				return 0, false
-			}
-			if g.outW[w] {
-				wSum += g.Weight(w, v)
-			}
-		}
-		if addY {
-			if ySum+g.Weight(y, w) > g.cap {
-				return 0, false
-			}
-			if g.outW[w] {
-				wSum += g.Weight(w, y)
-			}
-		}
-		return wSum, wSum <= g.cap
+	if y >= 0 && g.cluster[y] == c {
+		load += g.demand[y]
 	}
-	for _, v := range s.wMembers {
-		if v == x {
-			continue
-		}
-		vSum := s.sum[v] - g.Weight(v, x) + g.Weight(v, w)
-		if y >= 0 {
-			vSum += g.Weight(v, y)
-		}
-		if vSum > g.cap {
-			return 0, false
-		}
-	}
-	if y >= 0 && g.outW[y] && ySum+g.Weight(y, w) > g.cap {
-		return 0, false
-	}
-	if g.outW[w] {
-		for _, v := range s.members {
-			if v != x {
-				wSum += g.Weight(w, v)
-			}
-		}
-		if y >= 0 {
-			wSum += g.Weight(w, y)
-		}
-	}
-	return wSum, wSum <= g.cap
+	return load <= g.regs[c]
 }
 
 // grow extends the clique greedily until no candidate fits, preferring the
@@ -534,9 +376,9 @@ func (s *state) fitsSwap(w, x, y, ySum int) (wSum int, ok bool) {
 // of cand, so the decremental walk degenerates to a per-bit pass over the
 // whole graph).
 //
-// Weight infeasibility is hereditary — the member sums only grow while the
+// Register infeasibility is hereditary — the loads only grow while the
 // clique grows — so a candidate that fails canAdd once is marked dead and
-// never re-checked, skipping the cluster weight walk on every later scan.
+// never re-checked on a later scan.
 // Scores are monotone too: cand only shrinks, so a score computed on any
 // earlier iteration upper-bounds the current one, and a candidate whose
 // stale bound cannot beat the running argmax is skipped without touching
@@ -613,15 +455,6 @@ type Options struct {
 	// (REGIMap passes schedule order so operations land next to their
 	// already-placed producers). Defaults to most-constrained-first.
 	GroupOrder []int
-	// SeedOrder, when it holds a permutation of every node id, replaces
-	// Find's internal degree sort (it must be Graph.DegreeOrder's order for
-	// results to match the default). REGIMap computes it once per
-	// compatibility graph and reuses it across clique.Find calls.
-	SeedOrder []int
-	// Arenas, when non-nil, supplies pooled search arenas reused across
-	// calls and requests (regimapd installs one per process). Arenas are
-	// fully wiped on reuse, so results are unaffected.
-	Arenas *Pool
 	// Trace, when non-nil, receives clique.find / clique.grouped events.
 	// The nil default costs nothing (see internal/obs).
 	Trace *obs.Tracer
@@ -656,17 +489,14 @@ func Find(g *Graph, target int, opts Options) (best []int) {
 	}()
 
 	// Seed order: highest-degree nodes first (most likely to appear in a
-	// large clique), id as tie-break.
-	order := opts.SeedOrder
-	if len(order) != g.n {
-		order = g.DegreeOrder()
-	}
+	// large clique), id as tie-break; the graph caches the sort.
+	order := g.DegreeOrder()
 	if len(order) > maxSeeds {
 		order = order[:maxSeeds]
 	}
 
-	ar := opts.Arenas.acquire(g)
-	defer opts.Arenas.release(ar)
+	ar := g.acquire()
+	defer g.release(ar)
 	var found [][]int
 	consider := func(s *state) bool {
 		c := append([]int(nil), s.members...)
@@ -740,7 +570,7 @@ func swapImprove(s *state, target int) *state {
 		}
 		next := removeMember(cur, x)
 		if !next.canAdd(u) {
-			// The candidate violates the weight budget even after the
+			// The candidate overflows its register file even after the
 			// removal; blacklisting would require bookkeeping — simply stop.
 			break
 		}
@@ -792,7 +622,7 @@ func removeMember(s *state, x int) *state {
 // fine for the transient seed of the re-seeding phase.
 func intersect(ar *arena, a, b []int) []int {
 	if ar.scratch == nil {
-		ar.scratch = graph.NewBitset(ar.n)
+		ar.scratch = graph.NewBitset(ar.g.n)
 	} else {
 		ar.scratch.Reset()
 	}

@@ -2,6 +2,7 @@ package clique
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,9 +10,11 @@ import (
 	"regimap/internal/graph"
 )
 
-// completeGraph returns K_n with no weights.
-func completeGraph(n, cap int) *Graph {
-	g := NewGraph(n, cap)
+// completeGraph returns K_n on one cluster whose file holds regs registers,
+// every node without demand.
+func completeGraph(n, regs int) *Graph {
+	g := NewGraph(n, 1)
+	g.SetRegs(0, regs)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			g.AddEdge(u, v)
@@ -21,7 +24,7 @@ func completeGraph(n, cap int) *Graph {
 }
 
 func TestFindCompleteGraph(t *testing.T) {
-	g := completeGraph(6, -1)
+	g := completeGraph(6, 0)
 	c := Find(g, 6, Options{})
 	if len(c) != 6 {
 		t.Fatalf("clique size = %d, want 6", len(c))
@@ -33,7 +36,7 @@ func TestFindCompleteGraph(t *testing.T) {
 
 func TestFindTriangleInPath(t *testing.T) {
 	// Path 0-1-2-3 plus edge 0-2: max clique {0,1,2}.
-	g := NewGraph(4, -1)
+	g := NewGraph(4, 1)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
@@ -49,63 +52,80 @@ func TestFindTriangleInPath(t *testing.T) {
 }
 
 func TestWeightBudgetRejects(t *testing.T) {
-	// Triangle, but node 0 needs 2 registers toward each neighbour and the
-	// budget is 3: the full triangle (sum 4) is infeasible, pairs are fine.
+	// Triangle on one file of 3 registers: node 0 needs 2 and the others 1
+	// each, so the full triangle (load 4) is infeasible and every pair fits.
 	g := completeGraph(3, 3)
-	g.AddWeight(0, 1, 2)
-	g.AddWeight(0, 2, 2)
+	g.SetDemand(0, 2)
+	g.SetDemand(1, 1)
+	g.SetDemand(2, 1)
 	c := Find(g, 3, Options{})
 	if len(c) != 2 {
-		t.Fatalf("clique size = %d, want 2 (budget must bind)", len(c))
+		t.Fatalf("clique size = %d, want 2 (the file must bind)", len(c))
 	}
 	if !g.IsFeasibleClique(c) {
 		t.Error("infeasible clique returned")
 	}
-	// Raising the budget admits the triangle.
-	g2 := completeGraph(3, 4)
-	g2.AddWeight(0, 1, 2)
-	g2.AddWeight(0, 2, 2)
-	if c := Find(g2, 3, Options{}); len(c) != 3 {
-		t.Errorf("clique size = %d, want 3 with budget 4", len(c))
-	}
-}
-
-func TestWeightAsymmetry(t *testing.T) {
-	g := completeGraph(2, 1)
-	g.AddWeight(0, 1, 5) // 0 -> 1 heavy, 1 -> 0 free
-	if c := Find(g, 2, Options{}); len(c) != 1 {
-		t.Errorf("clique size = %d, want 1 (directed weight must bind)", len(c))
-	}
-	if g.Weight(0, 1) != 5 || g.Weight(1, 0) != 0 {
-		t.Error("weights must be directed")
+	// A larger file admits the triangle.
+	g.SetRegs(0, 4)
+	if c := Find(g, 3, Options{}); len(c) != 3 {
+		t.Errorf("clique size = %d, want 3 with a 4-register file", len(c))
 	}
 }
 
 func TestIncomingWeightGuard(t *testing.T) {
-	// Node 0 already carries weight 3 toward node 1 within budget 3; adding
-	// node 2 with weight(0,2)=1 must be rejected because it pushes node 0
-	// over budget even though node 2 itself is free.
-	g := completeGraph(3, 3)
-	g.AddWeight(0, 1, 3)
-	g.AddWeight(0, 2, 1)
-	c := Find(g, 3, Options{})
-	if len(c) != 2 {
-		t.Fatalf("clique size = %d, want 2", len(c))
+	// Nodes 0 and 1 fill their cluster's 3-register file (demands 2 and 1).
+	// Node 2, which alone fits, needs one more register there and must be
+	// kept out; node 3 holds none and joins freely. Node 4 needs 3 registers
+	// of another cluster's file and fits beside all of them.
+	g := NewGraph(5, 2)
+	for u := 0; u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			g.AddEdge(u, v)
+		}
+	}
+	g.SetRegs(0, 3)
+	g.SetRegs(1, 3)
+	for u, d := range []int{2, 1, 1, 0, 3} {
+		g.SetDemand(u, d)
+	}
+	g.SetCluster(4, 1)
+	c := Find(g, 5, Options{})
+	if len(c) != 4 || !g.IsFeasibleClique(c) {
+		t.Fatalf("clique = %v, want 4 feasible members", c)
+	}
+	if slices.Contains(c, 0) && slices.Contains(c, 1) && slices.Contains(c, 2) {
+		t.Fatalf("clique %v overfills cluster 0's file", c)
 	}
 }
 
 func TestIsFeasibleClique(t *testing.T) {
-	g := NewGraph(3, 1)
+	g := NewGraph(3, 2)
 	g.AddEdge(0, 1)
-	if g.IsFeasibleClique([]int{0, 2}) {
-		t.Error("accepted a non-edge")
-	}
+	g.AddEdge(1, 2)
+	g.AddEdge(0, 2)
 	if !g.IsFeasibleClique([]int{0, 1}) {
 		t.Error("rejected a valid clique")
 	}
-	g.AddWeight(0, 1, 2)
+	g.ClearEdge(0, 2)
+	if g.IsFeasibleClique([]int{0, 2}) {
+		t.Error("accepted a non-edge")
+	}
+	g.SetRegs(0, 1)
+	g.SetDemand(0, 2)
 	if g.IsFeasibleClique([]int{0, 1}) {
 		t.Error("accepted an over-budget clique")
+	}
+	// Each cluster's load is checked against its own file only.
+	g.SetRegs(0, 2)
+	g.SetRegs(1, 2)
+	g.SetCluster(1, 1)
+	g.SetDemand(1, 2)
+	if !g.IsFeasibleClique([]int{0, 1}) {
+		t.Error("rejected a clique whose clusters each fit their file")
+	}
+	g.SetCluster(1, 0)
+	if g.IsFeasibleClique([]int{0, 1}) {
+		t.Error("accepted two demands of 2 on one 2-register file")
 	}
 }
 
@@ -115,12 +135,12 @@ func TestSelfEdgePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewGraph(2, -1).AddEdge(1, 1)
+	NewGraph(2, 1).AddEdge(1, 1)
 }
 
 func TestExactMatchesKnown(t *testing.T) {
 	// Two triangles sharing node 2: {0,1,2} and {2,3,4}; plus pendant 5.
-	g := NewGraph(6, -1)
+	g := NewGraph(6, 1)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}, {4, 5}} {
 		g.AddEdge(e[0], e[1])
 	}
@@ -131,7 +151,7 @@ func TestExactMatchesKnown(t *testing.T) {
 }
 
 func TestFindStopsEarlyAtTarget(t *testing.T) {
-	g := completeGraph(30, -1)
+	g := completeGraph(30, 0)
 	c := Find(g, 5, Options{})
 	if len(c) < 5 {
 		t.Fatalf("clique size = %d, want >= 5", len(c))
@@ -143,7 +163,7 @@ func TestSwapRecoversFromGreedyTrap(t *testing.T) {
 	// a hub node adjacent to everything but contained in no big clique.
 	// Nodes 1..4 form K4; node 0 adjacent to 1,2 and to extra pendants
 	// 5..9 (high degree, but max clique through 0 is a triangle).
-	g := NewGraph(10, -1)
+	g := NewGraph(10, 1)
 	for u := 1; u <= 4; u++ {
 		for v := u + 1; v <= 4; v++ {
 			g.AddEdge(u, v)
@@ -160,18 +180,22 @@ func TestSwapRecoversFromGreedyTrap(t *testing.T) {
 	}
 }
 
+// randomGraph returns a small graph over one to three clusters with files
+// of 0..3 registers and demands of 0..2.
 func randomGraph(rng *rand.Rand) *Graph {
 	n := 4 + rng.Intn(14)
-	cap := rng.Intn(5) - 1 // -1..3
-	g := NewGraph(n, cap)
+	g := NewGraph(n, 1+rng.Intn(3))
+	for c := 0; c < g.Clusters(); c++ {
+		g.SetRegs(c, rng.Intn(4))
+	}
 	for u := 0; u < n; u++ {
+		g.SetCluster(u, rng.Intn(g.Clusters()))
+		if rng.Intn(3) == 0 {
+			g.SetDemand(u, rng.Intn(3))
+		}
 		for v := u + 1; v < n; v++ {
 			if rng.Intn(3) > 0 {
 				g.AddEdge(u, v)
-				if cap >= 0 && rng.Intn(3) == 0 {
-					g.AddWeight(u, v, rng.Intn(3))
-					g.AddWeight(v, u, rng.Intn(3))
-				}
 			}
 		}
 	}
@@ -199,9 +223,9 @@ func TestHeuristicSoundAndBounded(t *testing.T) {
 	}
 }
 
-// Property: the heuristic finds the optimum on small unweighted graphs most
-// of the time; require it never to be worse than optimum-1 here (it has swap
-// and intersection repair).
+// Property: the heuristic finds the optimum on small graphs most of the
+// time; require it never to be worse than optimum-1 here (it has swap and
+// intersection repair).
 func TestHeuristicQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	worse := 0
@@ -252,30 +276,32 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestBaseWeight(t *testing.T) {
-	// Node 0 carries an unconditional base of 2 with budget 2: it can join a
-	// clique alone but any weighted outgoing arc pushes it over.
-	g := completeGraph(3, 2)
-	g.AddBase(0, 2)
-	g.AddWeight(0, 1, 1)
+	// Node 0 holds both registers of its 2-register file: it can join a
+	// clique alone, but never beside node 1, which needs one more there.
+	// Node 2 sits on another cluster and joins either.
+	g := NewGraph(3, 2)
+	g.AddEdge(0, 1)
+	g.AddEdge(0, 2)
+	g.AddEdge(1, 2)
+	g.SetRegs(0, 2)
+	g.SetRegs(1, 2)
+	g.SetDemand(0, 2)
+	g.SetDemand(1, 1)
+	g.SetCluster(2, 1)
+	g.SetDemand(2, 2)
 	c := Find(g, 3, Options{})
-	if !g.IsFeasibleClique(c) {
-		t.Fatal("infeasible clique returned")
+	if len(c) != 2 || !g.IsFeasibleClique(c) {
+		t.Fatalf("clique = %v, want 2 feasible members", c)
 	}
-	for _, v := range c {
-		if v == 0 {
-			for _, w := range c {
-				if w == 1 {
-					t.Fatal("clique contains 0 and 1 despite base+weight > cap")
-				}
-			}
-		}
+	if slices.Contains(c, 0) && slices.Contains(c, 1) {
+		t.Fatal("clique contains 0 and 1 despite their summed demand above the file")
 	}
-	if g.Base(0) != 2 {
-		t.Error("Base accessor wrong")
+	if g.Demand(0) != 2 || g.Cluster(2) != 1 || g.Regs(1) != 2 {
+		t.Error("Demand, Cluster or Regs accessor wrong")
 	}
-	// Base alone exceeding the cap excludes the node entirely.
+	// A demand above its own file excludes the node entirely.
 	g2 := completeGraph(2, 1)
-	g2.AddBase(0, 5)
+	g2.SetDemand(0, 5)
 	c2 := Find(g2, 2, Options{})
 	if len(c2) != 1 || c2[0] != 1 {
 		t.Errorf("clique = %v, want [1]", c2)
@@ -288,7 +314,7 @@ func TestBaseWeight(t *testing.T) {
 func TestDegreeCacheTracksMutations(t *testing.T) {
 	const n = 70
 	rng := rand.New(rand.NewSource(5))
-	g := NewGraph(n, -1)
+	g := NewGraph(n, 1)
 	check := func(step string) {
 		t.Helper()
 		deg := g.Degrees()
@@ -336,8 +362,8 @@ func TestDegreeCacheTracksMutations(t *testing.T) {
 	check("ClearEdge")
 	m := mask()
 	m.Clear(3)
-	g.OrAdjacency(3, m)
-	check("OrAdjacency")
+	g.OrAdjacencyWords(3, 1, m.Words()[1:])
+	check("OrAdjacencyWords")
 	g.AndNotAdjacency(3, mask())
 	check("AndNotAdjacency")
 	g.ResetAdjacency(4)

@@ -2,18 +2,18 @@ package clique
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"regimap/internal/graph"
 )
 
-// Groups indexes FindGrouped's groups over the nodes of one graph: each
-// group's candidate list, its mask and word span, the group of every node,
-// the nodes outside every group, and the constraint relation between
-// groups. Its owner builds it once per graph shape (the compat builder, once
-// per Reset) and every search reads it without writing it, so the raced
-// placement passes of one attempt share one index; each search keeps only
-// its own scratch.
+// Groups indexes FindGrouped's groups, a partition of the nodes of one
+// graph: each group's candidate list, its mask and word span, the group of
+// every node, and the constraint relation between groups. Its owner builds
+// it once per graph shape (the compat builder, once per Reset) and every
+// search reads it without writing it, so the raced placement passes of one
+// attempt share one index; each search keeps only its own scratch.
 //
 // The relation holds one bit per group pair. A set bit promises nothing. A
 // clear bit promises that the two groups are complete bipartite in the
@@ -29,27 +29,27 @@ type Groups struct {
 	spanHi  []int
 	maxSpan int
 	maxLen  int             // the largest group's size
-	groupOf []int           // group of each node, -1 outside every group
-	loose   *graph.Bitset   // nodes outside every group (nil: none)
+	groupOf []int           // group of each node
 	rel     []*graph.Bitset // constraint relation, one row per group
 
 	maskSlab, relSlab graph.Slab // storage of masks and rel, kept across Reset
 }
 
-// NewGroups indexes lists, the groups of an n-node graph, with every group
-// pair constrained.
+// NewGroups indexes lists, groups that partition the nodes of an n-node
+// graph, with every group pair constrained.
 func NewGroups(n int, lists [][]int) *Groups {
 	gx := &Groups{}
 	gx.Reset(n, lists)
 	return gx
 }
 
-// Reset re-indexes gx for lists, the groups of an n-node graph, reusing its
-// storage. Every group pair is constrained again. The index keeps lists
-// itself, so the caller leaves them unchanged until the next Reset.
+// Reset re-indexes gx for lists, groups that partition the nodes of an
+// n-node graph, reusing its storage; it panics when a node is in no group.
+// Every group pair is constrained again. The index keeps lists itself, so
+// the caller leaves them unchanged until the next Reset.
 func (gx *Groups) Reset(n int, lists [][]int) {
 	k := len(lists)
-	gx.n, gx.lists, gx.maxSpan, gx.maxLen, gx.loose = n, lists, 0, 0, nil
+	gx.n, gx.lists, gx.maxSpan, gx.maxLen = n, lists, 0, 0
 	gx.masks = gx.maskSlab.Carve(n, k)
 	gx.rel = gx.relSlab.Carve(k, k)
 	gx.spanLo = resize(gx.spanLo, k)
@@ -70,13 +70,8 @@ func (gx *Groups) Reset(n int, lists [][]int) {
 		gx.maxLen = max(gx.maxLen, len(cands))
 		gx.rel[gi].Fill()
 	}
-	for u, gi := range gx.groupOf {
-		if gi < 0 {
-			if gx.loose == nil {
-				gx.loose = graph.NewBitset(n)
-			}
-			gx.loose.Set(u)
-		}
+	if slices.Contains(gx.groupOf, -1) {
+		panic("clique: groups must partition the nodes")
 	}
 }
 
@@ -177,8 +172,8 @@ func FindGrouped(g *Graph, gx *Groups, opts Options) (best []int) {
 	}
 
 	var sw swapTrial
-	ar := opts.Arenas.acquire(g)
-	defer opts.Arenas.release(ar)
+	ar := g.acquire()
+	defer g.release(ar)
 	flags := make([]bool, 2*len(groups))
 	pending, inFailed := flags[:len(groups)], flags[len(groups):]
 	for round := 0; round < rounds; round++ {
@@ -256,17 +251,17 @@ func FindGrouped(g *Graph, gx *Groups, opts Options) (best []int) {
 //
 // The candidates blocked by exactly one member are the group's share of the
 // one-miss set C1, and a trial C - x + u is judged without building it: its
-// weights by fitsSwap, its candidate set as (C0 ∪ (C1 \ adj(x))) ∩ adj(u)
-// for the candidate set C0. Only the swap returned becomes a state, rebuilt
-// in the member order evicting x and adding u and the re-pick leaves.
+// register loads by fitsSwap, its candidate set as
+// (C0 ∪ (C1 \ adj(x))) ∩ adj(u) for the candidate set C0. Only the swap
+// returned becomes a state, rebuilt in the member order evicting x and
+// adding u and the re-pick leaves.
 func swapInGroup(g *Graph, s *state, gx *Groups, gi int, sw *swapTrial) *state {
 	for _, u := range gx.lists[gi] {
 		if !s.miss1.Has(u) {
 			continue
 		}
 		x := s.blocker(u)
-		uSum, ok := s.fitsSwap(u, x, -1, 0)
-		if !ok {
+		if !s.fitsSwap(u, x, -1) {
 			continue
 		}
 		// Re-picks must be adjacent to every member of C - x + u: inside
@@ -277,7 +272,7 @@ func swapInGroup(g *Graph, s *state, gx *Groups, gi int, sw *swapTrial) *state {
 			if !adjU.Has(w) || !(s.cand.Has(w) || s.miss1.Has(w) && !adjX.Has(w)) {
 				continue
 			}
-			if _, ok := s.fitsSwap(w, x, u, uSum); ok {
+			if s.fitsSwap(w, x, u) {
 				sw.repicks = append(sw.repicks, w)
 			}
 		}
@@ -389,7 +384,7 @@ func pickCandidate(g *Graph, s *state, rest []int, pending []bool, gi int, fc *f
 	cand := s.cand.Words()
 	for _, u := range gx.lists[gi] {
 		// A candidate is no member, so cand membership leaves only the
-		// weight walk of canAdd.
+		// register check of canAdd.
 		if bit := uint64(1) << uint(u&63); cand[u>>6]&bit != 0 && s.fits(u) {
 			fc.cands = append(fc.cands, u)
 			feas[u>>6-lo] |= bit
@@ -454,10 +449,10 @@ func pickCandidate(g *Graph, s *state, rest []int, pending []bool, gi int, fc *f
 		return fc.tied[0]
 	}
 
-	// The score |adj(u) ∩ cand| counts only the live nodes of gi, of the
-	// groups constrained with it and of no group: every live node of a free
-	// group is adjacent to every candidate, so it adds the same to each
-	// score and never moves the argmax or its first-in-list tie-break.
+	// The score |adj(u) ∩ cand| counts only the live nodes of gi and of the
+	// groups constrained with it: every live node of a free group is
+	// adjacent to every candidate, so it adds the same to each score and
+	// never moves the argmax or its first-in-list tie-break.
 	fc.scopeTo(gi, cand)
 	best, bestScore := -1, -1
 	for _, u := range fc.tied {
@@ -475,8 +470,8 @@ func pickCandidate(g *Graph, s *state, rest []int, pending []bool, gi int, fc *f
 	return best
 }
 
-// scopeTo fills the tie-break scope for group gi: the nodes of cand in gi,
-// in the groups constrained with it, and outside every group.
+// scopeTo fills the tie-break scope for group gi: the nodes of cand in gi
+// and in the groups constrained with it.
 func (fc *forwardChecker) scopeTo(gi int, cand []uint64) {
 	gx := fc.gx
 	if fc.scope == nil {
@@ -489,9 +484,6 @@ func (fc *forwardChecker) scopeTo(gi int, cand []uint64) {
 			gj := wi<<6 | bits.TrailingZeros64(w)
 			fc.addScope(gx.masks[gj].Words(), gx.spanLo[gj], gx.spanHi[gj], cand)
 		}
-	}
-	if gx.loose != nil {
-		fc.addScope(gx.loose.Words(), 0, len(cand), cand)
 	}
 }
 

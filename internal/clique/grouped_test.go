@@ -16,7 +16,7 @@ func newGraphBitset(n int) *graphBitset { return graph.NewBitset(n) }
 // of every group is compatible with candidate j' of every other group unless
 // the blocked function rejects the pair.
 func groupedFixture(g, c int, blocked func(gi, ci, gj, cj int) bool) (*Graph, [][]int) {
-	graph := NewGraph(g*c, -1)
+	graph := NewGraph(g*c, 1)
 	groups := make([][]int, g)
 	for gi := 0; gi < g; gi++ {
 		for ci := 0; ci < c; ci++ {
@@ -83,7 +83,7 @@ func TestFindGroupedResourceExclusive(t *testing.T) {
 func TestFindGroupedSwapRepair(t *testing.T) {
 	// 3 groups; groups 0 and 1 have 2 candidates, group 2 has 1. Group 2's
 	// candidate is incompatible with group 0's candidate 0 only.
-	g := NewGraph(5, -1)
+	g := NewGraph(5, 1)
 	groups := [][]int{{0, 1}, {2, 3}, {4}}
 	addAll := func(a, b []int) {
 		for _, u := range a {
@@ -102,11 +102,13 @@ func TestFindGroupedSwapRepair(t *testing.T) {
 }
 
 func TestFindGroupedWeightBudget(t *testing.T) {
-	// Two groups, one candidate each, mutual weight 2 with budget 1: only one
-	// can be placed.
+	// Two groups, one candidate each, on one 1-register file that both need
+	// a register of: only one can be placed.
 	g := NewGraph(2, 1)
 	g.AddEdge(0, 1)
-	g.AddWeight(0, 1, 2)
+	g.SetRegs(0, 1)
+	g.SetDemand(0, 1)
+	g.SetDemand(1, 1)
 	sol := FindGrouped(g, NewGroups(2, [][]int{{0}, {1}}), Options{})
 	if len(sol) != 1 {
 		t.Fatalf("placed %d groups, want 1 (budget binds)", len(sol))
@@ -117,17 +119,16 @@ func TestFindGroupedWeightBudget(t *testing.T) {
 }
 
 func TestFindGroupedPromotion(t *testing.T) {
-	// Group 3 has a single candidate compatible with exactly one candidate
-	// of every other group; greedy placement in the given order can strand
-	// it, and the promote-on-failure rounds must recover.
+	// Group 3 has a single viable candidate, compatible with exactly one
+	// candidate of every other group (its other two are compatible with
+	// nothing); greedy placement in the given order can strand it, and the
+	// promote-on-failure rounds must recover.
 	g, groups := groupedFixture(4, 3, func(gi, ci, gj, cj int) bool {
 		if gj == 3 {
 			return cj != 0 || ci != 0
 		}
 		return false
 	})
-	// Restrict group 3 to its single viable candidate.
-	groups[3] = groups[3][:1]
 	sol := FindGrouped(g, NewGroups(g.N(), groups), Options{GroupOrder: []int{0, 1, 2, 3}, GroupRounds: 4})
 	if len(sol) != 4 {
 		t.Fatalf("placed %d/4 groups (%v)", len(sol), sol)
@@ -161,63 +162,24 @@ func TestFindGroupedDeterministic(t *testing.T) {
 	}
 }
 
-func TestSetWeightFuncPaths(t *testing.T) {
-	g := NewGraph(4, 2)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.SetWeightFunc(
-		func(u, v int) int {
-			if u/2 == v/2 {
-				return 1 // same "PE"
-			}
-			return 0
-		},
-		func(u int) bool { return true },
-		func(u int) int { return u / 2 },
-	)
-	if g.Weight(0, 1) != 1 || g.Weight(0, 2) != 0 {
-		t.Fatal("weight function not consulted")
-	}
-	sol := Find(g, 3, Options{})
-	if !g.IsFeasibleClique(sol) {
-		t.Fatal("infeasible clique with weight function")
-	}
-	// AddWeight after SetWeightFunc must panic.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("AddWeight after SetWeightFunc did not panic")
-			}
-		}()
-		g.AddWeight(0, 1, 1)
-	}()
-	// SetWeightFunc after AddWeight must panic.
-	g2 := NewGraph(2, 1)
-	g2.AddWeight(0, 1, 1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetWeightFunc after AddWeight did not panic")
-			}
-		}()
-		g2.SetWeightFunc(func(u, v int) int { return 0 }, func(u int) bool { return false }, func(u int) int { return 0 })
-	}()
-}
-
 func TestBulkAdjacency(t *testing.T) {
-	g := NewGraph(6, -1)
-	mask := newMask(6, 2, 3, 4)
-	g.OrAdjacency(0, mask)
-	for _, v := range []int{2, 3, 4} {
-		// OrAdjacency is asymmetric by contract.
-		if !g.adj[0].Has(v) {
-			t.Fatalf("missing adjacency 0-%d", v)
+	g := NewGraph(70, 1)
+	mask := newMask(70, 2, 3, 4, 66)
+	g.OrAdjacencyWords(0, 0, mask.Words())
+	for _, v := range []int{2, 3, 4, 66} {
+		// OrAdjacencyWords is asymmetric by contract.
+		if !g.adj[0].Has(v) || g.adj[v].Has(0) {
+			t.Fatalf("adjacency 0-%d not one-sided", v)
 		}
 	}
-	g.OrAdjacency(2, newMask(6, 0))
-	g.OrAdjacency(3, newMask(6, 0))
-	g.OrAdjacency(4, newMask(6, 0))
+	// One word from word 1 onwards reaches node 66 only.
+	g.OrAdjacencyWords(66, 1, newMask(70, 0, 67).Words()[1:])
+	if g.adj[66].Has(0) || !g.adj[66].Has(67) {
+		t.Fatal("word-offset bulk adjacency broken")
+	}
+	for _, v := range []int{2, 3, 4} {
+		g.OrAdjacencyWords(v, 0, newMask(70, 0).Words())
+	}
 	if !g.Adjacent(0, 3) || !g.Adjacent(3, 0) {
 		t.Fatal("symmetric bulk adjacency broken")
 	}

@@ -10,11 +10,22 @@ import (
 
 // This file ports the clique engine's algorithms to a deliberately naive
 // reference — fresh slices everywhere, no arena, no bitsets, no incremental
-// score or weight-sum maintenance — and checks the optimized engine against it
-// elementwise on randomized weighted graphs. Because both sides share every
-// tie-break (first maximum in increasing node id, insertion order, stable
-// sorts), agreement must be exact, not just equal-cardinality: any divergence
-// means pooling or incrementality changed a result.
+// score or load maintenance — and checks the optimized engine against it
+// elementwise on randomized graphs with random clusters, demands and
+// register files. Because both sides share every tie-break (first maximum in
+// increasing node id, insertion order, stable sorts), agreement must be
+// exact, not just equal-cardinality: any divergence means arena reuse or
+// incrementality changed a result.
+//
+// The reference judges feasibility the way the paper states it, not by
+// per-cluster loads: every member's directed weight sum into the clique
+// stays within one global cap R, the largest register file, with
+//
+//	w(u -> v) = demand(v) when u and v share a cluster, 0 otherwise
+//	base(u)   = demand(u) + R - regs(cluster(u))
+//
+// so the engine's O(1) load checks are tested against Theorem C.1, not
+// against themselves.
 
 // refCand returns the nodes adjacent to every member, in increasing id order
 // (the reference for state.cand; all nodes when members is empty).
@@ -35,30 +46,51 @@ func refCand(g *Graph, members []int) []int {
 	return out
 }
 
-// refCanAdd recomputes every weight sum from scratch.
+// refCap is the paper's one global budget: the largest register file.
+func refCap(g *Graph) int {
+	R := 0
+	for c := 0; c < g.Clusters(); c++ {
+		R = max(R, g.Regs(c))
+	}
+	return R
+}
+
+// refWeight is the paper's directed weight w(u -> v).
+func refWeight(g *Graph, u, v int) int {
+	if g.Cluster(u) != g.Cluster(v) {
+		return 0
+	}
+	return g.Demand(v)
+}
+
+// refBase is u's unconditional weight: its own demand plus its cluster's
+// deficit against the global cap.
+func refBase(g *Graph, u int) int {
+	return g.Demand(u) + refCap(g) - g.Regs(g.Cluster(u))
+}
+
+// refCanAdd recomputes every member's weight sum from scratch.
 func refCanAdd(g *Graph, members []int, u int) bool {
 	for _, m := range members {
 		if m == u || !g.Adjacent(u, m) {
 			return false
 		}
 	}
-	if g.Cap() < 0 {
-		return true
-	}
-	uSum := g.Base(u)
+	R := refCap(g)
+	uSum := refBase(g, u)
 	for _, m := range members {
-		uSum += g.Weight(u, m)
-		mSum := g.Base(m) + g.Weight(m, u)
+		uSum += refWeight(g, u, m)
+		mSum := refBase(g, m) + refWeight(g, m, u)
 		for _, v := range members {
 			if v != m {
-				mSum += g.Weight(m, v)
+				mSum += refWeight(g, m, v)
 			}
 		}
-		if mSum > g.Cap() {
+		if mSum > R {
 			return false
 		}
 	}
-	return uSum <= g.Cap()
+	return uSum <= R
 }
 
 func refGrow(g *Graph, members []int, target int) []int {
@@ -184,10 +216,7 @@ func refFind(g *Graph, target int, opts Options) []int {
 	if target > g.N() {
 		target = g.N()
 	}
-	order := opts.SeedOrder
-	if len(order) != g.N() {
-		order = refDegreeOrder(g)
-	}
+	order := refDegreeOrder(g)
 	if len(order) > maxSeeds {
 		order = order[:maxSeeds]
 	}
@@ -470,40 +499,20 @@ func refFindExact(g *Graph, target int) []int {
 	return best
 }
 
-// randomFlatGraph builds a graph using the flat AddWeight storage path.
-func randomFlatGraph(rng *rand.Rand, n, cap int, edgeProb, weightProb float64) *Graph {
-	g := NewGraph(n, cap)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Float64() < edgeProb {
-				g.AddEdge(u, v)
-				if rng.Float64() < weightProb {
-					g.AddWeight(u, v, rng.Intn(3))
-				}
-				if rng.Float64() < weightProb {
-					g.AddWeight(v, u, rng.Intn(3))
-				}
-			}
-		}
+// randomRegGraph builds an n-node graph over the given number of clusters:
+// each file holds regs(rng) registers, each node sits on a random cluster
+// and, with probability demandProb, needs one or two registers of its file,
+// and each node pair is adjacent with probability edgeProb.
+func randomRegGraph(rng *rand.Rand, n, clusters int, regs func(*rand.Rand) int, edgeProb, demandProb float64) *Graph {
+	g := NewGraph(n, clusters)
+	for c := 0; c < clusters; c++ {
+		g.SetRegs(c, regs(rng))
 	}
 	for u := 0; u < n; u++ {
-		if rng.Float64() < 0.2 {
-			g.AddBase(u, rng.Intn(3))
+		g.SetCluster(u, rng.Intn(clusters))
+		if rng.Float64() < demandProb {
+			g.SetDemand(u, 1+rng.Intn(2))
 		}
-	}
-	return g
-}
-
-// randomClusterGraph builds a graph using the SetWeightFunc path, mimicking
-// REGIMap's register demand: weights exist only inside a cluster (a PE) and
-// depend only on the consumer.
-func randomClusterGraph(rng *rand.Rand, n, cap, nClusters int, edgeProb float64) *Graph {
-	g := NewGraph(n, cap)
-	cluster := make([]int, n)
-	demand := make([]int, n)
-	for u := 0; u < n; u++ {
-		cluster[u] = rng.Intn(nClusters)
-		demand[u] = rng.Intn(3)
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -512,29 +521,17 @@ func randomClusterGraph(rng *rand.Rand, n, cap, nClusters int, edgeProb float64)
 			}
 		}
 	}
-	for u := 0; u < n; u++ {
-		if rng.Float64() < 0.2 {
-			g.AddBase(u, rng.Intn(2))
-		}
-	}
-	fn := func(u, v int) int {
-		if cluster[u] != cluster[v] {
-			return 0
-		}
-		return demand[v]
-	}
-	hasOut := func(u int) bool {
-		for v := 0; v < n; v++ {
-			if v != u && fn(u, v) != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	g.SetWeightFunc(fn, hasOut, func(u int) int { return cluster[u] })
 	return g
 }
 
+// fileOf returns a register-file draw uniform over [lo, hi].
+func fileOf(lo, hi int) func(*rand.Rand) int {
+	return func(r *rand.Rand) int { return lo + r.Intn(hi-lo+1) }
+}
+
+// referenceCases are Find's reference cases. The flat graphs have one
+// cluster, so every member shares one register file; the cluster graphs
+// spread the nodes over several files of different sizes, as REGIMap's PEs.
 func referenceCases() []struct {
 	name string
 	gen  func(rng *rand.Rand) *Graph
@@ -545,21 +542,29 @@ func referenceCases() []struct {
 		gen  func(rng *rand.Rand) *Graph
 		opts Options
 	}{
-		{"flat/unconstrained", func(r *rand.Rand) *Graph { return randomFlatGraph(r, 8+r.Intn(20), -1, 0.5, 0) }, Options{}},
-		{"flat/weighted", func(r *rand.Rand) *Graph { return randomFlatGraph(r, 8+r.Intn(20), 2+r.Intn(4), 0.55, 0.5) }, Options{}},
-		{"flat/tight-cap", func(r *rand.Rand) *Graph { return randomFlatGraph(r, 8+r.Intn(16), r.Intn(2), 0.6, 0.7) }, Options{}},
-		{"flat/no-swap", func(r *rand.Rand) *Graph { return randomFlatGraph(r, 8+r.Intn(20), 3, 0.5, 0.5) }, Options{DisableSwap: true}},
-		{"flat/no-intersect", func(r *rand.Rand) *Graph { return randomFlatGraph(r, 8+r.Intn(20), 3, 0.5, 0.5) }, Options{DisableIntersect: true}},
-		{"flat/few-seeds", func(r *rand.Rand) *Graph { return randomFlatGraph(r, 12+r.Intn(16), 3, 0.5, 0.5) }, Options{MaxSeeds: 4, MaxIntersections: 6}},
-		{"cluster/REGIMap-shape", func(r *rand.Rand) *Graph { return randomClusterGraph(r, 10+r.Intn(20), 2+r.Intn(3), 2+r.Intn(4), 0.55) }, Options{}},
-		{"cluster/tight-cap", func(r *rand.Rand) *Graph { return randomClusterGraph(r, 10+r.Intn(16), 1, 2+r.Intn(3), 0.6) }, Options{}},
-		{"sparse", func(r *rand.Rand) *Graph { return randomFlatGraph(r, 16+r.Intn(16), 3, 0.15, 0.5) }, Options{}},
-		{"dense", func(r *rand.Rand) *Graph { return randomFlatGraph(r, 8+r.Intn(12), 4, 0.85, 0.4) }, Options{}},
+		{"flat/unconstrained", func(r *rand.Rand) *Graph { return randomRegGraph(r, 8+r.Intn(20), 1, fileOf(0, 4), 0.5, 0) }, Options{}},
+		{"flat/weighted", func(r *rand.Rand) *Graph { return randomRegGraph(r, 8+r.Intn(20), 1, fileOf(2, 5), 0.55, 0.5) }, Options{}},
+		{"flat/tight-cap", func(r *rand.Rand) *Graph { return randomRegGraph(r, 8+r.Intn(16), 1, fileOf(0, 1), 0.6, 0.7) }, Options{}},
+		{"flat/no-swap", func(r *rand.Rand) *Graph { return randomRegGraph(r, 8+r.Intn(20), 1, fileOf(3, 3), 0.5, 0.5) }, Options{DisableSwap: true}},
+		{"flat/no-intersect", func(r *rand.Rand) *Graph { return randomRegGraph(r, 8+r.Intn(20), 1, fileOf(3, 3), 0.5, 0.5) }, Options{DisableIntersect: true}},
+		{"flat/few-seeds", func(r *rand.Rand) *Graph { return randomRegGraph(r, 12+r.Intn(16), 1, fileOf(3, 3), 0.5, 0.5) }, Options{MaxSeeds: 4, MaxIntersections: 6}},
+		{"cluster/REGIMap-shape", func(r *rand.Rand) *Graph {
+			return randomRegGraph(r, 10+r.Intn(20), 2+r.Intn(4), fileOf(1, 4), 0.55, 0.5)
+		}, Options{}},
+		{"cluster/tight-cap", func(r *rand.Rand) *Graph {
+			return randomRegGraph(r, 10+r.Intn(16), 2+r.Intn(3), fileOf(0, 1), 0.6, 0.6)
+		}, Options{}},
+		{"sparse", func(r *rand.Rand) *Graph {
+			return randomRegGraph(r, 16+r.Intn(16), 1+r.Intn(4), fileOf(1, 4), 0.15, 0.5)
+		}, Options{}},
+		{"dense", func(r *rand.Rand) *Graph {
+			return randomRegGraph(r, 8+r.Intn(12), 1+r.Intn(4), fileOf(2, 5), 0.85, 0.4)
+		}, Options{}},
 	}
 }
 
-// TestFindMatchesReference diffs the pooled/incremental Find against the naive
-// reference elementwise over randomized graphs and targets.
+// TestFindMatchesReference diffs the arena-reusing, incremental Find against
+// the naive reference elementwise over randomized graphs and targets.
 func TestFindMatchesReference(t *testing.T) {
 	for _, tc := range referenceCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -575,29 +580,13 @@ func TestFindMatchesReference(t *testing.T) {
 				if !g.IsFeasibleClique(got) {
 					t.Fatalf("trial %d: Find returned infeasible clique %v", trial, got)
 				}
-				// Pooling determinism: a second run of the same search must be
-				// byte-identical to the first.
+				// Arena reuse: a second run of the same search, on the states
+				// the first left behind, must be byte-identical to the first.
 				if again := Find(g, target, tc.opts); !reflect.DeepEqual(got, again) {
 					t.Fatalf("trial %d: Find not deterministic: %v then %v", trial, got, again)
 				}
 			}
 		})
-	}
-}
-
-// TestFindSeedOrderOptionMatchesDefault checks the Options.SeedOrder contract:
-// passing Graph.DegreeOrder explicitly must reproduce the default exactly
-// (REGIMap shares one order across clique.Find calls this way).
-func TestFindSeedOrderOptionMatchesDefault(t *testing.T) {
-	for trial := 0; trial < 25; trial++ {
-		rng := rand.New(rand.NewSource(int64(4000 + trial)))
-		g := randomFlatGraph(rng, 10+rng.Intn(20), 3, 0.5, 0.5)
-		target := 1 + rng.Intn(g.N())
-		def := Find(g, target, Options{})
-		shared := Find(g, target, Options{SeedOrder: g.DegreeOrder()})
-		if !reflect.DeepEqual(def, shared) {
-			t.Fatalf("trial %d: default=%v with SeedOrder=%v", trial, def, shared)
-		}
 	}
 }
 
@@ -643,9 +632,10 @@ func randomGroups(rng *rand.Rand, g *Graph, maxSize int, scattered bool) [][]int
 //     neighbours): a forwarded dependence;
 //   - adjacent only on one PE: a register-carried dependence.
 //
-// Weights are REGIMap's register demand: inside a PE, the consumer's demand.
-// Pending groups then often give every candidate the same forward-check
-// verdict — all dead, all exactly one live neighbour, or all several.
+// Every binding holds its operation's register demand in its PE's file, and
+// the files differ by PE. Pending groups then often give every candidate the
+// same forward-check verdict — all dead, all exactly one live neighbour, or
+// all several.
 func randomProductGraph(rng *rand.Rand, n int) (*Graph, [][]int) {
 	pes := 3 + rng.Intn(38)
 	nGroups := max(2, n/pes)
@@ -661,7 +651,10 @@ func randomProductGraph(rng *rand.Rand, n int) (*Graph, [][]int) {
 		}
 		groups = append(groups, grp)
 	}
-	g := NewGraph(len(pe), 2+rng.Intn(3))
+	g := NewGraph(len(pe), pes)
+	for p := 0; p < pes; p++ {
+		g.SetRegs(p, 1+rng.Intn(4))
+	}
 	linked := func(p, q int) bool { d := (p - q + pes) % pes; return d <= 1 || d == pes-1 }
 	for gi := range groups {
 		for gj := gi + 1; gj < len(groups); gj++ {
@@ -686,34 +679,14 @@ func randomProductGraph(rng *rand.Rand, n int) (*Graph, [][]int) {
 			}
 		}
 	}
-	demand := make([]int, len(groups))
-	groupOf := make([]int, len(pe))
-	for gi, grp := range groups {
+	for _, grp := range groups {
+		demand := 0
 		if rng.Float64() < 0.4 {
-			demand[gi] = 1 + rng.Intn(2)
+			demand = 1 + rng.Intn(2)
 		}
 		for _, u := range grp {
-			groupOf[u] = gi
-		}
-	}
-	fn := func(u, v int) int {
-		if pe[u] != pe[v] {
-			return 0
-		}
-		return demand[groupOf[v]]
-	}
-	hasOut := func(u int) bool {
-		for v := range pe {
-			if v != u && fn(u, v) != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	g.SetWeightFunc(fn, hasOut, func(u int) int { return pe[u] })
-	for u := range pe {
-		if rng.Float64() < 0.1 {
-			g.AddBase(u, 1)
+			g.SetCluster(u, pe[u])
+			g.SetDemand(u, demand)
 		}
 	}
 	return g, groups
@@ -747,19 +720,17 @@ func relate(rng *rand.Rand, g *Graph, gx *Groups, groups [][]int, coarsen float6
 }
 
 // TestFindGroupedMatchesReference diffs FindGrouped against the naive
-// rebuild-and-rescan reference elementwise, on random flat and clustered
-// graphs and on product-shaped ones (randomProductGraph) under weight
-// budgets, default and random group orders, and round budgets. The
+// rebuild-and-rescan reference elementwise, on random one-file and
+// clustered graphs and on product-shaped ones (randomProductGraph) under
+// register files, default and random group orders, and round budgets. The
 // reference ignores the group index's constraint relation, and FindGrouped
 // must match it under three relations: every pair constrained, the pairs
 // derived exactly from the graph (free when complete bipartite), and a
 // coarsened derivation that keeps random free pairs constrained. Some graphs
-// leave nodes outside every group, which the tie-break counts as
-// constrained, and some keep edges inside groups, which makes the picked
-// group's own live candidates count. One Pool per case serves every trial,
-// and the node counts repeat, so arenas are rebound across graphs of one
-// size as regimapd's are; a generic Find on the same pool between searches
-// leaves its states dirty.
+// keep edges inside groups, which makes the picked group's own live
+// candidates count. Each search after the first on a graph reuses the
+// graph's arenas, and a generic Find between searches leaves their states
+// dirty.
 func TestFindGroupedMatchesReference(t *testing.T) {
 	sizes := []int{24, 40, 96, 150}
 	cases := []struct {
@@ -768,25 +739,22 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 		maxSize   int
 		scattered bool
 		product   bool // gen is unused: randomProductGraph builds graph and groups
-		loose     bool // about one node in eight belongs to no group
 		intra     bool // half the pairs inside a group are adjacent
 	}{
-		{"flat/unconstrained", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, -1, 0.6, 0) }, 4, false, false, false, false},
-		{"flat/weighted", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(4), 0.65, 0.5) }, 5, false, false, false, false},
-		{"flat/tight-cap", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, r.Intn(3), 0.7, 0.6) }, 4, false, false, false, false},
-		{"flat/scattered", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(3), 0.65, 0.5) }, 6, true, false, false, false},
-		{"flat/loose-nodes", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 2+r.Intn(3), 0.8, 0.3) }, 3, false, false, true, false},
-		{"flat/intra-group-edges", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, -1, 0.6, 0) }, 8, false, false, false, true},
-		{"cluster/REGIMap-shape", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2+r.Intn(3), 2+r.Intn(6), 0.7) }, 6, false, false, false, false},
-		{"cluster/tight-cap", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 1, 2+r.Intn(3), 0.75) }, 4, false, false, false, false},
-		{"cluster/scattered", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2, 3+r.Intn(4), 0.7) }, 8, true, false, false, false},
-		{"cluster/intra-group-edges", func(r *rand.Rand, n int) *Graph { return randomClusterGraph(r, n, 2, 3+r.Intn(4), 0.7) }, 8, false, false, false, true},
-		{"dense", func(r *rand.Rand, n int) *Graph { return randomFlatGraph(r, n, 3, 0.85, 0.4) }, 3, false, false, false, false},
-		{"product/REGIMap-shape", nil, 0, false, true, false, false},
+		{"flat/unconstrained", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 1, fileOf(0, 4), 0.6, 0) }, 4, false, false, false},
+		{"flat/weighted", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 1, fileOf(2, 5), 0.65, 0.5) }, 5, false, false, false},
+		{"flat/tight-cap", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 1, fileOf(0, 2), 0.7, 0.6) }, 4, false, false, false},
+		{"flat/scattered", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 1, fileOf(2, 4), 0.65, 0.5) }, 6, true, false, false},
+		{"flat/intra-group-edges", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 1, fileOf(0, 4), 0.6, 0) }, 8, false, false, true},
+		{"cluster/REGIMap-shape", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 2+r.Intn(6), fileOf(1, 4), 0.7, 0.5) }, 6, false, false, false},
+		{"cluster/tight-cap", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 2+r.Intn(3), fileOf(0, 1), 0.75, 0.5) }, 4, false, false, false},
+		{"cluster/scattered", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 3+r.Intn(4), fileOf(1, 3), 0.7, 0.5) }, 8, true, false, false},
+		{"cluster/intra-group-edges", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 3+r.Intn(4), fileOf(1, 3), 0.7, 0.5) }, 8, false, false, true},
+		{"dense", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 1+r.Intn(4), fileOf(2, 4), 0.85, 0.4) }, 3, false, false, false},
+		{"product/REGIMap-shape", nil, 0, false, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pool := NewPool()
 			for trial := 0; trial < 24; trial++ {
 				rng := rand.New(rand.NewSource(int64(12000 + trial)))
 				var g *Graph
@@ -796,13 +764,6 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 				} else {
 					g = tc.gen(rng, sizes[trial%len(sizes)])
 					groups = randomGroups(rng, g, tc.maxSize, tc.scattered)
-				}
-				if tc.loose {
-					for gi, grp := range groups {
-						if len(grp) > 1 && rng.Intn(4) == 0 {
-							groups[gi] = grp[1:]
-						}
-					}
 				}
 				if tc.intra {
 					for _, grp := range groups {
@@ -815,7 +776,7 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				opts := Options{GroupRounds: rng.Intn(7), Arenas: pool}
+				opts := Options{GroupRounds: rng.Intn(7)}
 				if trial%2 == 1 {
 					opts.GroupOrder = rng.Perm(len(groups))
 				}
@@ -830,9 +791,9 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 					if !g.IsFeasibleClique(got) {
 						t.Fatalf("trial %d: FindGrouped returned infeasible clique %v", trial, got)
 					}
-					Find(g, len(groups), Options{Arenas: pool})
+					Find(g, len(groups), Options{})
 					if again := FindGrouped(g, gx, opts); !reflect.DeepEqual(got, again) {
-						t.Fatalf("trial %d: pooled rerun differs: %v then %v", trial, got, again)
+						t.Fatalf("trial %d: rerun on reused arenas differs: %v then %v", trial, got, again)
 					}
 				}
 			}
@@ -849,23 +810,28 @@ func TestFindGroupedDeterministicAndFeasible(t *testing.T) {
 		nGroups := 3 + rng.Intn(6)
 		perGroup := 2 + rng.Intn(4)
 		n := nGroups * perGroup
-		g := NewGraph(n, 2+rng.Intn(3))
+		// Candidate k of every group sits on cluster k, as REGIMap's
+		// bindings sit on PEs, and every group has one demand.
+		g := NewGraph(n, perGroup)
+		for c := 0; c < perGroup; c++ {
+			g.SetRegs(c, 1+rng.Intn(3))
+		}
 		groups := make([][]int, nGroups)
 		groupOf := make([]int, n)
 		for gi := range groups {
+			demand := rng.Intn(2)
 			for k := 0; k < perGroup; k++ {
 				u := gi*perGroup + k
 				groups[gi] = append(groups[gi], u)
 				groupOf[u] = gi
+				g.SetCluster(u, k)
+				g.SetDemand(u, demand)
 			}
 		}
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				if groupOf[u] != groupOf[v] && rng.Float64() < 0.7 {
 					g.AddEdge(u, v)
-					if rng.Float64() < 0.4 {
-						g.AddWeight(u, v, rng.Intn(2))
-					}
 				}
 			}
 		}
@@ -892,7 +858,7 @@ func TestFindGroupedDeterministicAndFeasible(t *testing.T) {
 func TestReferenceSanity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
-		g := randomFlatGraph(rng, 12, 3, 0.5, 0.5)
+		g := randomRegGraph(rng, 12, 1+rng.Intn(3), fileOf(1, 4), 0.5, 0.5)
 		for _, target := range []int{1, 4, 12} {
 			if got := refFind(g, target, Options{}); !g.IsFeasibleClique(got) {
 				t.Fatalf("reference Find infeasible: %v", got)

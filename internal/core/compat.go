@@ -25,10 +25,11 @@ type Pair struct {
 
 // Compat is the compatibility graph P between a scheduled DFG and the
 // time-extended CGRA R_II (paper Step 1-2, Appendix A-B). Nodes are feasible
-// (operation, PE) pairs; an undirected edge means both bindings can coexist;
-// directed arc weights carry the register demand of dependences that must be
-// register-carried (producer and consumer sharing a PE more than one cycle
-// apart).
+// (operation, PE) pairs; an undirected edge means both bindings can coexist.
+// Each node carries its operation's register demand — the rotating registers
+// its value holds when a dependence must be register-carried (producer and
+// consumer sharing a PE more than one cycle apart) — in the register file of
+// its PE, the node's clique cluster.
 type Compat struct {
 	G     *clique.Graph
 	Pairs []Pair
@@ -61,7 +62,7 @@ type CompatOptions struct {
 // operations moved slots since the previous Build, only the adjacency rows
 // of those operations' candidates are rebuilt (unchanged-pair constraints
 // depend solely on the two operations' own slots, so their edges are
-// provably identical). Register weights are re-derived wholesale every
+// provably identical). Register demands are re-derived wholesale every
 // Build: they are O(V+E) to compute and follow the schedule's spans.
 //
 // Each Build also records, per operation pair, whether any Appendix A.2
@@ -86,13 +87,8 @@ type CompatBuilder struct {
 	byOp  [][]int
 	gx    clique.Groups // byOp's masks and word spans, and the constraint relation
 	memOp []bool        // operation touches a shared memory bus
-	g     clique.Graph
+	g     clique.Graph  // never copied: it holds the searches' idle arenas
 	cg    Compat
-
-	// arenas pools clique search states sized for g; nil until the first
-	// search, and dropped by a Reset that changes the node count, since a
-	// pool's arenas serve one size only.
-	arenas *clique.Pool
 
 	// Per-PE rule masks over pair ids, built once per Reset (see
 	// orPartners): the ids bound to PE p, to the PEs connected to p (one set
@@ -124,16 +120,7 @@ type CompatBuilder struct {
 	depNeedAdj []bool
 	depCarried []bool
 
-	regDemand  []int
 	maxCarried []int
-	anyDemand  bool
-
-	// handicap pre-charges candidates on PEs whose usable register file is
-	// smaller than the nominal NumRegs (a register-file fault): the clique
-	// budget is global, so charging the deficit as an unconditional base
-	// weight makes the per-node budget check exactly the *usable* per-PE
-	// capacity. Empty on healthy arrays — the fault-free path is unchanged.
-	handicap []int
 
 	prevTimes []int // schedule of the previous successful Build (empty: none)
 
@@ -167,7 +154,7 @@ func (b *CompatBuilder) Reset(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptio
 		return fmt.Errorf("core: non-positive II %d", ii)
 	}
 	b.d, b.c, b.ii, b.opts = d, c, ii, opts
-	N, nodes := d.N(), len(b.pairs)
+	N := d.N()
 
 	// Enumerate candidate pairs: operation x supporting PE. The schedule has
 	// already pruned the time dimension — this is the paper's point that
@@ -192,24 +179,18 @@ func (b *CompatBuilder) Reset(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptio
 		}
 	}
 
-	n := len(b.pairs)
-	if n != nodes {
-		b.arenas = nil
+	// Every PE is a clique cluster with its usable register file: the
+	// nominal budget NumRegs, or less where the file is smaller or faulted.
+	n, pes := len(b.pairs), c.NumPEs()
+	b.g.Reset(n, pes)
+	for id, pr := range b.pairs {
+		b.g.SetCluster(id, pr.PE)
 	}
-	b.g.Reset(n, c.NumRegs)
+	for p := 0; p < pes; p++ {
+		b.g.SetRegs(p, min(c.NumRegs, c.RegsAt(p)))
+	}
 	b.gx.Reset(n, b.byOp)
 	b.cg = Compat{G: &b.g, Pairs: b.pairs, II: ii, d: d, byOp: b.byOp, gx: &b.gx}
-	b.handicap = b.handicap[:0]
-	if !c.Healthy() || !c.UniformRegs() {
-		for id, pr := range b.pairs {
-			if h := c.NumRegs - c.RegsAt(pr.PE); h > 0 {
-				if len(b.handicap) == 0 {
-					b.handicap = resize(b.handicap, n)
-				}
-				b.handicap[id] = h
-			}
-		}
-	}
 	// With one array-wide bus group of capacity >= 2, memory ops impose no
 	// pairwise constraint at all: the scheduler's per-slot memory cap equals
 	// the group capacity and is exact on its own. Every other scheme (the
@@ -230,7 +211,6 @@ func (b *CompatBuilder) Reset(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptio
 	}
 	b.rowSpan = resize(b.rowSpan, b.gx.MaxSpan())
 
-	pes := c.NumPEs()
 	rules := b.ruleSlab.Carve(n, 2*pes)
 	for _, r := range rules {
 		r.Reset()
@@ -265,7 +245,6 @@ func (b *CompatBuilder) Reset(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptio
 	b.depHas = resize(b.depHas, nn)
 	b.depNeedAdj = resize(b.depNeedAdj, nn)
 	b.depCarried = resize(b.depCarried, nn)
-	b.regDemand = resize(b.regDemand, N)
 	b.maxCarried = resize(b.maxCarried, N)
 
 	b.changed = resize(b.changed, N)
@@ -387,41 +366,18 @@ func (b *CompatBuilder) Build(times []int) (*Compat, error) {
 			}
 		}
 	}
-	b.anyDemand = false
+	// Every binding of an operation holds its demand in its PE's file, and
+	// the clique search keeps each PE's summed demand within that file: the
+	// per-PE register capacity of Appendix B and Theorem C.1.
 	for v, span := range b.maxCarried {
+		demand := 0
 		if span > 1 {
-			b.regDemand[v] = ceilDiv(span, ii)
-			b.anyDemand = true
-		} else {
-			b.regDemand[v] = 0
+			demand = ceilDiv(span, ii)
 		}
-	}
-
-	// Weights: a value parked in a PE's file is paid for by *every* mapping
-	// resident on that PE (the per-node budget check is then exactly the
-	// per-PE capacity constraint). Bases carry each node's own demand. The
-	// weights are a computed function (Appendix B, Theorem C.1): w(u -> v)
-	// is v's demand when the two bindings share a PE. Re-installing it
-	// refreshes the graph's outgoing-weight summaries for this schedule's
-	// demands.
-	for v, demand := range b.regDemand {
 		for _, id := range b.byOp[v] {
-			if len(b.handicap) > 0 {
-				b.g.SetBase(id, demand+b.handicap[id])
-			} else {
-				b.g.SetBase(id, demand)
-			}
+			b.g.SetDemand(id, demand)
 		}
 	}
-	b.g.SetWeightFunc(
-		func(u, v int) int {
-			if b.pairs[u].PE != b.pairs[v].PE {
-				return 0
-			}
-			return b.regDemand[b.pairs[v].Op]
-		},
-		func(u int) bool { return b.anyDemand },
-		func(u int) int { return b.pairs[u].PE })
 
 	// Decide how much adjacency to rebuild: everything on the first Build
 	// (or when most slots moved), otherwise only the rows of operations
@@ -548,19 +504,26 @@ func andNotWords(row []uint64, m *graph.Bitset, lo int) {
 }
 
 // applyDepFree ORs the accumulated dependence-free partner masks into each
-// touched operation's candidate rows, then clears the same-slot same-PE
-// collisions (the one resource conflict the bulk OR cannot express).
+// touched operation's candidate rows, over the word span the partners
+// cover, then clears the same-slot same-PE collisions (the one resource
+// conflict the bulk OR cannot express).
 func (b *CompatBuilder) applyDepFree() {
 	for vi, partners := range b.depFree {
 		if len(partners) == 0 {
 			continue
 		}
-		b.union.Reset()
+		lo, hi := b.gx.Span(partners[0])
+		for _, vj := range partners[1:] {
+			l, h := b.gx.Span(vj)
+			lo, hi = min(lo, l), max(hi, h)
+		}
+		union := b.union.Words()[lo:hi]
+		clear(union)
 		for _, vj := range partners {
 			b.orMask(&b.union, vj)
 		}
 		for _, i := range b.byOp[vi] {
-			b.g.OrAdjacency(i, &b.union)
+			b.g.OrAdjacencyWords(i, lo, union)
 		}
 		b.depFree[vi] = b.depFree[vi][:0]
 	}

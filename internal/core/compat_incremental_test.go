@@ -10,7 +10,8 @@ import (
 )
 
 // sameCompat fails the test unless the two compatibility graphs agree on
-// every observable: candidate pairs, adjacency, directed weights, and bases.
+// every observable: candidate pairs, adjacency, each node's cluster and
+// demand, and each cluster's register file.
 func sameCompat(t *testing.T, trial, round int, got, want *Compat) {
 	t.Helper()
 	if len(got.Pairs) != len(want.Pairs) {
@@ -22,23 +23,24 @@ func sameCompat(t *testing.T, trial, round int, got, want *Compat) {
 			t.Fatalf("trial %d round %d: pair %d is %+v incrementally vs %+v from scratch",
 				trial, round, i, got.Pairs[i], want.Pairs[i])
 		}
-		if got.G.Base(i) != want.G.Base(i) {
-			t.Fatalf("trial %d round %d: base(%d) = %d incrementally vs %d from scratch",
-				trial, round, i, got.G.Base(i), want.G.Base(i))
+		if got.G.Cluster(i) != want.G.Cluster(i) || got.G.Demand(i) != want.G.Demand(i) {
+			t.Fatalf("trial %d round %d: node %d in cluster %d with demand %d incrementally vs %d with %d from scratch",
+				trial, round, i, got.G.Cluster(i), got.G.Demand(i), want.G.Cluster(i), want.G.Demand(i))
+		}
+	}
+	if got.G.Clusters() != want.G.Clusters() {
+		t.Fatalf("trial %d round %d: %d clusters incrementally vs %d from scratch", trial, round, got.G.Clusters(), want.G.Clusters())
+	}
+	for p := 0; p < got.G.Clusters(); p++ {
+		if got.G.Regs(p) != want.G.Regs(p) {
+			t.Fatalf("trial %d round %d: cluster %d file %d incrementally vs %d from scratch", trial, round, p, got.G.Regs(p), want.G.Regs(p))
 		}
 	}
 	for i := range got.Pairs {
-		for j := range got.Pairs {
-			if i == j {
-				continue
-			}
-			if i < j && got.G.Adjacent(i, j) != want.G.Adjacent(i, j) {
+		for j := i + 1; j < len(got.Pairs); j++ {
+			if got.G.Adjacent(i, j) != want.G.Adjacent(i, j) {
 				t.Fatalf("trial %d round %d: adjacency (%d,%d) = %v incrementally vs %v from scratch",
 					trial, round, i, j, got.G.Adjacent(i, j), want.G.Adjacent(i, j))
-			}
-			if got.G.Weight(i, j) != want.G.Weight(i, j) {
-				t.Fatalf("trial %d round %d: weight (%d->%d) = %d incrementally vs %d from scratch",
-					trial, round, i, j, got.G.Weight(i, j), want.G.Weight(i, j))
 			}
 		}
 	}

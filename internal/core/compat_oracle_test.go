@@ -77,7 +77,7 @@ func TestCompatAgainstValidatorOracle(t *testing.T) {
 // oracleCompatible reports whether mapping.Validate accepts the two bindings
 // as a sub-kernel of just their two operations and the dependences between
 // them, at the schedule's slots. Register capacity is deliberately ignored:
-// the clique encodes it as weights, not adjacency. (On fanout-bounded
+// the clique encodes it as per-PE demand, not adjacency. (On fanout-bounded
 // fabrics the compatibility graph also applies a kernel-wide link rule a
 // two-operation sub-kernel cannot see; the zoo has none.)
 func oracleCompatible(d *dfg.DFG, c *arch.CGRA, res *sched.Result, a, b Pair) bool {

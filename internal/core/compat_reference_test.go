@@ -19,8 +19,8 @@ import (
 type refCompat struct {
 	pairs  []Pair
 	adj    [][]uint64 // adjacency rows, 64 node ids per word
-	base   []int
-	demand []int // register demand per operation: the weight of an arc into it on a shared PE
+	demand []int      // register demand per operation
+	regs   []int      // usable register file per PE, within the NumRegs budget
 }
 
 // refBuildCompat derives the compatibility graph of a schedule directly
@@ -84,9 +84,13 @@ func refBuildCompat(d *dfg.DFG, c *arch.CGRA, times []int, ii int, opts CompatOp
 		}
 	}
 
+	r.regs = make([]int, c.NumPEs())
+	for p := range r.regs {
+		r.regs[p] = min(c.NumRegs, c.RegsAt(p))
+	}
+
 	memPairwise := !(c.NumBusGroups() == 1 && c.BusGroupCap(0) > 1)
 	n := len(r.pairs)
-	r.base = make([]int, n)
 	r.adj = make([][]uint64, n)
 	for i := range r.adj {
 		r.adj[i] = make([]uint64, (n+63)/64)
@@ -96,7 +100,6 @@ func refBuildCompat(d *dfg.DFG, c *arch.CGRA, times []int, ii int, opts CompatOp
 		opMask[v] = make([]uint64, (n+63)/64)
 	}
 	for i, a := range r.pairs {
-		r.base[i] = r.demand[a.Op] + max(0, c.NumRegs-c.RegsAt(a.PE))
 		opMask[a.Op][i>>6] |= 1 << uint(i&63)
 	}
 	// The rule is symmetric in its two bindings, and each row is filled on
@@ -139,10 +142,11 @@ func refBuildCompat(d *dfg.DFG, c *arch.CGRA, times []int, ii int, opts CompatOp
 }
 
 // diffCompat fails the test unless the builder's graph equals the reference
-// on every pair, base, adjacency row and same-PE weight (every weight when
-// crossPE is set), and every row is symmetric (the grouped clique search's
-// transposed forward check relies on it).
-func diffCompat(t *testing.T, where string, got *Compat, want *refCompat, crossPE bool) {
+// on every pair, every node's cluster (its PE) and demand (its operation's),
+// every PE's register file, and every adjacency row, and every row is
+// symmetric (the grouped clique search's transposed forward check relies on
+// it).
+func diffCompat(t *testing.T, where string, got *Compat, want *refCompat) {
 	t.Helper()
 	if len(got.Pairs) != len(want.pairs) {
 		t.Fatalf("%s: %d pairs, reference %d", where, len(got.Pairs), len(want.pairs))
@@ -151,28 +155,25 @@ func diffCompat(t *testing.T, where string, got *Compat, want *refCompat, crossP
 		if got.Pairs[i] != pr {
 			t.Fatalf("%s: pair %d is %+v, reference %+v", where, i, got.Pairs[i], pr)
 		}
-		if got.G.Base(i) != want.base[i] {
-			t.Fatalf("%s: base(%d) = %d, reference %d", where, i, got.G.Base(i), want.base[i])
+		if got.G.Cluster(i) != pr.PE || got.G.Demand(i) != want.demand[pr.Op] {
+			t.Fatalf("%s: %+v in cluster %d with demand %d, reference %d with %d",
+				where, pr, got.G.Cluster(i), got.G.Demand(i), pr.PE, want.demand[pr.Op])
+		}
+	}
+	if got.G.Clusters() != len(want.regs) {
+		t.Fatalf("%s: %d clusters, reference %d PEs", where, got.G.Clusters(), len(want.regs))
+	}
+	for p, regs := range want.regs {
+		if got.G.Regs(p) != regs {
+			t.Fatalf("%s: PE %d file %d, reference %d", where, p, got.G.Regs(p), regs)
 		}
 	}
 	// Every ordered pair, so agreeing with the symmetric reference also
-	// asserts symmetric rows. A weight is the consumer's demand between
-	// bindings on one PE and 0 otherwise; the demands follow the schedule
-	// and the compat options, the zeros do neither, so cross-PE weights are
-	// checked only when crossPE is set.
+	// asserts symmetric rows.
 	for i, a := range want.pairs {
 		for j, b := range want.pairs {
 			if got, w := got.G.Adjacent(i, j), want.adj[i][j>>6]>>uint(j&63)&1 != 0; got != w {
 				t.Fatalf("%s: adjacency (%+v, %+v) = %v, reference %v", where, a, b, got, w)
-			}
-			w := 0
-			if a.PE == b.PE {
-				w = want.demand[b.Op]
-			} else if !crossPE {
-				continue
-			}
-			if i != j && got.G.Weight(i, j) != w {
-				t.Fatalf("%s: weight (%+v -> %+v) = %d, reference %d", where, a, b, got.G.Weight(i, j), w)
 			}
 		}
 	}
@@ -217,10 +218,14 @@ func diffRelation(t *testing.T, where string, got *Compat, want *refCompat, d *d
 	}
 }
 
-// zooFault breaks one PE and cuts one surviving link of c.
+// zooFault breaks one PE, cuts one surviving link of c and shrinks the
+// register file of another surviving PE.
 func zooFault(rng *rand.Rand, c *arch.CGRA) {
 	broken := rng.Intn(c.NumPEs())
 	c.DisablePE(broken)
+	if p := (broken + 1 + rng.Intn(c.NumPEs()-1)) % c.NumPEs(); c.NominalRegsAt(p) > 0 {
+		c.LimitRegs(p, rng.Intn(c.NominalRegsAt(p)))
+	}
 	for tries := 0; tries < 1000; tries++ {
 		p, q := rng.Intn(c.NumPEs()), rng.Intn(c.NumPEs())
 		if p != q && p != broken && q != broken && c.Connected(p, q) {
@@ -308,7 +313,7 @@ func TestCompatBuilderMatchesReferenceZoo(t *testing.T) {
 						t.Fatalf("%s round %d: Build: %v", where, round, err)
 					}
 					ref := refBuildCompat(d, c, times, res.II, opts)
-					diffCompat(t, fmt.Sprintf("%s round %d", where, round), got, ref, round == 0 && !strict)
+					diffCompat(t, fmt.Sprintf("%s round %d", where, round), got, ref)
 					diffRelation(t, fmt.Sprintf("%s round %d", where, round), got, ref, d, times, res.II)
 				}
 			}
@@ -340,14 +345,19 @@ func sameGroups(t *testing.T, where string, got, want *Compat, nOps int) {
 }
 
 // poisonBuilder scribbles over the storage a Reset reuses: every adjacency
-// row full, every base and register demand wrong, every operation pair
-// marked free, and the dependence and scratch flags set.
+// row full, every node's cluster and demand and every register file wrong,
+// every operation pair marked free, and the dependence and scratch flags
+// set.
 func poisonBuilder(b *CompatBuilder) {
 	full := graph.NewBitset(len(b.pairs))
 	full.Fill()
 	for i := range b.pairs {
-		b.g.OrAdjacency(i, full)
-		b.g.SetBase(i, 99)
+		b.g.OrAdjacencyWords(i, 0, full.Words())
+		b.g.SetCluster(i, 0)
+		b.g.SetDemand(i, 99)
+	}
+	for p := 0; p < b.g.Clusters(); p++ {
+		b.g.SetRegs(p, 99)
 	}
 	for va := range b.byOp {
 		for vb := range b.byOp {
@@ -358,9 +368,6 @@ func poisonBuilder(b *CompatBuilder) {
 		for i := range flags {
 			flags[i] = true
 		}
-	}
-	for i := range b.regDemand {
-		b.regDemand[i] = 7
 	}
 }
 

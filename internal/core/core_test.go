@@ -118,9 +118,9 @@ func TestCompatWeightsMatchFigure2(t *testing.T) {
 	// In Figure 2(d): a and d on PE 1 at times 0 and 3, II=2. The value of a
 	// lives 3 cycles, so it occupies ceil(3/2)=2 rotating registers of PE 1 —
 	// exactly the paper's "two registers are required in PE 2". In our
-	// encoding a's own demand is its base weight and every co-resident
-	// mapping (here d) is charged the same demand on its arc to a, so each
-	// node's weight sum inside a clique equals its PE's total demand.
+	// encoding a's binding demands 2 registers of PE 1's file and d's none,
+	// so the clique {a@PE1, d@PE1} loads PE 1 with the paper's two
+	// registers, against PE 1's 4-register file.
 	d := fig2DFG()
 	c := arch.NewMesh(1, 2, 4)
 	cg, err := BuildCompat(d, c, []int{0, 1, 2, 3}, 2, CompatOptions{})
@@ -142,14 +142,17 @@ func TestCompatWeightsMatchFigure2(t *testing.T) {
 	if !cg.G.Adjacent(aOnPE1, dOnPE1) {
 		t.Fatal("(PE1,a) and (PE1,d) must be compatible")
 	}
-	if got := cg.G.Base(aOnPE1); got != 2 {
-		t.Errorf("base(a@PE1) = %d, want 2 (the paper's two registers)", got)
+	if got := cg.G.Demand(aOnPE1); got != 2 {
+		t.Errorf("demand(a@PE1) = %d, want 2 (the paper's two registers)", got)
 	}
-	if w := cg.G.Weight(dOnPE1, aOnPE1); w != 2 {
-		t.Errorf("weight d->a = %d, want 2 (d pays for a's parked value)", w)
+	if cg.G.Cluster(aOnPE1) != 1 || cg.G.Cluster(dOnPE1) != 1 {
+		t.Errorf("a@PE1 and d@PE1 in clusters %d and %d, want PE 1's", cg.G.Cluster(aOnPE1), cg.G.Cluster(dOnPE1))
 	}
-	if sum := cg.G.Base(dOnPE1) + cg.G.Weight(dOnPE1, aOnPE1); sum != 2 {
-		t.Errorf("d's in-clique weight sum = %d, want 2 (the PE total)", sum)
+	if load := cg.G.Demand(aOnPE1) + cg.G.Demand(dOnPE1); load != 2 || cg.G.Regs(1) != 4 {
+		t.Errorf("PE 1 load %d of a %d-register file, want 2 of 4 (the PE total)", load, cg.G.Regs(1))
+	}
+	if !cg.G.IsFeasibleClique([]int{aOnPE1, dOnPE1}) {
+		t.Error("{a@PE1, d@PE1} must fit PE 1's file")
 	}
 	// Cross-PE binding of a register-carried pair must be incompatible.
 	var aOnPE0 = -1
@@ -176,13 +179,13 @@ func TestCompatSelfRecurrenceBase(t *testing.T) {
 	}
 	// acc's self edge spans 2 at II=2: one register wherever acc lands.
 	for _, id := range cg.Candidates(acc) {
-		if got := cg.G.Base(id); got != 1 {
-			t.Errorf("base weight = %d, want 1", got)
+		if got := cg.G.Demand(id); got != 1 {
+			t.Errorf("demand = %d, want 1", got)
 		}
 	}
 	for _, id := range cg.Candidates(x) {
-		if got := cg.G.Base(id); got != 0 {
-			t.Errorf("input base weight = %d, want 0", got)
+		if got := cg.G.Demand(id); got != 0 {
+			t.Errorf("input demand = %d, want 0", got)
 		}
 	}
 }

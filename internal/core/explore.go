@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"strconv"
 	"time"
 
 	"regimap/internal/arch"
@@ -22,7 +23,8 @@ import (
 // stopping at the first that reaches the floor gives, so it repeats exactly
 // at any GOMAXPROCS. The Stats are the answer's candidate's, with Elapsed
 // covering the whole race; when no candidate maps, Map returns candidate
-// 0's error.
+// 0's error. Each candidate's trace events carry its own engine label (see
+// candidateLabel).
 func explore(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.Mapping, *Stats, error) {
 	start := time.Now()
 	if err := d.Validate(); err != nil {
@@ -38,7 +40,7 @@ func explore(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapp
 	out := make([]outcome, 1+opts.Explore)
 	won := par.First(ctx, len(out), runtime.GOMAXPROCS(0), func(ctx context.Context, _, s int) bool {
 		o := &out[s]
-		o.m, o.stats, o.err = escalate(ctx, d, c, variant(opts, s))
+		o.m, o.stats, o.err = escalate(ctx, d, c, variant(opts, s), candidateLabel(s))
 		return o.m != nil && o.stats.II == max(mii, opts.MinII)
 	})
 	if err := ctx.Err(); err != nil {
@@ -86,6 +88,16 @@ func variant(opts Options, s int) Options {
 		o.Clique.GroupRounds = rounds + step
 	}
 	return o
+}
+
+// candidateLabel is the engine label of explore candidate s's trace
+// events: "regimap" for the base search, so a trace of it reads as one of
+// Map without Explore, and "regimap/scout<s>" for scout s.
+func candidateLabel(s int) string {
+	if s == 0 {
+		return "regimap"
+	}
+	return "regimap/scout" + strconv.Itoa(s)
 }
 
 func defaulted(v, def int) int {

@@ -13,6 +13,7 @@ import (
 	"regimap/internal/dfg"
 	"regimap/internal/engine"
 	"regimap/internal/kernels"
+	"regimap/internal/obs"
 	"regimap/internal/sim"
 )
 
@@ -188,5 +189,54 @@ func TestExploreIdenticalAcrossGOMAXPROCS(t *testing.T) {
 				t.Fatalf("%s on %s at GOMAXPROCS %d:\n%s\n--- GOMAXPROCS 1:\n%s", tc.kernel, tc.c, procs, got, want)
 			}
 		}
+	}
+}
+
+// TestExploreTraceLabels: every Explore candidate emits its events under its
+// own engine label, the base search under "regimap" and scout s under
+// "regimap/scout<s>", so a trace tells the candidates apart: no two
+// map.done events share a label, and every ii.attempt carries the label of
+// a candidate that emitted a map.done.
+func TestExploreTraceLabels(t *testing.T) {
+	c, err := arch.Lookup("paper-4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, ok := kernels.ByName("fft_radix2")
+	if !ok {
+		t.Fatal("kernel fft_radix2 missing")
+	}
+	sink := &obs.MemSink{}
+	ctx := obs.With(context.Background(), obs.New(sink))
+	if _, _, err := Map(ctx, k.Build(), c, Options{Explore: 3}); err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]bool{"regimap": true, "regimap/scout1": true, "regimap/scout2": true, "regimap/scout3": true}
+	done := map[string]bool{}
+	for _, ev := range sink.Events() {
+		if !labels[ev.Engine] {
+			t.Fatalf("%s event labelled %q, no Explore candidate's label", ev.Name, ev.Engine)
+		}
+		if ev.Name == "map.done" {
+			if done[ev.Engine] {
+				t.Fatalf("two map.done events labelled %q", ev.Engine)
+			}
+			done[ev.Engine] = true
+		}
+	}
+	if !done["regimap"] {
+		t.Fatal("the base search emitted no map.done labelled regimap")
+	}
+	attempts := 0
+	for _, ev := range sink.Events() {
+		if ev.Name == "ii.attempt" {
+			attempts++
+			if !done[ev.Engine] {
+				t.Fatalf("ii.attempt labelled %q, a candidate with no map.done", ev.Engine)
+			}
+		}
+	}
+	if attempts == 0 {
+		t.Fatal("no ii.attempt events traced")
 	}
 }

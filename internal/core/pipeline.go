@@ -139,11 +139,9 @@ func (a *Attempt) PassPrecheck(res *sched.Result) (skip []int, proceed bool) {
 //
 // One builder serves the whole Map call (mapAtII hands it over), reset in
 // place for every II and every grown work DFG, so its adjacency slab is
-// allocated a few times per call rather than once per reset. When the
-// caller passes no clique.Pool, the searches draw arenas from the builder's
-// own pool, which a reset that changes the node count replaces: one pool
-// per Map call would keep arenas for every route-inserted size until the
-// call ends.
+// allocated a few times per call rather than once per reset. The searches
+// draw their arenas from the builder's graph, which drops them when a reset
+// changes the node count.
 func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 	sp := a.tr.Start("pass.compat")
 	if a.cb == nil {
@@ -175,14 +173,7 @@ func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 // pass.
 func (a *Attempt) PassPlace(ctx context.Context, cg *Compat, res *sched.Result) (*mapping.Mapping, []int) {
 	sp := a.tr.Start("pass.clique")
-	opts := a.opts.Clique
-	if opts.Arenas == nil {
-		if a.cb.arenas == nil {
-			a.cb.arenas = clique.NewPool()
-		}
-		opts.Arenas = a.cb.arenas
-	}
-	sol := findPlacement(ctx, cg, a.ds.N(), res.Time, opts, a.opts.Workers, a.tr)
+	sol := findPlacement(ctx, cg, a.ds.N(), res.Time, a.opts.Clique, a.opts.Workers, a.tr)
 	sp.Field("placed", int64(len(sol)))
 	sp.Field("target", int64(a.ds.N()))
 	sp.End()
@@ -392,11 +383,6 @@ func findPlacement(ctx context.Context, cg *Compat, target int, times []int, opt
 	// grouped passes plus the outer learning loop are the better use of time.
 	if cg.Nodes() <= 384 {
 		passes = append(passes, func(o clique.Options) []int {
-			if o.SeedOrder == nil {
-				// The graph caches the degree sort, so repeated placements of
-				// an unchanged (or partially-rebuilt) graph sort at most once.
-				o.SeedOrder = cg.G.DegreeOrder()
-			}
 			return clique.Find(cg.G, target, o)
 		})
 	}

@@ -125,16 +125,17 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 	if opts.Explore > 0 {
 		return explore(ctx, d, c, opts)
 	}
-	return escalate(ctx, d, c, opts)
+	return escalate(ctx, d, c, opts, "regimap")
 }
 
-// escalate is one II escalation: Map without Explore.
-func escalate(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.Mapping, *Stats, error) {
+// escalate is one II escalation: Map without Explore. Its trace events
+// carry the engine label given (see explore's candidateLabel).
+func escalate(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options, engine string) (*mapping.Mapping, *Stats, error) {
 	start := time.Now()
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tr := obs.From(ctx).Named("regimap", d.Name)
+	tr := obs.From(ctx).Named(engine, d.Name)
 	pes, memRows := c.MIIResources()
 	stats := &Stats{MII: d.MII(pes, memRows)}
 	tr.Point1("mii", "mii", int64(stats.MII))

@@ -455,15 +455,6 @@ func (d *DFG) IntraGraph() *graph.Digraph {
 	return g
 }
 
-// FullGraph returns the dependence structure including inter-iteration edges.
-func (d *DFG) FullGraph() *graph.Digraph {
-	g := graph.New(len(d.Nodes))
-	for _, e := range d.Edges {
-		g.AddEdge(e.From, e.To)
-	}
-	return g
-}
-
 // DOT renders the DFG in Graphviz syntax; inter-iteration edges are dashed
 // and labelled with their distance.
 func (d *DFG) DOT() string {

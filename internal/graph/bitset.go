@@ -287,25 +287,6 @@ func (b *Bitset) ForEach(fn func(i int) bool) {
 	}
 }
 
-// ForEachAnd calls fn for each member of b ∩ other in increasing order,
-// without materializing the intersection. If fn returns false the iteration
-// stops early.
-func (b *Bitset) ForEachAnd(other *Bitset, fn func(i int) bool) {
-	if b.n != other.n {
-		panic("graph: bitset capacity mismatch")
-	}
-	for wi, w := range b.words {
-		w &= other.words[wi]
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			if !fn(wi*64 + bit) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
 // Members returns the members in increasing order.
 func (b *Bitset) Members() []int {
 	out := make([]int, 0, b.Count())

@@ -51,7 +51,10 @@
 //
 // Every event carries the engine and kernel labels of the tracer that emitted
 // it, a start offset relative to the tracer epoch, and a duration (zero for
-// point events).
+// point events). REGIMap labels its events "regimap"; under Explore, scout s
+// labels its mii, ii.attempt, pass.*, clique.* and map.done events
+// "regimap/scout<s>" while the base search keeps "regimap", so each
+// candidate's escalation reads apart from the others.
 package obs
 
 import (

@@ -50,8 +50,7 @@ import (
 	// Importing the mapper packages is what populates the engine registry
 	// the server dispatches through (resilient above registers itself too).
 	// core is also imported by name: resolve hands the regimap engine a
-	// core.Options carrying the pass worker count and the shared arena pool.
-	"regimap/internal/clique"
+	// core.Options carrying the pass worker count.
 	"regimap/internal/core"
 	"regimap/internal/dresc"
 	_ "regimap/internal/ems"
@@ -66,8 +65,8 @@ type Config struct {
 	// run across this many goroutines (core.Options.Workers; <=1: inline).
 	// Mappings are byte-identical at any value (DESIGN.md section 8g), so
 	// the result cache never observes a worker-count-dependent answer.
-	// Search arenas are pooled on the Server and reused across requests
-	// regardless of this setting.
+	// Search arenas belong to each compile's compatibility graph, so
+	// nothing of the clique search outlives a request at any setting.
 	CliqueWorkers int
 	// DRESCRestarts races this many seed-derived annealing chains per II
 	// inside each DRESC run — the dresc engine and the resilient ladder's
@@ -170,7 +169,6 @@ type Server struct {
 	met      *metrics
 	trace    *obs.Tracer // engine + request spans (nil when untraced)
 	counters *obs.Tracer // counter points: always on, feeds /metrics
-	arenas   *clique.Pool
 	jobs     *jobs.Manager
 	draining atomic.Bool
 }
@@ -188,7 +186,6 @@ func New(cfg Config) (*Server, error) {
 		met:      met,
 		trace:    obs.New(cfg.TraceSink).Named("regimapd", ""),
 		counters: obs.New(obs.Tee(met.counters, cfg.TraceSink)).Named("regimapd", ""),
-		arenas:   clique.NewPool(),
 	}
 	mgr, err := jobs.Open(cfg.WALDir, s.runJob, jobs.Config{
 		Workers:         cfg.JobWorkers,
@@ -487,11 +484,9 @@ func (s *Server) resolve(req *MapRequest) (d *dfg.DFG, c *arch.CGRA, eng engine.
 	drescOpts := dresc.Options{Restarts: s.cfg.DRESCRestarts, Workers: s.cfg.DRESCWorkers}
 	switch mapperName {
 	case "regimap":
-		// Hand the engine the server's placement configuration: the pass
-		// worker count and the process-wide arena pool, so repeated requests
-		// reuse search state instead of reallocating it. Byte-identical
+		// Hand the engine the server's pass worker count. Byte-identical
 		// results at any worker count keep the cache coherent.
-		eo.Extra = core.Options{Workers: s.cfg.CliqueWorkers, Clique: clique.Options{Arenas: s.arenas}}
+		eo.Extra = core.Options{Workers: s.cfg.CliqueWorkers}
 	case "dresc":
 		eo.Extra = drescOpts
 	case "resilient":
