@@ -317,9 +317,9 @@ func mapREGIMapPass(b *testing.B, c *arch.CGRA) {
 	}
 }
 
-// BenchmarkMapREGIMapParallel is the end-to-end run with the placement
-// passes raced across w goroutines (core.Options.Workers), REGIMap's one
-// parallel path inside a Map call.
+// BenchmarkMapREGIMapParallel is the end-to-end run with the II ladder
+// bounded at w workers (core.Options.Workers), REGIMap's one parallel path
+// inside a Map call.
 func BenchmarkMapREGIMapParallel(b *testing.B) {
 	c := arch.NewMesh(4, 4, 4)
 	for _, w := range []int{2, 4, 8} {

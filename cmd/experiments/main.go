@@ -46,7 +46,7 @@ func main() {
 		csvPath       = flag.String("csv", "", "also write Figure 6 per-loop rows as CSV to this file")
 		jobs          = flag.Int("jobs", runtime.NumCPU(), "map this many kernels concurrently (results are identical at any value)")
 		timeout       = flag.Duration("timeout", 0, "abort any single mapper run after this long (0: unbounded)")
-		cliqueWorkers = flag.Int("clique-workers", 0, "race the placement passes inside every REGIMap run across this many goroutines (<=1: inline; results are byte-identical at any value)")
+		cliqueWorkers = flag.Int("clique-workers", 0, "IIs every REGIMap run races at once (0: the lowest undecided II plus one speculative II on an idle core; 1: one II at a time; results are byte-identical at any value)")
 		drescRestarts = flag.Int("dresc-restarts", 0, "race this many seed-derived annealing chains per II inside every DRESC run (<=1: one chain; part of the experimental setup)")
 		drescWorkers  = flag.Int("dresc-workers", 0, "goroutines racing the DRESC restart chains (0: GOMAXPROCS; results are byte-identical at any value)")
 		runChaos      = flag.Bool("chaos", false, "run the fault-injection chaos harness instead of the paper experiments")

@@ -66,7 +66,7 @@ func main() {
 		seed          = flag.Int64("seed", 1, "base seed: DRESC annealing / exact solver tie-breaking")
 		timeout       = flag.Duration("timeout", 0, "abort mapping after this long (0: unbounded)")
 		explore       = flag.Int("explore", 0, "also race this many budget-widened scout searches, each a whole II escalation (regimap mapper; may lower the II)")
-		cliqueWorkers = flag.Int("clique-workers", 0, "race the placement passes across this many goroutines (regimap mapper; <=1: inline; results are byte-identical at any value)")
+		cliqueWorkers = flag.Int("clique-workers", 0, "IIs the regimap mapper races at once (0: the lowest undecided II plus one speculative II on an idle core; 1: one II at a time; results are byte-identical at any value)")
 		drescRestarts = flag.Int("dresc-restarts", 0, "race this many seed-derived annealing chains per II (dresc mapper; <=1: one chain; results depend on this, not on -dresc-workers)")
 		drescWorkers  = flag.Int("dresc-workers", 0, "goroutines racing the restart chains (dresc mapper; 0: GOMAXPROCS; results are byte-identical at any value)")
 		cpuProf       = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")

@@ -69,7 +69,7 @@ func goldenRun(t *testing.T, engine, kernel string, c *regimap.CGRA) string {
 	case "regimap":
 		m, stats, err := regimap.Map(d, c, regimap.Options{})
 		if stats == nil {
-			t.Fatalf("regimap %s on %s: %v", kernel, c, err)
+			return noStats(t, engine, kernel, c, err)
 		}
 		if err != nil {
 			return fmt.Sprintf("unmapped MII=%d", stats.MII)
@@ -77,12 +77,18 @@ func goldenRun(t *testing.T, engine, kernel string, c *regimap.CGRA) string {
 		return fmt.Sprintf("II=%d attempts=%d routes=%d\n%s", stats.II, stats.Attempts, stats.RouteInserts, m)
 	case "ems":
 		m, stats, err := regimap.MapEMS(d, c, regimap.EMSOptions{})
+		if stats == nil {
+			return noStats(t, engine, kernel, c, err)
+		}
 		if err != nil {
 			return fmt.Sprintf("unmapped MII=%d", stats.MII)
 		}
 		return fmt.Sprintf("II=%d placements=%d routes=%d\n%s", stats.II, stats.Placements, stats.Routes, m)
 	case "dresc":
 		p, stats, err := regimap.MapDRESC(d, c, goldenDRESC())
+		if stats == nil {
+			return noStats(t, engine, kernel, c, err)
+		}
 		if err != nil {
 			return fmt.Sprintf("unmapped MII=%d", stats.MII)
 		}
@@ -93,7 +99,7 @@ func goldenRun(t *testing.T, engine, kernel string, c *regimap.CGRA) string {
 		// shows even where the verdicts and the mapping stay put.
 		m, stats, err := regimap.MapExact(d, c, regimap.ExactOptions{MaxConflicts: goldenExactConflicts})
 		if stats == nil {
-			t.Fatalf("exact %s on %s: no certificate (%v)", kernel, c, err)
+			return noStats(t, engine, kernel, c, err)
 		}
 		cert := stats.Cert
 		var b strings.Builder
@@ -113,6 +119,9 @@ func goldenRun(t *testing.T, engine, kernel string, c *regimap.CGRA) string {
 		// The II and the mapping only: Explore reports the winning
 		// candidate's Stats, which the digests do not pin.
 		m, stats, err := regimap.Map(d, c, regimap.Options{Explore: goldenExplore})
+		if stats == nil {
+			return noStats(t, engine, kernel, c, err)
+		}
 		if err != nil {
 			return fmt.Sprintf("unmapped MII=%d", stats.MII)
 		}
@@ -121,6 +130,15 @@ func goldenRun(t *testing.T, engine, kernel string, c *regimap.CGRA) string {
 		t.Fatalf("unknown golden engine %q", engine)
 		return ""
 	}
+}
+
+// noStats fails the one digest of a run whose engine returned no Stats,
+// which an engine does only when its own mapping fails validation (an
+// internal bug), and lets the other digests go on.
+func noStats(t *testing.T, engine, kernel string, c *regimap.CGRA, err error) string {
+	t.Helper()
+	t.Errorf("%s %s on %s: no stats (%v)", engine, kernel, c, err)
+	return fmt.Sprintf("no stats: %v", err)
 }
 
 func TestGoldenMappings(t *testing.T) {
@@ -292,19 +310,19 @@ func TestGoldenArchZoo(t *testing.T) {
 	checkOrUpdateGolden(t, goldenArchPath, got)
 }
 
-// TestGoldenMappingsWorkerSweep proves the raced placement passes'
-// deterministic reduction end to end: every kernel mapped with 1, 2, and 8
-// pass workers must produce byte-identical canonical text. Workers=1 runs
-// the passes inline (also covered against the golden file above), so a
+// TestGoldenMappingsWorkerSweep proves the raced II ladder's deterministic
+// fold end to end: every kernel mapped with 1, 0 (the default race), 2 and
+// 8 ladder workers must produce byte-identical canonical text. Workers=1
+// maps one II at a time (also covered against the golden file above), so a
 // sweep failure isolates the race, not an algorithm change. CI re-runs
 // this sweep under -race at several GOMAXPROCS values.
 func TestGoldenMappingsWorkerSweep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("worker sweep maps every kernel three times; skipped in -short")
+		t.Skip("worker sweep maps every kernel four times; skipped in -short")
 	}
 	for _, k := range regimap.Kernels() {
 		var want string
-		for _, w := range []int{1, 2, 8} {
+		for _, w := range []int{1, 0, 2, 8} {
 			d := k.Build()
 			c := regimap.NewMesh(4, 4, 4)
 			opts := regimap.Options{Workers: w}
@@ -320,7 +338,7 @@ func TestGoldenMappingsWorkerSweep(t *testing.T) {
 				continue
 			}
 			if text != want {
-				t.Errorf("kernel %s: mapping at %d pass workers differs from inline:\n--- workers=1\n%s\n--- workers=%d\n%s",
+				t.Errorf("kernel %s: mapping at %d ladder workers differs from one II at a time:\n--- workers=1\n%s\n--- workers=%d\n%s",
 					k.Name, w, want, w, text)
 			}
 		}

@@ -7,18 +7,23 @@ import (
 	"testing"
 )
 
-// copyGraph resets dst to src's node and cluster counts and copies src's
-// adjacency, clusters, demands and register files into it.
-func copyGraph(dst, src *Graph) {
+// copyGraph resets dst to src's node and cluster counts, lays its rows out
+// from gx (nil: dense), and copies src's adjacency, clusters, demands and
+// register files into it. gx's relation must hold on src.
+func copyGraph(dst, src *Graph, gx *Groups) {
 	dst.Reset(src.N(), src.Clusters())
+	dst.Layout(gx)
 	for c := 0; c < src.Clusters(); c++ {
 		dst.SetRegs(c, src.Regs(c))
 	}
 	for u := 0; u < src.N(); u++ {
-		dst.ResetAdjacency(u)
-		dst.OrAdjacencyWords(u, 0, src.adj[u].Words())
 		dst.SetCluster(u, src.Cluster(u))
 		dst.SetDemand(u, src.Demand(u))
+		for v := u + 1; v < src.N(); v++ {
+			if src.Adjacent(u, v) {
+				dst.AddEdge(u, v)
+			}
+		}
 	}
 }
 
@@ -26,10 +31,11 @@ func copyGraph(dst, src *Graph) {
 // trial's graph as the compat builder's graph is, serves each search from
 // the arenas its earlier searches left behind. Node and cluster counts
 // repeat across trials, so some Resets must keep the idle arenas and the
-// others must drop them. Each trial runs Find and FindGrouped passes
-// concurrently on the reused graph, as REGIMap's raced placement passes do,
-// then once more in turn on the arenas they dirtied. Every search must
-// return what it returns on a fresh copy of the graph.
+// others must drop them. Odd trials lay the rows out from the trial's
+// group index, as the compat builder does, and even trials keep them dense.
+// Each trial runs Find and FindGrouped passes concurrently on the reused
+// graph, then once more in turn on the arenas they dirtied. Every search
+// must return what it returns on a fresh dense copy of the graph.
 func TestGraphArenasMatchFresh(t *testing.T) {
 	reused := NewGraph(0, 0)
 	sizes := []int{24, 40, 70}
@@ -51,13 +57,17 @@ func TestGraphArenasMatchFresh(t *testing.T) {
 		want := make([][]int, len(passes))
 		for i, pass := range passes {
 			fresh := NewGraph(0, 0)
-			copyGraph(fresh, g)
+			copyGraph(fresh, g, nil)
 			want[i] = pass(fresh)
 		}
 
 		sameShape := reused.N() == n && reused.Clusters() == clusters
 		before := len(reused.idle)
-		copyGraph(reused, g)
+		var laid *Groups
+		if trial%2 == 1 {
+			laid = gx
+		}
+		copyGraph(reused, g, laid)
 		if after := len(reused.idle); sameShape && after != before || !sameShape && after != 0 {
 			t.Fatalf("trial %d: Reset to %d nodes, %d clusters (same shape %v) left %d of %d idle arenas",
 				trial, n, clusters, sameShape, after, before)

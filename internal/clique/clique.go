@@ -29,6 +29,7 @@
 package clique
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -39,51 +40,180 @@ import (
 // Graph is a compatibility graph whose nodes carry register demand in the
 // register file of their cluster. Adjacency is symmetric. A graph holds its
 // idle search arenas behind a mutex, so it must not be copied.
+//
+// Each adjacency row stores only its explicit words (see Layout). A dense
+// graph stores every word; a graph laid out from a group index stores, for
+// a node of group g, every word inside the spans of g and of the groups
+// constrained with it. Every other word holds only nodes of groups free
+// with g, which the index promises are all adjacent to the node, so the
+// word reads as all ones and is not stored.
 type Graph struct {
 	n        int
-	adj      []*graph.Bitset
+	wpr      int        // words of a full row
+	rows     [][]uint64 // each node's explicit words, in ascending word order
+	lay      []int32    // each node's layout (its group; 0 on a dense graph)
+	expl     [][]int32  // per layout, its explicit word indices, ascending
+	slot     [][]int32  // per layout, each word's position in a row, or -1: implicit
+	init     [][]uint64 // per layout, its explicit words' nodes of free groups
+	free     []int      // per layout, the nodes in its implicit words
+	from     *Groups    // the index the rows were laid out from (nil: dense)
 	cluster  []int      // cluster of each node
 	demand   []int      // registers each node holds in its cluster's file
 	regs     []int      // register file of each cluster
 	deg      []int      // cached Degrees (emptied by any adjacency mutation)
 	degOrder []int      // cached DegreeOrder (nil after any adjacency mutation)
-	slab     graph.Slab // adj's storage, kept across Reset
+
+	rowSlab  []uint64 // rows' storage, kept across Layouts
+	initSlab []uint64 // init's storage and Layout's scratch
+	laySlab  []int32  // expl's and slot's storage
 
 	mu   sync.Mutex
 	idle []*arena // search arenas sized for this node and cluster count
 }
 
-// NewGraph returns an empty graph of n nodes and the given number of
+// NewGraph returns an empty dense graph of n nodes and the given number of
 // clusters. Every node starts in cluster 0 with no demand, and every file
 // holds no registers, so the graph is unconstrained until demands are set.
 func NewGraph(n, clusters int) *Graph {
 	g := &Graph{}
 	g.Reset(n, clusters)
+	g.Layout(nil)
 	return g
 }
 
 // Reset makes g a graph of n nodes and the given number of clusters, every
 // node in cluster 0 with no demand and every file empty, reusing its
-// storage: the adjacency slab grows geometrically, so an owner that resizes
-// one graph again and again (the compat builder, reset for every II and
-// every inserted route node) stops allocating once it has seen its largest
-// size. The adjacency rows keep whatever the slab held — empty on a new
-// graph, stale words otherwise — so after a Reset the caller rewrites every
-// row (ResetAdjacency, then its edges) before searching. The idle search
-// arenas are dropped when the node or cluster count changes, since they are
-// sized for both. No search may run during a Reset.
+// storage. It lays out no rows: the caller lays them out (Layout) before
+// adding edges or searching. The idle search arenas are dropped when the
+// node or cluster count changes, since they are sized for both. No search
+// may run during a Reset.
 func (g *Graph) Reset(n, clusters int) {
 	if n != g.n || clusters != len(g.regs) {
 		g.mu.Lock()
 		g.idle = nil
 		g.mu.Unlock()
 	}
-	g.n = n
-	g.adj = g.slab.Carve(n, n)
+	g.n, g.wpr = n, (n+63)/64
+	g.rows, g.lay, g.from = g.rows[:0], g.lay[:0], nil
 	g.cluster = resize(g.cluster, n)
 	g.demand = resize(g.demand, n)
 	g.regs = resize(g.regs, clusters)
 	g.dropDegrees()
+}
+
+// Layout lays out every adjacency row afresh. With a nil index the graph is
+// dense and every row empty. With gx, an index of g's node count, a node of
+// group g stores only the words inside the span of g and of every group
+// gx's relation marks as constrained with it, and starts adjacent to
+// exactly the nodes of the groups free with g; every other word holds only
+// nodes of such groups and reads as all ones. A word inside such a span is
+// stored even when none of the span's group's nodes is in it (a group whose
+// ids are not consecutive), so a constrained group's whole span sits
+// contiguously in the row, as the grouped search's fold reads it. Edges
+// between free groups can be added (a no-op) but not cleared. The relation
+// must keep its promise (see Groups) and must not change until the next
+// Layout, and FindGrouped then takes gx only. The row storage grows
+// geometrically, so an owner that lays one graph out again and again (the
+// compat builder, at every Build) stops allocating once it has seen its
+// largest layout.
+func (g *Graph) Layout(gx *Groups) {
+	layouts := 1
+	if gx != nil {
+		if gx.n != g.n {
+			panic("clique: group index built for another graph size")
+		}
+		layouts = len(gx.lists)
+	}
+	wpr := g.wpr
+	// laySlab holds every layout's slot table, then its explicit word
+	// indices; initSlab every layout's starting words, then used, one
+	// layout's scratch: each word's nodes of groups constrained with it.
+	g.laySlab = grown(g.laySlab, 2*layouts*wpr)
+	g.initSlab = grown(g.initSlab, (layouts+1)*wpr)
+	g.expl = regrow(g.expl, layouts)
+	g.slot = regrow(g.slot, layouts)
+	g.init = regrow(g.init, layouts)
+	g.free = resize(g.free, layouts)
+	used := g.initSlab[layouts*wpr:]
+	for l := range layouts {
+		// slot first marks the explicit words (0) against the implicit ones
+		// (-1), then holds the explicit words' row positions.
+		slot := g.laySlab[l*wpr : (l+1)*wpr]
+		clear(used)
+		if gx == nil {
+			clear(slot)
+			for w := range used {
+				used[w] = ^uint64(0)
+			}
+		} else {
+			for w := range slot {
+				slot[w] = -1
+			}
+			for wi, bw := range gx.rel[l].Words() {
+				for ; bw != 0; bw &= bw - 1 {
+					h := wi<<6 | bits.TrailingZeros64(bw)
+					mask := gx.masks[h].Words()
+					for w := gx.spanLo[h]; w < gx.spanHi[h]; w++ {
+						slot[w] = 0
+						used[w] |= mask[w]
+					}
+				}
+			}
+		}
+		expl := g.laySlab[(layouts+l)*wpr : (layouts+l+1)*wpr][:0]
+		init := g.initSlab[l*wpr : (l+1)*wpr][:0]
+		g.free[l] = 0
+		for w, u := range used {
+			valid := min(64, g.n-w<<6)
+			if slot[w] == 0 {
+				slot[w] = int32(len(expl))
+				expl = append(expl, int32(w))
+				init = append(init, ^u&(^uint64(0)>>uint(64-valid)))
+			} else {
+				g.free[l] += valid
+			}
+		}
+		g.expl[l], g.slot[l], g.init[l] = expl, slot, init
+	}
+	g.lay = resize(g.lay, g.n)
+	if gx != nil {
+		for u, gi := range gx.groupOf {
+			g.lay[u] = int32(gi)
+		}
+	}
+	total := 0
+	for _, l := range g.lay {
+		total += len(g.expl[l])
+	}
+	if total > cap(g.rowSlab) {
+		g.rowSlab = make([]uint64, max(total, 2*cap(g.rowSlab)))
+	}
+	words := g.rowSlab[:total]
+	g.rows = regrow(g.rows, g.n)
+	for u, l := range g.lay {
+		k := len(g.expl[l])
+		g.rows[u], words = words[:k:k], words[k:]
+		copy(g.rows[u], g.init[l])
+	}
+	g.from = gx
+	g.dropDegrees()
+}
+
+// grown returns s with at least n elements, reallocating to at least twice
+// its capacity when it is too short; the elements are not cleared.
+func grown[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
+}
+
+// regrow returns s with n elements, keeping the storage it already holds.
+func regrow[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // resize returns s with n zero elements, reallocating only when it is too
@@ -123,48 +253,91 @@ func (g *Graph) Clusters() int { return len(g.regs) }
 // N returns the node count.
 func (g *Graph) N() int { return g.n }
 
-// AddEdge marks u and v compatible (symmetric).
+// explicit returns node u's stored words and their word indices.
+func (g *Graph) explicit(u int) (row []uint64, at []int32) {
+	return g.rows[u], g.expl[g.lay[u]]
+}
+
+// pos returns the position of word w in node u's row, or -1 when the word
+// is implicit.
+func (g *Graph) pos(u, w int) int32 { return g.slot[g.lay[u]][w] }
+
+// AddEdge marks u and v compatible (symmetric). An edge in an implicit word
+// is there already.
 func (g *Graph) AddEdge(u, v int) {
 	if u == v {
 		panic("clique: self edge")
 	}
-	g.adj[u].Set(v)
-	g.adj[v].Set(u)
+	g.checkNode(u)
+	g.checkNode(v)
+	if p := g.pos(u, v>>6); p >= 0 {
+		g.rows[u][p] |= 1 << uint(v&63)
+	}
+	if p := g.pos(v, u>>6); p >= 0 {
+		g.rows[v][p] |= 1 << uint(u&63)
+	}
 	g.dropDegrees()
 }
 
 // Adjacent reports whether u and v are compatible.
-func (g *Graph) Adjacent(u, v int) bool { return g.adj[u].Has(v) }
+func (g *Graph) Adjacent(u, v int) bool {
+	g.checkNode(v)
+	return g.row(u).has(v)
+}
 
-// OrAdjacencyWords bulk-marks u compatible with the members of one word
-// range: it ORs words into u's row starting at word lo, covering node ids
-// 64*lo onwards. Callers are responsible for symmetry (apply the mirrored
-// words to the other side) and for words that exclude u itself; the compat
-// builder passes the few words one partner operation's candidates span.
-func (g *Graph) OrAdjacencyWords(u, lo int, words []uint64) {
-	g.adj[u].OrWords(lo, words)
+// adjRow is one node's stored words with its layout's slot table, for
+// probing one row many times.
+type adjRow struct {
+	words []uint64
+	slot  []int32
+}
+
+func (g *Graph) row(u int) adjRow { return adjRow{g.rows[u], g.slot[g.lay[u]]} }
+
+// has reports whether v is in the row.
+func (r adjRow) has(v int) bool { return r.word(v>>6)&(1<<uint(v&63)) != 0 }
+
+// word returns the row's word w: all ones when it is implicit, since such a
+// word holds only neighbours.
+func (r adjRow) word(w int) uint64 {
+	if p := r.slot[w]; p >= 0 {
+		return r.words[p]
+	}
+	return ^uint64(0)
+}
+
+func (g *Graph) checkNode(u int) {
+	if u < 0 || u >= g.n {
+		panic("clique: node out of range")
+	}
+}
+
+// OrAdjacencyAt bulk-marks u compatible with the members of scattered
+// words: it ORs words[k] into u's word at[k], covering node ids 64*at[k]
+// onwards; an implicit word is all ones already. Callers are responsible
+// for symmetry (apply the mirrored words to the other side) and for words
+// that exclude u itself; the compat builder passes the words its partner
+// operations' candidates touch.
+func (g *Graph) OrAdjacencyAt(u int, at []int, words []uint64) {
+	row, slot := g.rows[u], g.slot[g.lay[u]]
+	for k, w := range words {
+		if p := slot[at[k]]; p >= 0 {
+			row[p] |= w
+		}
+	}
 	g.dropDegrees()
 }
 
-// AndNotAdjacency bulk-clears every member of mask from u's adjacency row.
-// Like OrAdjacencyWords, symmetry is the caller's responsibility; the
-// incremental compat builder uses this to drop a rescheduled operation's
-// stale edges before rebuilding only its rows.
-func (g *Graph) AndNotAdjacency(u int, mask *graph.Bitset) {
-	g.adj[u].AndNot(mask)
-	g.dropDegrees()
-}
-
-// ResetAdjacency clears u's entire adjacency row (one side only).
-func (g *Graph) ResetAdjacency(u int) {
-	g.adj[u].Reset()
-	g.dropDegrees()
-}
-
-// ClearEdge removes a compatibility edge (both directions).
+// ClearEdge removes a compatibility edge (both directions). It panics on an
+// edge between free groups, which the layout's relation promised.
 func (g *Graph) ClearEdge(u, v int) {
-	g.adj[u].Clear(v)
-	g.adj[v].Clear(u)
+	g.checkNode(u)
+	g.checkNode(v)
+	if g.from != nil && !g.from.Constrained(int(g.lay[u]), int(g.lay[v])) {
+		panic("clique: clearing an edge between free groups")
+	}
+	g.rows[u][g.pos(u, v>>6)] &^= 1 << uint(v&63)
+	g.rows[v][g.pos(v, u>>6)] &^= 1 << uint(u&63)
 	g.dropDegrees()
 }
 
@@ -176,20 +349,24 @@ func (g *Graph) dropDegrees() {
 }
 
 // Degrees returns every node's degree (the number of nodes compatible with
-// it), computed in one popcount sweep over the adjacency rows and cached
-// until the next adjacency mutation; Degree, DegreeOrder and the grouped
-// search's default order all read this one vector. Callers must not modify
-// it. The caches fill lazily, so a caller about to search one graph from
-// several goroutines fills them first: Degrees for FindGrouped, DegreeOrder
-// for Find.
+// it), computed in one popcount sweep over the explicit words plus the
+// nodes of the implicit ones, and cached until the next adjacency mutation;
+// Degree, DegreeOrder and the grouped search's default order all read this
+// one vector. Callers must not modify it. The caches fill lazily, so a
+// caller about to search one graph from several goroutines fills them
+// first: Degrees for FindGrouped, DegreeOrder for Find.
 func (g *Graph) Degrees() []int {
 	if len(g.deg) != g.n {
 		if cap(g.deg) < g.n {
 			g.deg = make([]int, g.n)
 		}
 		g.deg = g.deg[:g.n]
-		for u, row := range g.adj {
-			g.deg[u] = row.Count()
+		for u, row := range g.rows {
+			d := g.free[g.lay[u]]
+			for _, w := range row {
+				d += bits.OnesCount64(w)
+			}
+			g.deg[u] = d
 		}
 	}
 	return g.deg
@@ -220,6 +397,17 @@ func (g *Graph) DegreeOrder() []int {
 	return order
 }
 
+// common returns |adj(u) ∩ set| for a set of count members: count less the
+// members adj(u) lacks, which lie in u's explicit words only.
+func (g *Graph) common(u int, set *graph.Bitset, count int) int {
+	row, at := g.explicit(u)
+	sw := set.Words()
+	for k, w := range at {
+		count -= bits.OnesCount64(sw[w] &^ row[k])
+	}
+	return count
+}
+
 // IsFeasibleClique verifies that members form a clique and that no
 // cluster's load exceeds its register file, counting loads from scratch.
 // Exposed so callers (and property tests) can independently audit results.
@@ -227,7 +415,7 @@ func (g *Graph) IsFeasibleClique(members []int) bool {
 	load := make([]int, len(g.regs))
 	for i, u := range members {
 		for j, v := range members {
-			if i != j && !g.adj[u].Has(v) {
+			if i != j && !g.Adjacent(u, v) {
 				return false
 			}
 		}
@@ -341,8 +529,10 @@ func (s *state) add(u int) {
 	s.inC.Set(u)
 	// A node u is not adjacent to moves one miss up: candidates outside
 	// adj(u) now miss exactly u, one-miss nodes outside it drop out. u itself
-	// spills out of cand, but it is a member now.
-	s.cand.AndSpill(s.g.adj[u], s.miss1)
+	// spills out of cand, but it is a member now. Only u's explicit words
+	// can hold a node it is not adjacent to.
+	row, at := s.g.explicit(u)
+	s.cand.AndSpillAt(at, row, s.miss1)
 	s.miss1.Clear(u)
 }
 
@@ -394,6 +584,7 @@ func (s *state) grow(target int) {
 	}
 	for len(s.members) < target {
 		best, bestScore := -1, -1
+		count := s.cand.Count()
 		s.cand.ForEach(func(u int) bool {
 			if s.dead.Has(u) || s.scoreUB[u] <= bestScore {
 				return true
@@ -402,7 +593,7 @@ func (s *state) grow(target int) {
 				s.dead.Set(u)
 				return true
 			}
-			sc := s.g.adj[u].IntersectCount(s.cand)
+			sc := s.g.common(u, s.cand, count)
 			s.scoreUB[u] = sc
 			if sc > bestScore {
 				best, bestScore = u, sc
@@ -598,10 +789,13 @@ func findSwap(s *state) (u, x int) {
 }
 
 // blocker returns the member a one-miss node u is not adjacent to, or -1.
+// Such a member lies in u's explicit words, and there is one at most.
 func (s *state) blocker(u int) int {
-	for _, m := range s.members {
-		if !s.g.adj[u].Has(m) {
-			return m
+	row, at := s.g.explicit(u)
+	in := s.inC.Words()
+	for k, w := range at {
+		if miss := in[w] &^ row[k]; miss != 0 {
+			return int(w)<<6 | bits.TrailingZeros64(miss)
 		}
 	}
 	return -1

@@ -310,7 +310,10 @@ func TestBaseWeight(t *testing.T) {
 
 // The cached degree vector and degree order must follow every adjacency
 // mutator: after each one, Degrees, Degree and DegreeOrder agree with a
-// fresh count over Adjacent. 70 nodes put rows across two bitset words.
+// fresh count over Adjacent. 70 nodes put rows across two bitset words. The
+// mutators run on a dense graph and then on a copy laid out from a group
+// index whose free pairs are complete bipartite, where a degree counts the
+// nodes of the implicit words too.
 func TestDegreeCacheTracksMutations(t *testing.T) {
 	const n = 70
 	rng := rand.New(rand.NewSource(5))
@@ -346,26 +349,57 @@ func TestDegreeCacheTracksMutations(t *testing.T) {
 		}
 		return m
 	}
+	mutate := func(layout string) {
+		for i := 0; i < 400; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		check(layout + " AddEdge")
+		for u := 0; u < n; u++ {
+			if v := (u + 1) % n; g.Adjacent(u, v) && (g.from == nil || g.from.Constrained(int(g.lay[u]), int(g.lay[v]))) {
+				g.ClearEdge(u, v)
+				break
+			}
+		}
+		check(layout + " ClearEdge")
+		m := mask()
+		m.Clear(3)
+		var at []int
+		for w := 1; w < len(m.Words()); w++ {
+			at = append(at, w)
+		}
+		g.OrAdjacencyAt(3, at, m.Words()[1:])
+		check(layout + " OrAdjacencyAt")
+	}
 	check("NewGraph")
-	for i := 0; i < 400; i++ {
-		if u, v := rng.Intn(n), rng.Intn(n); u != v {
-			g.AddEdge(u, v)
-		}
-	}
-	check("AddEdge")
+	mutate("dense")
+
+	// Groups of ten consecutive nodes; a group pair becomes free once every
+	// edge between the two is added.
+	groups := make([][]int, n/10)
 	for u := 0; u < n; u++ {
-		if g.Adjacent(u, (u+1)%n) {
-			g.ClearEdge(u, (u+1)%n)
-			break
+		groups[u/10] = append(groups[u/10], u)
+	}
+	for _, pair := range [][2]int{{0, 6}, {1, 2}, {2, 6}, {3, 5}} {
+		for _, u := range groups[pair[0]] {
+			for _, v := range groups[pair[1]] {
+				g.AddEdge(u, v)
+			}
 		}
 	}
-	check("ClearEdge")
-	m := mask()
-	m.Clear(3)
-	g.OrAdjacencyWords(3, 1, m.Words()[1:])
-	check("OrAdjacencyWords")
-	g.AndNotAdjacency(3, mask())
-	check("AndNotAdjacency")
-	g.ResetAdjacency(4)
-	check("ResetAdjacency")
+	gx := NewGroups(n, groups)
+	relate(rng, g, gx, groups, 0)
+	dense := g
+	g = &Graph{}
+	copyGraph(g, dense, gx)
+	implicit := false
+	for u := 0; u < n; u++ {
+		implicit = implicit || g.free[g.lay[u]] > 0
+	}
+	if !implicit {
+		t.Fatal("the laid-out graph has no implicit word")
+	}
+	check("Layout")
+	mutate("laid-out")
 }

@@ -12,15 +12,16 @@ import (
 // graph: each group's candidate list, its mask and word span, the group of
 // every node, and the constraint relation between groups. Its owner builds
 // it once per graph shape (the compat builder, once per Reset) and every
-// search reads it without writing it, so the raced placement passes of one
-// attempt share one index; each search keeps only its own scratch.
+// search reads it without writing it, so every placement pass of one
+// attempt shares one index; each search keeps only its own scratch.
 //
 // The relation holds one bit per group pair. A set bit promises nothing. A
 // clear bit promises that the two groups are complete bipartite in the
 // graph: every node of one is adjacent to every node of the other. The
 // search then knows the outcome of work on that pair without doing it (see
-// pickCandidate). Every pair starts constrained, and a group stays
-// constrained with itself.
+// pickCandidate), and a graph laid out from the index stores none of the
+// pair's words (see Graph.Layout). Every pair starts constrained, and a
+// group stays constrained with itself.
 type Groups struct {
 	n       int
 	lists   [][]int
@@ -121,6 +122,9 @@ func (gx *Groups) MaxSpan() int { return gx.maxSpan }
 func FindGrouped(g *Graph, gx *Groups, opts Options) (best []int) {
 	if gx.n != g.n {
 		panic("clique: group index built for another graph size")
+	}
+	if g.from != nil && g.from != gx {
+		panic("clique: graph laid out from another group index")
 	}
 	groups := gx.lists
 	rounds := opts.GroupRounds
@@ -265,14 +269,22 @@ func swapInGroup(g *Graph, s *state, gx *Groups, gi int, sw *swapTrial) *state {
 			continue
 		}
 		// Re-picks must be adjacent to every member of C - x + u: inside
-		// adj(u), and either candidates already or blocked by x alone.
-		adjU, adjX := g.adj[u], g.adj[x]
+		// adj(u), and either candidates already or blocked by x alone. The
+		// test runs a word at a time over x's group's span.
+		adjU, adjX := g.row(u), g.row(x)
+		xg := gx.groupOf[x]
+		lo, hi := gx.spanLo[xg], gx.spanHi[xg]
+		mask, cand, miss := gx.masks[xg].Words(), s.cand.Words(), s.miss1.Words()
+		if sw.ok == nil {
+			sw.ok = make([]uint64, 0, gx.maxSpan)
+		}
+		sw.ok = sw.ok[:0]
+		for w := lo; w < hi; w++ {
+			sw.ok = append(sw.ok, mask[w]&adjU.word(w)&(cand[w]|miss[w]&^adjX.word(w)))
+		}
 		sw.repicks = sw.repicks[:0]
-		for _, w := range gx.lists[gx.groupOf[x]] {
-			if !adjU.Has(w) || !(s.cand.Has(w) || s.miss1.Has(w) && !adjX.Has(w)) {
-				continue
-			}
-			if s.fitsSwap(w, x, u) {
+		for _, w := range gx.lists[xg] {
+			if sw.ok[w>>6-lo]&(1<<uint(w&63)) != 0 && s.fitsSwap(w, x, u) {
 				sw.repicks = append(sw.repicks, w)
 			}
 		}
@@ -287,12 +299,14 @@ func swapInGroup(g *Graph, s *state, gx *Groups, gi int, sw *swapTrial) *state {
 				sw.cand = graph.NewBitset(g.n)
 			}
 			sw.cand.CopyFrom(s.miss1)
-			sw.cand.AndNot(adjX)
+			row, at := g.explicit(x)
+			sw.cand.AndNotAt(at, row)
 			sw.cand.Or(s.cand)
-			sw.cand.And(adjU)
-			best := -1
+			row, at = g.explicit(u)
+			sw.cand.AndAt(at, row)
+			best, count := -1, sw.cand.Count()
 			for _, w := range sw.repicks {
-				if score := g.adj[w].IntersectCount(sw.cand); score > best {
+				if score := g.common(w, sw.cand, count); score > best {
 					repick, best = w, score
 				}
 			}
@@ -313,7 +327,8 @@ func swapInGroup(g *Graph, s *state, gx *Groups, gi int, sw *swapTrial) *state {
 // swapTrial is swapInGroup's reusable working set.
 type swapTrial struct {
 	cand    *graph.Bitset // candidate set of C - x + u (allocated on first use)
-	repicks []int         // x's group members that fit C - x + u
+	ok      []uint64      // x's group members adjacent to C - x + u, over its span
+	repicks []int         // those that fit C - x + u
 }
 
 // maxLookahead caps the pending groups pickCandidate examines. Forward
@@ -349,6 +364,8 @@ type forwardChecker struct {
 	tied     []int    // the candidates left for the tie-break
 	scope    []uint64 // the tie-break's live nodes, full width; zero between picks
 	scopeAt  []int    // the words of scope in use
+	scopePos []int32  // their positions in the tied candidates' rows
+	scopeVal []uint64 // and their live nodes
 	folds    int      // pending groups folded, for the trace
 	free     int      // pending groups dropped as free, for the trace
 }
@@ -453,19 +470,26 @@ func pickCandidate(g *Graph, s *state, rest []int, pending []bool, gi int, fc *f
 	// groups constrained with it: every live node of a free group is
 	// adjacent to every candidate, so it adds the same to each score and
 	// never moves the argmax or its first-in-list tie-break.
+	// The scope lies in gi's explicit words (on a graph laid out from gx,
+	// the words of gi and of the groups constrained with it), so it is
+	// gathered once into the row positions every tied candidate shares.
 	fc.scopeTo(gi, cand)
+	slot := g.slot[g.lay[fc.tied[0]]] // every tied candidate is in gi
+	fc.scopePos, fc.scopeVal = fc.scopePos[:0], fc.scopeVal[:0]
+	for _, w := range fc.scopeAt {
+		fc.scopePos = append(fc.scopePos, slot[w])
+		fc.scopeVal = append(fc.scopeVal, fc.scope[w])
+		fc.scope[w] = 0
+	}
 	best, bestScore := -1, -1
 	for _, u := range fc.tied {
-		row, score := g.adj[u].Words(), 0
-		for _, w := range fc.scopeAt {
-			score += bits.OnesCount64(row[w] & fc.scope[w])
+		row, score := g.rows[u], 0
+		for k, p := range fc.scopePos {
+			score += bits.OnesCount64(row[p] & fc.scopeVal[k])
 		}
 		if score > bestScore {
 			best, bestScore = u, score
 		}
-	}
-	for _, w := range fc.scopeAt {
-		fc.scope[w] = 0
 	}
 	return best
 }
@@ -477,6 +501,8 @@ func (fc *forwardChecker) scopeTo(gi int, cand []uint64) {
 	if fc.scope == nil {
 		fc.scope = make([]uint64, len(cand))
 		fc.scopeAt = make([]int, 0, len(cand))
+		fc.scopePos = make([]int32, 0, len(cand))
+		fc.scopeVal = make([]uint64, 0, len(cand))
 	}
 	fc.scopeAt = fc.scopeAt[:0]
 	for wi, w := range gx.rel[gi].Words() {
@@ -510,11 +536,18 @@ func (fc *forwardChecker) fold(g *Graph, gj int, cand []uint64, lo int, one, two
 	clear(one)
 	clear(two)
 	mask := fc.gx.masks[gj].Words()
+	p := -1 // where the picked group's span starts in gj's rows
 	for w := fc.gx.spanLo[gj]; w < fc.gx.spanHi[gj]; w++ {
 		for live := mask[w] & cand[w]; live != 0; live &= live - 1 {
 			v := w<<6 | bits.TrailingZeros64(live)
+			if p < 0 {
+				// gj is constrained with the picked group, so the picked
+				// group's span is explicit, and contiguous, in the rows of
+				// gj, which share one layout.
+				p = int(g.pos(v, lo))
+			}
 			covered := true
-			for k, a := range g.adj[v].Words()[lo : lo+len(one)] {
+			for k, a := range g.rows[v][p : p+len(one)] {
 				two[k] |= one[k] & a
 				one[k] |= a
 				covered = covered && feas[k]&^two[k] == 0

@@ -165,20 +165,20 @@ func TestFindGroupedDeterministic(t *testing.T) {
 func TestBulkAdjacency(t *testing.T) {
 	g := NewGraph(70, 1)
 	mask := newMask(70, 2, 3, 4, 66)
-	g.OrAdjacencyWords(0, 0, mask.Words())
+	g.OrAdjacencyAt(0, []int{1, 0}, []uint64{mask.Words()[1], mask.Words()[0]})
 	for _, v := range []int{2, 3, 4, 66} {
-		// OrAdjacencyWords is asymmetric by contract.
-		if !g.adj[0].Has(v) || g.adj[v].Has(0) {
+		// OrAdjacencyAt is asymmetric by contract.
+		if !g.Adjacent(0, v) || g.Adjacent(v, 0) {
 			t.Fatalf("adjacency 0-%d not one-sided", v)
 		}
 	}
-	// One word from word 1 onwards reaches node 66 only.
-	g.OrAdjacencyWords(66, 1, newMask(70, 0, 67).Words()[1:])
-	if g.adj[66].Has(0) || !g.adj[66].Has(67) {
-		t.Fatal("word-offset bulk adjacency broken")
+	// Word 1 alone reaches node 67, not node 0.
+	g.OrAdjacencyAt(66, []int{1}, newMask(70, 0, 67).Words()[1:])
+	if g.Adjacent(66, 0) || !g.Adjacent(66, 67) {
+		t.Fatal("scattered bulk adjacency broken")
 	}
 	for _, v := range []int{2, 3, 4} {
-		g.OrAdjacencyWords(v, 0, newMask(70, 0).Words())
+		g.OrAdjacencyAt(v, []int{0, 1}, newMask(70, 0).Words())
 	}
 	if !g.Adjacent(0, 3) || !g.Adjacent(3, 0) {
 		t.Fatal("symmetric bulk adjacency broken")

@@ -692,6 +692,73 @@ func randomProductGraph(rng *rand.Rand, n int) (*Graph, [][]int) {
 	return g, groups
 }
 
+// splitIDs renumbers g's nodes so that the first half of every group's ids
+// comes before the second half of any: each group's span then holds words
+// without a node of its own, and some of those hold only nodes of groups
+// free with a group constrained with it. Its result is g relabelled, with
+// the groups' lists.
+func splitIDs(g *Graph, groups [][]int) (*Graph, [][]int) {
+	id := make([]int, g.N())
+	next := 0
+	for half := 0; half < 2; half++ {
+		for _, grp := range groups {
+			part := grp[:(len(grp)+1)/2]
+			if half == 1 {
+				part = grp[len(part):]
+			}
+			for _, u := range part {
+				id[u] = next
+				next++
+			}
+		}
+	}
+	out := NewGraph(g.N(), g.Clusters())
+	for c := 0; c < g.Clusters(); c++ {
+		out.SetRegs(c, g.Regs(c))
+	}
+	for u := 0; u < g.N(); u++ {
+		out.SetCluster(id[u], g.Cluster(u))
+		out.SetDemand(id[u], g.Demand(u))
+		for v := u + 1; v < g.N(); v++ {
+			if g.Adjacent(u, v) {
+				out.AddEdge(id[u], id[v])
+			}
+		}
+	}
+	split := make([][]int, len(groups))
+	for gi, grp := range groups {
+		for _, u := range grp {
+			split[gi] = append(split[gi], id[u])
+		}
+	}
+	return out, split
+}
+
+// gapWords counts, over the rows of a graph laid out from gx, the words
+// that lie inside the span of a group constrained with the row's group but
+// hold no node of any such group: words a layout must still store so that
+// each constrained span sits contiguously in the row.
+func gapWords(gx *Groups) int {
+	gaps := 0
+	for l := range gx.lists {
+		for w := 0; w < (gx.n+63)/64; w++ {
+			inSpan, used := false, false
+			for h := range gx.lists {
+				if !gx.Constrained(l, h) {
+					continue
+				}
+				lo, hi := gx.Span(h)
+				inSpan = inSpan || lo <= w && w < hi
+				used = used || gx.Mask(h).Words()[w] != 0
+			}
+			if inSpan && !used {
+				gaps++
+			}
+		}
+	}
+	return gaps
+}
+
 // completeBipartite reports whether every node of a is adjacent to every
 // node of b, the promise a free pair of a group index makes.
 func completeBipartite(g *Graph, a, b []int) bool {
@@ -730,7 +797,11 @@ func relate(rng *rand.Rand, g *Graph, gx *Groups, groups [][]int, coarsen float6
 // keep edges inside groups, which makes the picked group's own live
 // candidates count. Each search after the first on a graph reuses the
 // graph's arenas, and a generic Find between searches leaves their states
-// dirty.
+// dirty. Under each relation, a copy of the graph laid out from it (rows
+// holding only their explicit words) must give FindGrouped the reference's
+// answer and Find the dense graph's. The product graphs with split ids
+// (splitIDs) must lay out words that lie in a constrained group's span
+// without holding a node of any constrained group (gapWords).
 func TestFindGroupedMatchesReference(t *testing.T) {
 	sizes := []int{24, 40, 96, 150}
 	cases := []struct {
@@ -752,15 +823,28 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 		{"cluster/intra-group-edges", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 3+r.Intn(4), fileOf(1, 3), 0.7, 0.5) }, 8, false, false, true},
 		{"dense", func(r *rand.Rand, n int) *Graph { return randomRegGraph(r, n, 1+r.Intn(4), fileOf(2, 4), 0.85, 0.4) }, 3, false, false, false},
 		{"product/REGIMap-shape", nil, 0, false, true, false},
+		{"product/split-ids", nil, 0, true, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			implicit, gaps := 0, 0 // implicit and gap words over the laid-out copies
+			defer func() {
+				if tc.product && !tc.scattered && implicit == 0 && !t.Failed() {
+					t.Error("no laid-out product graph has an implicit word")
+				}
+				if tc.product && tc.scattered && gaps == 0 && !t.Failed() {
+					t.Error("no laid-out split product graph has a gap word")
+				}
+			}()
 			for trial := 0; trial < 24; trial++ {
 				rng := rand.New(rand.NewSource(int64(12000 + trial)))
 				var g *Graph
 				var groups [][]int
 				if tc.product {
 					g, groups = randomProductGraph(rng, 4*sizes[trial%len(sizes)])
+					if tc.scattered {
+						g, groups = splitIDs(g, groups)
+					}
 				} else {
 					g = tc.gen(rng, sizes[trial%len(sizes)])
 					groups = randomGroups(rng, g, tc.maxSize, tc.scattered)
@@ -791,9 +875,24 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 					if !g.IsFeasibleClique(got) {
 						t.Fatalf("trial %d: FindGrouped returned infeasible clique %v", trial, got)
 					}
-					Find(g, len(groups), Options{})
+					dense := Find(g, len(groups), Options{})
 					if again := FindGrouped(g, gx, opts); !reflect.DeepEqual(got, again) {
 						t.Fatalf("trial %d: rerun on reused arenas differs: %v then %v", trial, got, again)
+					}
+					// The same graph with its rows laid out from the relation
+					// stores only the explicit words; both searches must not
+					// notice.
+					laid := &Graph{}
+					copyGraph(laid, g, gx)
+					for u := range laid.rows {
+						implicit += laid.wpr - len(laid.rows[u])
+					}
+					gaps += gapWords(gx)
+					if got := FindGrouped(laid, gx, opts); !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d (coarsen %v), laid out: FindGrouped=%v reference=%v", trial, coarsen, got, want)
+					}
+					if got := Find(laid, len(groups), Options{}); !reflect.DeepEqual(got, dense) || !laid.IsFeasibleClique(got) {
+						t.Fatalf("trial %d (coarsen %v), laid out: Find=%v, on the dense graph %v", trial, coarsen, got, dense)
 					}
 				}
 			}

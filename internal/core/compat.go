@@ -57,18 +57,19 @@ type CompatOptions struct {
 // CompatBuilder constructs compatibility graphs for one (kernel, array, II)
 // repeatedly across the mapping loop's schedule attempts. The schedule-
 // independent work — candidate pair enumeration, the per-operation group
-// index (candidate lists, masks and spans), the clique graph's storage — is
-// done once per Reset; each Build then reuses it, and when only a few
-// operations moved slots since the previous Build, only the adjacency rows
-// of those operations' candidates are rebuilt (unchanged-pair constraints
-// depend solely on the two operations' own slots, so their edges are
-// provably identical). Register demands are re-derived wholesale every
-// Build: they are O(V+E) to compute and follow the schedule's spans.
+// index (candidate lists, masks and spans), the per-PE rule masks — is done
+// once per Reset; each Build then reuses it. Register demands are
+// re-derived every Build: they are O(V+E) to compute and follow the
+// schedule's spans.
 //
-// Each Build also records, per operation pair, whether any Appendix A.2
-// rule binds the two (a dependence either way, or a shared modulo slot).
-// A pair with neither is complete bipartite in the graph, and the grouped
-// clique search skips work on it (see clique.Groups).
+// A Build first records, per operation pair, whether any Appendix A.2 rule
+// binds the two (a dependence either way, or a shared modulo slot). A pair
+// with neither is complete bipartite in the graph. The relation then
+// decides storage: the graph's rows are laid out from it (clique.Layout),
+// so a candidate's row stores only the words its own operation and the
+// operations constrained with it span, and only the constrained partners
+// are ORed in. The grouped clique search skips work on free pairs too (see
+// clique.Groups).
 //
 // One builder serves a whole core.Map call: Reset re-targets it at every II
 // and every route-inserted work DFG, keeping its storage.
@@ -87,7 +88,7 @@ type CompatBuilder struct {
 	byOp  [][]int
 	gx    clique.Groups // byOp's masks and word spans, and the constraint relation
 	memOp []bool        // operation touches a shared memory bus
-	g     clique.Graph  // never copied: it holds the searches' idle arenas
+	g     clique.Graph  // never copied: it holds the searches' idle arenas and its row storage
 	cg    Compat
 
 	// Per-PE rule masks over pair ids, built once per Reset (see
@@ -98,7 +99,7 @@ type CompatBuilder struct {
 	onPE     []*graph.Bitset
 	reach    []*graph.Bitset
 	busOf    []*graph.Bitset
-	rowSpan  []uint64 // orPartners' scratch: one composed span of a row
+	rowSpan  []uint64 // orPartners' scratch: the words one row receives
 	ruleSlab graph.Slab
 	busSlab  graph.Slab
 
@@ -122,15 +123,11 @@ type CompatBuilder struct {
 
 	maxCarried []int
 
-	prevTimes []int // schedule of the previous successful Build (empty: none)
-
-	// Per-build scratch, allocated once.
-	changed      []bool
-	changedList  []int
-	changedMask  graph.Bitset
-	union        graph.Bitset
-	depFree      [][]int // dep-free partners per op (this build's touched pairs)
-	sameSlotFree [][2]int
+	// Build's constrained partners of one operation, merged by rule (see
+	// addPartner): per rule, the partners' candidates, full width, and the
+	// words they touch.
+	part   [rules][]uint64
+	partAt [rules][]int
 }
 
 // NewCompatBuilder enumerates candidate pairs for the kernel on the array
@@ -144,8 +141,8 @@ func NewCompatBuilder(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptions) (*Co
 }
 
 // Reset re-targets the builder at kernel d on array c at the given II,
-// reusing its storage: the adjacency slab grows geometrically and is
-// overwritten by the next Build, which is a full one. It fails when the II
+// reusing its storage; the next Build lays the graph's rows out again. It
+// fails when the II
 // is non-positive or an operation has no supporting PE — the same early outs
 // as a from-scratch BuildCompat — and a builder whose Reset failed must be
 // Reset again before its next Build.
@@ -209,7 +206,11 @@ func (b *CompatBuilder) Reset(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptio
 			memOps++
 		}
 	}
-	b.rowSpan = resize(b.rowSpan, b.gx.MaxSpan())
+	b.rowSpan = resize(b.rowSpan, (n+63)/64)
+	for r := range b.part {
+		b.part[r] = resize(b.part[r], (n+63)/64)
+		b.partAt[r] = b.partAt[r][:0]
+	}
 
 	rules := b.ruleSlab.Carve(n, 2*pes)
 	for _, r := range rules {
@@ -246,16 +247,6 @@ func (b *CompatBuilder) Reset(d *dfg.DFG, c *arch.CGRA, ii int, opts CompatOptio
 	b.depNeedAdj = resize(b.depNeedAdj, nn)
 	b.depCarried = resize(b.depCarried, nn)
 	b.maxCarried = resize(b.maxCarried, N)
-
-	b.changed = resize(b.changed, N)
-	b.changedMask.Grow(n)
-	b.union.Grow(n)
-	b.depFree = regrow(b.depFree, N)
-	for v := range b.depFree {
-		b.depFree[v] = b.depFree[v][:0]
-	}
-	b.sameSlotFree = b.sameSlotFree[:0]
-	b.prevTimes = b.prevTimes[:0]
 	return nil
 }
 
@@ -279,10 +270,9 @@ func regrow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Build constructs (or incrementally rebuilds) the compatibility graph for
-// the given schedule. times holds the absolute slot of each operation. The
-// returned Compat aliases builder storage and is valid until the next Build
-// or Reset.
+// Build constructs the compatibility graph for the given schedule. times
+// holds the absolute slot of each operation. The returned Compat aliases
+// builder storage and is valid until the next Build or Reset.
 func (b *CompatBuilder) Build(times []int) (*Compat, error) {
 	d, ii := b.d, b.ii
 	if len(times) != d.N() {
@@ -379,228 +369,125 @@ func (b *CompatBuilder) Build(times []int) (*Compat, error) {
 		}
 	}
 
-	// Decide how much adjacency to rebuild: everything on the first Build
-	// (or when most slots moved), otherwise only the rows of operations
-	// whose slot changed. Constraints between two unchanged operations
-	// depend only on their own slots and the static dependence structure, so
-	// those edges are identical and stay.
-	// Fanout coupling breaks the incremental invariant: forcing a producer's
-	// dependences carried depends on the spans of its *other* consumers, so
-	// a pair between two unchanged operations can still flip. Rebuild fully
-	// on fanout-bounded fabrics.
-	b.changedList = b.changedList[:0]
-	full := len(b.prevTimes) == 0 || b.c.Fanout() > 0
-	if !full {
-		for v := range times {
-			if times[v] != b.prevTimes[v] {
-				b.changed[v] = true
-				b.changedList = append(b.changedList, v)
+	// Classify every operation pair, lay the rows out from the relation,
+	// then OR in only the constrained partners: a free pair's words are
+	// implicit in each other's rows, all ones.
+	N := d.N()
+	for vi := 0; vi < N; vi++ {
+		for vj := vi + 1; vj < N; vj++ {
+			b.gx.Constrain(vi, vj, b.depHas[vi*N+vj] || b.depHas[vj*N+vi] || times[vi]%ii == times[vj]%ii)
+		}
+	}
+	b.g.Layout(&b.gx)
+	for v := 0; v < N; v++ {
+		for w := 0; w < N; w++ {
+			if w != v && b.gx.Constrained(v, w) {
+				b.addPartner(w, b.rule(times, v, w))
 			}
 		}
-		if 2*len(b.changedList) > d.N() {
-			full = true
-		}
+		b.orPartners(v)
 	}
-
-	if full {
-		b.rebuildAdjacencyFull(times)
-	} else {
-		b.rebuildAdjacencyRows(times)
-	}
-	for _, v := range b.changedList {
-		b.changed[v] = false
-	}
-	b.prevTimes = append(b.prevTimes[:0], times...)
 	return &b.cg, nil
 }
 
-// classifyPair applies the Appendix A.2 rules to the ordered pair vi < vj:
-// it records whether any rule binds the two in the constraint relation,
-// then dependence-free pairs are recorded for the bulk mask fast path (the
-// overwhelming majority on large arrays); a dependent or bus-clashing pair
-// ORs each candidate's legal partners into its row, one word span at a
-// time, from both sides.
-func (b *CompatBuilder) classifyPair(times []int, vi, vj int) {
-	d, ii := b.d, b.ii
-	sameSlot := times[vi]%ii == times[vj]%ii
-	memClash := sameSlot && b.memOp[vi] && b.memOp[vj] && b.memPairwise
-	kf, kr := vi*d.N()+vj, vj*d.N()+vi
-
-	dep := b.depHas[kf] || b.depHas[kr]
-	b.gx.Constrain(vi, vj, dep || sameSlot) // a bus clash shares the slot
-	if !dep && !memClash {
-		b.depFree[vi] = append(b.depFree[vi], vj)
-		b.depFree[vj] = append(b.depFree[vj], vi)
-		if sameSlot {
-			b.sameSlotFree = append(b.sameSlotFree, [2]int{vi, vj})
+// rule applies the Appendix A.2 rules to a constrained operation pair: a
+// dependence either way, or a shared modulo slot.
+func (b *CompatBuilder) rule(times []int, vi, vj int) pairRule {
+	N := b.d.N()
+	kf, kr := vi*N+vj, vj*N+vi
+	var r pairRule
+	if times[vi]%b.ii == times[vj]%b.ii {
+		r |= sameSlot
+		if b.memOp[vi] && b.memOp[vj] && b.memPairwise {
+			r |= memClash
 		}
-		return
 	}
-	r := pairRule{
-		sameSlot: sameSlot,
-		memClash: memClash,
-		carried:  b.depCarried[kf] || b.depCarried[kr],
-		adjacent: b.depNeedAdj[kf] || b.depNeedAdj[kr],
+	if b.depCarried[kf] || b.depCarried[kr] {
+		r |= carried
 	}
-	b.orPartners(vi, vj, r)
-	b.orPartners(vj, vi, r)
+	if b.depNeedAdj[kf] || b.depNeedAdj[kr] {
+		r |= adjacent
+	}
+	return r
 }
 
-// pairRule is the Appendix A.2 constraint between a dependent or
-// bus-clashing operation pair. Every rule is symmetric (connectivity
-// included, see arch.Connected), so one rule serves both sides.
-type pairRule struct {
-	sameSlot bool // same modulo slot: the two may not share a PE (one resource of R_II)
-	memClash bool // same-slot memory ops: the two may not share a bus group (capacity <= 1)
-	carried  bool // a register-carried dependence: the two must share a PE
-	adjacent bool // forwarded at span 1, either way: their PEs must be connected
-}
+// pairRule is the Appendix A.2 constraint between a constrained operation
+// pair, one bit per rule. Every rule is symmetric (connectivity included,
+// see arch.Connected), so one rule serves both sides.
+type pairRule uint8
 
-// orPartners ORs into each candidate row of v the candidates of w legal
-// beside it under r: w's mask intersected with the rule masks of the
-// candidate's PE, over w's word span. Zero-cap bus groups never appear:
-// their PEs were excluded from memory-op candidates at enumeration.
-func (b *CompatBuilder) orPartners(v, w int, r pairRule) {
+const (
+	sameSlot pairRule = 1 << iota // same modulo slot: the two may not share a PE (one resource of R_II)
+	memClash                      // same-slot memory ops: the two may not share a bus group (capacity <= 1)
+	carried                       // a register-carried dependence: the two must share a PE
+	adjacent                      // forwarded at span 1, either way: their PEs must be connected
+
+	rules = 1 << iota // the number of distinct pairRules
+)
+
+// addPartner merges op w's candidates into the current operation's
+// partners under rule r.
+func (b *CompatBuilder) addPartner(w int, r pairRule) {
 	lo, hi := b.gx.Span(w)
-	span := b.gx.Mask(w).Words()[lo:hi]
-	row := b.rowSpan[:hi-lo]
-	for _, i := range b.byOp[v] {
-		p := b.pairs[i].PE
-		copy(row, span)
-		if r.carried {
-			andWords(row, b.onPE[p], lo)
+	part := b.part[r]
+	for k, x := range b.gx.Mask(w).Words()[lo:hi] {
+		if part[lo+k] == 0 && x != 0 {
+			b.partAt[r] = append(b.partAt[r], lo+k)
 		}
-		if r.adjacent {
-			andWords(row, b.reach[p], lo)
-		}
-		switch {
-		case r.memClash:
-			andNotWords(row, b.busOf[p], lo) // the group holds p itself
-		case r.sameSlot:
-			andNotWords(row, b.onPE[p], lo)
-		}
-		b.g.OrAdjacencyWords(i, lo, row)
+		part[lo+k] |= x
 	}
 }
 
-// orMask unions op v's candidate mask into dst over the mask's word span.
-func (b *CompatBuilder) orMask(dst *graph.Bitset, v int) {
-	lo, hi := b.gx.Span(v)
-	dst.OrWords(lo, b.gx.Mask(v).Words()[lo:hi])
-}
-
-// andWords intersects row with m's words starting at word lo.
-func andWords(row []uint64, m *graph.Bitset, lo int) {
-	for k, w := range m.Words()[lo : lo+len(row)] {
-		row[k] &= w
-	}
-}
-
-// andNotWords removes m's words starting at word lo from row.
-func andNotWords(row []uint64, m *graph.Bitset, lo int) {
-	for k, w := range m.Words()[lo : lo+len(row)] {
-		row[k] &^= w
-	}
-}
-
-// applyDepFree ORs the accumulated dependence-free partner masks into each
-// touched operation's candidate rows, over the word span the partners
-// cover, then clears the same-slot same-PE collisions (the one resource
-// conflict the bulk OR cannot express).
-func (b *CompatBuilder) applyDepFree() {
-	for vi, partners := range b.depFree {
-		if len(partners) == 0 {
+// orPartners ORs into each candidate row of v the partners legal beside
+// it, then empties the partners. A rule's partners are legal beside a
+// candidate on PE p when they lie in p's rule masks, and the masks depend
+// only on the rule and p, so each rule takes one pass per candidate over
+// the words its partners touch, however many partners share it. Zero-cap
+// bus groups never appear: their PEs were excluded from memory-op
+// candidates at enumeration.
+func (b *CompatBuilder) orPartners(v int) {
+	for r := range b.partAt {
+		at := b.partAt[r]
+		if len(at) == 0 {
 			continue
 		}
-		lo, hi := b.gx.Span(partners[0])
-		for _, vj := range partners[1:] {
-			l, h := b.gx.Span(vj)
-			lo, hi = min(lo, l), max(hi, h)
-		}
-		union := b.union.Words()[lo:hi]
-		clear(union)
-		for _, vj := range partners {
-			b.orMask(&b.union, vj)
-		}
-		for _, i := range b.byOp[vi] {
-			b.g.OrAdjacencyWords(i, lo, union)
-		}
-		b.depFree[vi] = b.depFree[vi][:0]
-	}
-	for _, pair := range b.sameSlotFree {
-		// Same resource of R_II: same PE in the same slot. Candidate lists
-		// are PE-sorted, so a lockstep walk finds the collisions.
-		ci, cj := b.byOp[pair[0]], b.byOp[pair[1]]
-		x, y := 0, 0
-		for x < len(ci) && y < len(cj) {
-			pi, pj := b.pairs[ci[x]].PE, b.pairs[cj[y]].PE
-			switch {
-			case pi == pj:
-				b.g.ClearEdge(ci[x], cj[y])
-				x++
-				y++
-			case pi < pj:
-				x++
-			default:
-				y++
+		rule, part, row := pairRule(r), b.part[r], b.rowSpan[:len(at)]
+		for _, i := range b.byOp[v] {
+			p := b.pairs[i].PE
+			on, reach := b.onPE[p].Words(), b.reach[p].Words()
+			var bus []uint64
+			if rule&memClash != 0 {
+				bus = b.busOf[p].Words() // the group holds p itself
 			}
-		}
-	}
-	b.sameSlotFree = b.sameSlotFree[:0]
-}
-
-// rebuildAdjacencyFull reconstructs every adjacency row from scratch.
-func (b *CompatBuilder) rebuildAdjacencyFull(times []int) {
-	for i := range b.pairs {
-		b.g.ResetAdjacency(i)
-	}
-	for vi := 0; vi < b.d.N(); vi++ {
-		for vj := vi + 1; vj < b.d.N(); vj++ {
-			b.classifyPair(times, vi, vj)
-		}
-	}
-	b.applyDepFree()
-}
-
-// rebuildAdjacencyRows reconstructs only the rows touching operations whose
-// slot changed: their candidates' rows are cleared outright, every other
-// row drops its edges into the changed candidates, and the changed-vs-all
-// pair constraints are re-derived.
-func (b *CompatBuilder) rebuildAdjacencyRows(times []int) {
-	b.changedMask.Reset()
-	for _, v := range b.changedList {
-		b.orMask(&b.changedMask, v)
-	}
-	for v := 0; v < b.d.N(); v++ {
-		if b.changed[v] {
-			for _, id := range b.byOp[v] {
-				b.g.ResetAdjacency(id)
+			for k, w := range at {
+				x := part[w]
+				if rule&carried != 0 {
+					x &= on[w]
+				}
+				if rule&adjacent != 0 {
+					x &= reach[w]
+				}
+				switch {
+				case rule&memClash != 0:
+					x &^= bus[w]
+				case rule&sameSlot != 0:
+					x &^= on[w]
+				}
+				row[k] = x
 			}
-		} else {
-			for _, id := range b.byOp[v] {
-				b.g.AndNotAdjacency(id, &b.changedMask)
-			}
+			b.g.OrAdjacencyAt(i, at, row)
 		}
-	}
-	for _, vi := range b.changedList {
-		for vj := 0; vj < b.d.N(); vj++ {
-			if vj == vi || (b.changed[vj] && vj < vi) {
-				continue // the changed-changed pair was handled at the lower id
-			}
-			if vi < vj {
-				b.classifyPair(times, vi, vj)
-			} else {
-				b.classifyPair(times, vj, vi)
-			}
+		for _, w := range at {
+			part[w] = 0
 		}
+		b.partAt[r] = at[:0]
 	}
-	b.applyDepFree()
 }
 
 // BuildCompat constructs the compatibility graph of a scheduled DFG on the
 // array at the given II, from scratch. The mapping loop uses a CompatBuilder
-// instead to reuse storage and unchanged rows across schedule attempts; the
-// two are equivalent (see TestCompatBuilderIncrementalMatchesScratch).
+// instead to reuse storage across schedule attempts; the two are
+// equivalent (see TestCompatBuilderIncrementalMatchesScratch).
 func BuildCompat(d *dfg.DFG, c *arch.CGRA, times []int, ii int, opts CompatOptions) (*Compat, error) {
 	b, err := NewCompatBuilder(d, c, ii, opts)
 	if err != nil {

@@ -346,13 +346,17 @@ func sameGroups(t *testing.T, where string, got, want *Compat, nOps int) {
 
 // poisonBuilder scribbles over the storage a Reset reuses: every adjacency
 // row full, every node's cluster and demand and every register file wrong,
-// every operation pair marked free, and the dependence and scratch flags
-// set.
+// every operation pair marked free, the dependence and scratch flags set,
+// and every rule's partners full.
 func poisonBuilder(b *CompatBuilder) {
 	full := graph.NewBitset(len(b.pairs))
 	full.Fill()
+	every := make([]int, len(full.Words()))
+	for w := range every {
+		every[w] = w
+	}
 	for i := range b.pairs {
-		b.g.OrAdjacencyWords(i, 0, full.Words())
+		b.g.OrAdjacencyAt(i, every, full.Words())
 		b.g.SetCluster(i, 0)
 		b.g.SetDemand(i, 99)
 	}
@@ -364,10 +368,16 @@ func poisonBuilder(b *CompatBuilder) {
 			b.gx.Constrain(va, vb, false)
 		}
 	}
-	for _, flags := range [][]bool{b.depHas, b.depNeedAdj, b.depCarried, b.changed, b.fanSeen} {
+	for _, flags := range [][]bool{b.depHas, b.depNeedAdj, b.depCarried, b.fanSeen} {
 		for i := range flags {
 			flags[i] = true
 		}
+	}
+	for r := range b.part {
+		for w := range b.part[r] {
+			b.part[r][w] = ^uint64(0)
+		}
+		b.partAt[r] = append(b.partAt[r][:0], 0)
 	}
 }
 

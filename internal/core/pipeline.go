@@ -10,7 +10,6 @@ import (
 	"regimap/internal/dfg"
 	"regimap/internal/mapping"
 	"regimap/internal/obs"
-	"regimap/internal/par"
 	"regimap/internal/sched"
 )
 
@@ -168,12 +167,11 @@ func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 
 // PassPlace runs the clique search over the compatibility graph. On a full
 // placement it assembles and returns the mapping; otherwise it returns nil
-// and the operations left unplaced (the paper's V_Ds − V_C). Options.Workers
-// > 1 races the placement passes, and a cancelled ctx starts no further
-// pass.
+// and the operations left unplaced (the paper's V_Ds − V_C). A cancelled
+// ctx starts no further placement pass.
 func (a *Attempt) PassPlace(ctx context.Context, cg *Compat, res *sched.Result) (*mapping.Mapping, []int) {
 	sp := a.tr.Start("pass.clique")
-	sol := findPlacement(ctx, cg, a.ds.N(), res.Time, a.opts.Clique, a.opts.Workers, a.tr)
+	sol := findPlacement(ctx, cg, a.ds.N(), res.Time, a.opts.Clique, a.tr)
 	sp.Field("placed", int64(len(sol)))
 	sp.Field("target", int64(a.ds.N()))
 	sp.End()
@@ -346,15 +344,10 @@ func routeBudgetFor(n int) int {
 // candidate per operation), then the paper's generic
 // greedy/swap/intersection heuristic. Each pass builds its own order, and
 // the first pass that places every operation wins; when none does, the
-// largest partial placement wins, the earlier pass breaking ties. Every pass
-// is a pure function of the frozen compatibility graph, so par.First returns
-// the same placement whether it runs the passes inline (workers <= 1) or
-// races them: this race is REGIMap's one parallel path inside a Map call.
-func findPlacement(ctx context.Context, cg *Compat, target int, times []int, opts clique.Options, workers int, tr *obs.Tracer) []int {
+// largest partial placement wins, the earlier pass breaking ties. A
+// cancelled ctx starts no further pass.
+func findPlacement(ctx context.Context, cg *Compat, target int, times []int, opts clique.Options, tr *obs.Tracer) []int {
 	opts.Trace = tr
-	// The passes read the graph's lazily cached degrees; fill the cache
-	// before par.First may run them concurrently.
-	cg.G.Degrees()
 	passes := make([]func(o clique.Options) []int, 0, 4)
 	if len(times) == target {
 		if opts.GroupOrder == nil {
@@ -386,15 +379,15 @@ func findPlacement(ctx context.Context, cg *Compat, target int, times []int, opt
 			return clique.Find(cg.G, target, o)
 		})
 	}
-	sols := make([][]int, len(passes))
-	if won := par.First(ctx, len(passes), workers, func(_ context.Context, _, i int) bool {
-		sols[i] = passes[i](opts)
-		return len(sols[i]) >= target
-	}); won < len(passes) {
-		return sols[won]
-	}
 	var sol []int
-	for _, alt := range sols {
+	for _, pass := range passes {
+		if ctx.Err() != nil {
+			break
+		}
+		alt := pass(opts)
+		if len(alt) >= target {
+			return alt
+		}
 		if len(alt) > len(sol) {
 			sol = alt
 		}

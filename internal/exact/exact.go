@@ -168,48 +168,32 @@ type Stats struct {
 // verdict depends only on its formula and budget, so the answer and the
 // certificate are the sequential ladder's at any worker count.
 func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.Mapping, *Stats, error) {
-	return mapLadder(ctx, d, c, opts, min(runtime.GOMAXPROCS(0), maxIIsInFlight), solveAtII)
+	return mapLadder(ctx, d, c, opts, min(runtime.GOMAXPROCS(0), par.MaxInFlight), solveAtII)
 }
-
-// maxIIsInFlight caps one Map call's race at the lowest undecided II and
-// one speculative II above it. Each II in flight holds a formula, so the
-// cap keeps a call's memory at two formulas on any number of cores; a
-// deeper race would mostly add IIs above the winner, which are waste.
-const maxIIsInFlight = 2
 
 // iiSolver decides one II on a solver; Map uses solveAtII, and tests wrap it
 // to order the IIs of a race.
 type iiSolver func(ctx context.Context, s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii int, opts Options) (Verdict, *mapping.Mapping, error)
 
-// iiOutcome is one II's result in a raced ladder; ran is false for an II
-// that never started.
+// iiOutcome is one II's result in a raced ladder.
 type iiOutcome struct {
 	v   Verdict
 	m   *mapping.Mapping
 	err error
-	ran bool
 }
 
-// spec holds speculation to idle cores, process-wide. Every II being solved,
-// in any Map call, counts in busy. A ladder's lowest undecided II always
-// starts; an II above it starts only while busy is below GOMAXPROCS, so
-// concurrent Map calls on busy cores run one II each, as the sequential
-// ladder did.
-//
-// spec also keeps the solvers of ended Map calls for later calls. Reset
-// empties a solver to exactly New's state while keeping its buffers, so
-// which solver a call gets never shows in a verdict; reuse only spares each
+// idle keeps the solvers of ended Map calls for later calls. Reset empties
+// a solver to exactly New's state while keeping its buffers, so which
+// solver a call gets never shows in a verdict; reuse only spares each
 // formula, speculative ones included, the regrowth of the clause arena, the
 // watcher slab and the per-variable arrays. At most GOMAXPROCS solvers
 // wait, each holding at most maxIdleFootprint bytes.
-var spec struct {
-	mu    sync.Mutex
-	busy  int
-	freed chan struct{} // closed, and dropped, whenever an II ends
-	idle  []*sat.Solver // most recently released last
+var idle struct {
+	mu      sync.Mutex
+	solvers []*sat.Solver // most recently released last
 }
 
-// maxIdleFootprint bounds the solvers spec keeps. Regrowth weighs most
+// maxIdleFootprint bounds the solvers idle keeps. Regrowth weighs most
 // against the solve on small formulas: a fresh solver per call made an op
 // on a kernel that is SAT at MII slower than the sequential ladder, while a
 // large formula's solve dwarfs its regrowth. Every
@@ -220,82 +204,37 @@ const maxIdleFootprint = 4 << 20
 
 // takeSolver returns the most recently kept idle solver, or a new one.
 func takeSolver() *sat.Solver {
-	spec.mu.Lock()
-	defer spec.mu.Unlock()
-	n := len(spec.idle)
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	n := len(idle.solvers)
 	if n == 0 {
 		return sat.New(sat.Options{})
 	}
-	s := spec.idle[n-1]
-	spec.idle[n-1] = nil // the backing array must not keep a taken solver alive
-	spec.idle = spec.idle[:n-1]
+	s := idle.solvers[n-1]
+	idle.solvers[n-1] = nil // the backing array must not keep a taken solver alive
+	idle.solvers = idle.solvers[:n-1]
 	return s
 }
 
 // keepSolvers offers an ended call's solvers to later calls.
 func keepSolvers(ss []*sat.Solver) {
-	spec.mu.Lock()
-	defer spec.mu.Unlock()
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
 	for _, s := range ss {
-		if s != nil && len(spec.idle) < runtime.GOMAXPROCS(0) && s.Footprint() <= maxIdleFootprint {
-			spec.idle = append(spec.idle, s)
+		if s != nil && len(idle.solvers) < runtime.GOMAXPROCS(0) && s.Footprint() <= maxIdleFootprint {
+			idle.solvers = append(idle.solvers, s)
 		}
-	}
-}
-
-// ladder is one Map call's race state, guarded by spec.mu.
-type ladder struct {
-	out []iiOutcome // by index, up to the highest index that ended
-	low int         // the lowest index without an outcome: the undecided II
-}
-
-// enter waits until index i may start: at once when it is the lowest
-// undecided index or a core is idle, else until an II ends somewhere. It
-// reports false, and i never starts, once ctx is done.
-func (l *ladder) enter(ctx context.Context, i int) bool {
-	for ctx.Err() == nil {
-		spec.mu.Lock()
-		if i == l.low || spec.busy < runtime.GOMAXPROCS(0) {
-			spec.busy++
-			spec.mu.Unlock()
-			return true
-		}
-		if spec.freed == nil {
-			spec.freed = make(chan struct{})
-		}
-		freed := spec.freed
-		spec.mu.Unlock()
-		select {
-		case <-freed:
-		case <-ctx.Done():
-		}
-	}
-	return false
-}
-
-// leave records index i's outcome and wakes every II waiting in enter.
-func (l *ladder) leave(i int, r iiOutcome) {
-	spec.mu.Lock()
-	defer spec.mu.Unlock()
-	spec.busy--
-	if spec.freed != nil {
-		close(spec.freed)
-		spec.freed = nil
-	}
-	if i >= len(l.out) {
-		l.out = append(l.out, make([]iiOutcome, i+1-len(l.out))...)
-	}
-	l.out[i] = r
-	for l.low < len(l.out) && l.out[l.low].ran {
-		l.low++
 	}
 }
 
 // mapLadder is Map on up to workers goroutines. The IIs lo..hi are the
-// indices of one par.First race, each decided by solve once enter admits
-// it, on its worker slot's solver: taken from spec at the slot's first
-// claim, reset for every formula, and offered back when the race ends. An
-// II ends the escalation when it is SAT or unmappable or returns an error.
+// indices of one par.First race, each decided by solve once the
+// process-wide speculation gate admits it (par.Ladder, shared with
+// REGIMap's ladder: the lowest undecided II always, an II above it only on
+// an idle core), on its worker slot's solver: taken from idle at the
+// slot's first claim, reset for every formula, and offered back when the
+// race ends. An II ends the escalation when it is SAT or unmappable or
+// returns an error.
 // The verdicts of the IIs up to the first such one are then folded in II
 // order, exactly as a sequential loop over the IIs would fold them. Only
 // IIs that ran take memory, so a huge MaxII costs nothing up front.
@@ -319,33 +258,30 @@ func mapLadder(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options, work
 	}
 	hi = max(hi, lo)
 
-	var l ladder
+	var l par.Ladder[iiOutcome]
 	solvers := make([]*sat.Solver, max(workers, 1))
 	won := par.First(ctx, hi-lo+1, workers, func(ctx context.Context, w, i int) bool {
-		if !l.enter(ctx, i) {
+		if !l.Enter(ctx, i) {
 			return false
 		}
 		var r iiOutcome
-		defer func() { l.leave(i, r) }()
+		defer func() { l.Leave(i, r) }()
 		if solvers[w] == nil {
 			solvers[w] = takeSolver()
 		}
 		r.v, r.m, r.err = solve(ctx, solvers[w], d, c, lo+i, opts)
-		r.ran = true
 		return r.v.Status == "sat" || r.v.Status == "unmappable" || r.err != nil
 	})
 	keepSolvers(solvers)
 
+	decided := l.Decided()
 	contig := lo == mii // every II below the current one was refuted, down to MII
 	for i := 0; i <= hi-lo && i <= won; i++ {
 		ii := lo + i
-		var r iiOutcome
-		if i < len(l.out) {
-			r = l.out[i]
-		}
-		if !r.ran {
+		if i >= len(decided) {
 			return nil, stats(), maperr.Aborted(ctx.Err(), "exact: aborted before II=%d", ii)
 		}
+		r := decided[i]
 		v, err := r.v, r.err
 		cert.PerII = append(cert.PerII, v)
 		cert.Conflicts += v.Conflicts

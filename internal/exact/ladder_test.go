@@ -17,6 +17,7 @@ import (
 	"regimap/internal/kernels"
 	"regimap/internal/maperr"
 	"regimap/internal/mapping"
+	"regimap/internal/par"
 	"regimap/internal/sat"
 )
 
@@ -258,13 +259,9 @@ func TestLadderSpeculatesOnIdleCoresOnly(t *testing.T) {
 		return solveAtII(ctx, s, d, c, ii, opts)
 	}
 	cores := runtime.GOMAXPROCS(0)
-	spec.mu.Lock()
-	spec.busy += cores
-	spec.mu.Unlock()
+	release := holdCores(cores)
 	got, _ := runLadder(context.Background(), tc, 2, counted)
-	spec.mu.Lock()
-	spec.busy -= cores
-	spec.mu.Unlock()
+	release()
 	if p := peak.Load(); p != 1 {
 		t.Errorf("every core busy: %d IIs solved at once, want 1", p)
 	}
@@ -294,6 +291,20 @@ func TestLadderSpeculatesOnIdleCoresOnly(t *testing.T) {
 	}
 }
 
+// holdCores counts n cores busy in the process-wide speculation gate, as n
+// ladders each running its lowest undecided II would, until release.
+func holdCores(n int) (release func()) {
+	held := make([]par.Ladder[struct{}], n)
+	for i := range held {
+		held[i].Enter(context.Background(), 0)
+	}
+	return func() {
+		for i := range held {
+			held[i].Leave(0, struct{}{})
+		}
+	}
+}
+
 // TestConcurrentLaddersMatchSequential runs the random ladders as concurrent
 // Map calls, which share the speculation gate and the idle solvers: every
 // result must still be its sequential ladder's.
@@ -309,7 +320,7 @@ func TestConcurrentLaddersMatchSequential(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], _ = runLadder(context.Background(), tc, maxIIsInFlight, solveAtII)
+			got[i], _ = runLadder(context.Background(), tc, par.MaxInFlight, solveAtII)
 		}()
 	}
 	wg.Wait()
@@ -347,14 +358,14 @@ func TestMapHugeMaxIIAborts(t *testing.T) {
 // leaving no reference to it behind: a taken solver that grows past the
 // bound must be freed with its call.
 func TestIdleSolversBounded(t *testing.T) {
-	spec.mu.Lock()
-	saved := spec.idle
-	spec.idle = nil
-	spec.mu.Unlock()
+	idle.mu.Lock()
+	saved := idle.solvers
+	idle.solvers = nil
+	idle.mu.Unlock()
 	defer func() {
-		spec.mu.Lock()
-		spec.idle = saved
-		spec.mu.Unlock()
+		idle.mu.Lock()
+		idle.solvers = saved
+		idle.mu.Unlock()
 	}()
 
 	small := sat.New(sat.Options{})
@@ -364,22 +375,22 @@ func TestIdleSolversBounded(t *testing.T) {
 		large.NewVar()
 	}
 	keepSolvers([]*sat.Solver{large, nil, small})
-	if len(spec.idle) != 1 || spec.idle[0] != small {
-		t.Fatalf("idle solvers %v, want only the small one", spec.idle)
+	if len(idle.solvers) != 1 || idle.solvers[0] != small {
+		t.Fatalf("idle solvers %v, want only the small one", idle.solvers)
 	}
 	more := make([]*sat.Solver, runtime.GOMAXPROCS(0)+1)
 	for i := range more {
 		more[i] = sat.New(sat.Options{})
 	}
 	keepSolvers(more)
-	if n := len(spec.idle); n != runtime.GOMAXPROCS(0) {
+	if n := len(idle.solvers); n != runtime.GOMAXPROCS(0) {
 		t.Fatalf("%d idle solvers, want GOMAXPROCS = %d", n, runtime.GOMAXPROCS(0))
 	}
-	last := spec.idle[len(spec.idle)-1]
+	last := idle.solvers[len(idle.solvers)-1]
 	if s := takeSolver(); s != last {
 		t.Fatal("takeSolver did not return the most recently kept solver")
 	}
-	if spec.idle[:len(spec.idle)+1][len(spec.idle)] != nil {
+	if idle.solvers[:len(idle.solvers)+1][len(idle.solvers)] != nil {
 		t.Fatal("the idle stack's backing array still holds a taken solver")
 	}
 }

@@ -59,10 +59,11 @@ type Config struct {
 	// Timeout caps each individual mapper run (0: unbounded), enforced via
 	// the mappers' context support; a timed-out run reports OK=false.
 	Timeout time.Duration
-	// CliqueWorkers races the placement passes inside every REGIMap run
-	// across this many goroutines (core.Options.Workers; <=1: inline).
-	// Mappings are byte-identical at any value (DESIGN.md section 8g), so it
-	// composes freely with Workers.
+	// CliqueWorkers bounds the IIs every REGIMap run races at once
+	// (core.Options.Workers; 0: the lowest undecided II plus one
+	// speculative II on an idle core; 1: one II at a time). Mappings are
+	// byte-identical at any value (DESIGN.md section 8g), so it composes
+	// freely with Workers.
 	CliqueWorkers int
 	// DRESCRestarts races this many seed-derived annealing chains per II
 	// inside every DRESC run (<=1: the single-chain escalation). The result

@@ -136,16 +136,6 @@ func (b *Bitset) CopyFrom(src *Bitset) {
 	copy(b.words, src.words)
 }
 
-// And intersects b with other in place.
-func (b *Bitset) And(other *Bitset) {
-	if b.n != other.n {
-		panic("graph: bitset capacity mismatch")
-	}
-	for i := range b.words {
-		b.words[i] &= other.words[i]
-	}
-}
-
 // Or unions other into b in place.
 func (b *Bitset) Or(other *Bitset) {
 	if b.n != other.n {
@@ -156,54 +146,47 @@ func (b *Bitset) Or(other *Bitset) {
 	}
 }
 
-// AndNot removes other's members from b in place.
-func (b *Bitset) AndNot(other *Bitset) {
-	if b.n != other.n {
-		panic("graph: bitset capacity mismatch")
-	}
-	for i := range b.words {
-		b.words[i] &^= other.words[i]
-	}
-}
+// The At operations below take a set x in sparse form: x's word at[k] is
+// xs[k] for ascending word indices at, and every word at no listed index is
+// all ones. The clique engine stores an adjacency row this way, keeping
+// only the words where a node's neighbourhood can have a gap.
 
-// IntersectCount returns |b ∩ other| without allocating.
-func (b *Bitset) IntersectCount(other *Bitset) int {
-	if b.n != other.n {
-		panic("graph: bitset capacity mismatch")
-	}
-	total := 0
-	for i := range b.words {
-		total += bits.OnesCount64(b.words[i] & other.words[i])
-	}
-	return total
-}
-
-// AndSpill intersects b with x and moves the members b loses into spill,
+// AndSpillAt intersects b with x and moves the members b loses into spill,
 // which keeps only its own members inside x: spill = (spill ∩ x) ∪ (b \ x),
-// then b = b ∩ x, in one pass over the words. Read b as the nodes missing no
-// neighbour so far and spill as those missing exactly one: intersecting with
-// one more neighbourhood x shifts every miss count up by one. The clique
-// engine's add maintains its candidate and one-miss sets this way.
-func (b *Bitset) AndSpill(x, spill *Bitset) {
-	if b.n != x.n || b.n != spill.n {
+// then b = b ∩ x, in one pass over the listed words (an all-ones word of x
+// changes neither set). Read b as the nodes missing no neighbour so far and
+// spill as those missing exactly one: intersecting with one more
+// neighbourhood x shifts every miss count up by one. The clique engine's
+// add maintains its candidate and one-miss sets this way.
+func (b *Bitset) AndSpillAt(at []int32, xs []uint64, spill *Bitset) {
+	if b.n != spill.n {
 		panic("graph: bitset capacity mismatch")
 	}
-	for i, w := range b.words {
-		m := x.words[i]
-		spill.words[i] = spill.words[i]&m | w&^m
-		b.words[i] = w & m
+	bw, sw := b.words, spill.words
+	for k, i := range at {
+		m, w := xs[k], bw[i]
+		sw[i] = sw[i]&m | w&^m
+		bw[i] = w & m
 	}
 }
 
-// OrWords unions words into b's words starting at word lo:
-// b.words[lo+k] |= words[k]. The compat builder composes a candidate's
-// partners over the partner operation's few-word span and ORs in just that
-// range, where Or would take a full-width pass.
-func (b *Bitset) OrWords(lo int, words []uint64) {
-	dst := b.words[lo : lo+len(words)]
-	for k, w := range words {
-		dst[k] |= w
+// AndAt intersects b with x in place: only the listed words can change.
+func (b *Bitset) AndAt(at []int32, xs []uint64) {
+	for k, i := range at {
+		b.words[i] &= xs[k]
 	}
+}
+
+// AndNotAt removes x's members from b in place: b keeps only members in the
+// listed words that x lacks, since every other word of x is all ones.
+func (b *Bitset) AndNotAt(at []int32, xs []uint64) {
+	next := 0 // the first word not yet visited
+	for k, i := range at {
+		clear(b.words[next:i])
+		b.words[i] &^= xs[k]
+		next = int(i) + 1
+	}
+	clear(b.words[next:])
 }
 
 // WordBounds returns the half-open range [lo, hi) of 64-bit word indices

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -53,7 +54,7 @@ func TestBitsetPanics(t *testing.T) {
 			t.Error("capacity mismatch did not panic")
 		}
 	}()
-	b.And(NewBitset(11))
+	b.Or(NewBitset(11))
 }
 
 func TestBitsetSetOps(t *testing.T) {
@@ -65,13 +66,15 @@ func TestBitsetSetOps(t *testing.T) {
 	for i := 0; i < 100; i += 3 {
 		b.Set(i)
 	}
+	// b in sparse form with every word listed is b itself.
+	at := make([]int32, len(b.Words()))
+	for i := range at {
+		at[i] = int32(i)
+	}
 	inter := a.Clone()
-	inter.And(b)
+	inter.AndAt(at, b.Words())
 	if got := inter.Count(); got != 17 { // multiples of 6 below 100
 		t.Errorf("intersection count = %d, want 17", got)
-	}
-	if got := a.IntersectCount(b); got != 17 {
-		t.Errorf("IntersectCount = %d, want 17", got)
 	}
 	union := a.Clone()
 	union.Or(b)
@@ -79,7 +82,7 @@ func TestBitsetSetOps(t *testing.T) {
 		t.Errorf("union count = %d, want 67", got)
 	}
 	diff := a.Clone()
-	diff.AndNot(b)
+	diff.AndNotAt(at, b.Words())
 	if got := diff.Count(); got != 50-17 {
 		t.Errorf("difference count = %d, want 33", got)
 	}
@@ -119,8 +122,8 @@ func TestBitsetResetAndCopy(t *testing.T) {
 }
 
 // Property: bitset set operations agree with a map-based model, including
-// the word-ranged union the compat builder runs on operation spans and the
-// fused one-pass update behind the clique engine's one-miss set.
+// the sparse-row operations of the clique engine (the fused one-pass update
+// behind its one-miss set among them).
 func TestBitsetAgainstModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -146,7 +149,6 @@ func TestBitsetAgainstModel(t *testing.T) {
 			return false
 		}
 		words := len(bs.Words())
-		inRange := func(i, lo, hi int) bool { return i>>6 >= lo && i>>6 < hi }
 		// Sets clustered in a random window of ids, like one operation's
 		// bindings, so word bounds are often narrower than the whole width.
 		x, xm := randomModelSet(rng, n)
@@ -157,28 +159,35 @@ func TestBitsetAgainstModel(t *testing.T) {
 		if bs.First() != modelMin(model, 0, words) {
 			return false
 		}
-		// OrWords unions x's words [lo, hi) into b and leaves b's other
-		// words.
-		lo := rng.Intn(words + 1)
-		hi := lo + rng.Intn(words-lo+1)
-		before := bs.Clone()
-		bs.OrWords(lo, x.Words()[lo:hi])
-		for i := 0; i < n; i++ {
-			want := before.Has(i)
-			if inRange(i, lo, hi) {
-				want = want || xm[i]
+		// The At operations read x in sparse form: a random ascending
+		// subset of x's words, every other word all ones.
+		var at []int32
+		var xs []uint64
+		for i, w := range x.Words() {
+			if rng.Intn(3) > 0 {
+				at = append(at, int32(i))
+				xs = append(xs, w)
 			}
-			if bs.Has(i) != want {
+		}
+		listed := func(i int) bool { return slices.Contains(at, int32(i>>6)) }
+		inX := func(i int) bool { return !listed(i) || xm[i] }
+
+		// AndSpillAt: b = b ∩ x, spill = (spill ∩ x) ∪ (b \ x), one pass.
+		b, bm := randomModelSet(rng, n)
+		spill, sm := randomModelSet(rng, n)
+		b.AndSpillAt(at, xs, spill)
+		for i := 0; i < n; i++ {
+			if b.Has(i) != (bm[i] && inX(i)) || spill.Has(i) != (sm[i] && inX(i) || bm[i] && !inX(i)) {
 				return false
 			}
 		}
-
-		// AndSpill: b = b ∩ x, spill = (spill ∩ x) ∪ (b \ x), one pass.
-		b, bm := randomModelSet(rng, n)
-		spill, sm := randomModelSet(rng, n)
-		b.AndSpill(x, spill)
+		// AndAt and AndNotAt: b ∩ x and b \ x.
+		and, am := randomModelSet(rng, n)
+		andNot := and.Clone()
+		and.AndAt(at, xs)
+		andNot.AndNotAt(at, xs)
 		for i := 0; i < n; i++ {
-			if b.Has(i) != (bm[i] && xm[i]) || spill.Has(i) != (sm[i] && xm[i] || bm[i] && !xm[i]) {
+			if and.Has(i) != (am[i] && inX(i)) || andNot.Has(i) != (am[i] && !inX(i)) {
 				return false
 			}
 		}

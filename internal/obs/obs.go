@@ -54,7 +54,12 @@
 // point events). REGIMap labels its events "regimap"; under Explore, scout s
 // labels its mii, ii.attempt, pass.*, clique.* and map.done events
 // "regimap/scout<s>" while the base search keeps "regimap", so each
-// candidate's escalation reads apart from the others.
+// candidate's escalation reads apart from the others. A traced REGIMap
+// compile maps its IIs one at a time on the caller's goroutine, where an
+// untraced one races the IIs above its second (core.Options.Workers), so one
+// compile's spans nest: each pass.* span lies inside its ii.attempt span.
+// A traced run therefore also forgoes the race's speed-up, and a measured
+// traced/untraced overhead includes it.
 package obs
 
 import (
@@ -96,8 +101,8 @@ func (e *Event) FieldVal(key string) (int64, bool) {
 }
 
 // Sink receives completed events. Implementations must be safe for
-// concurrent use: Explore's racing escalations, the raced placement passes
-// and the parallel experiment drivers emit from many goroutines at once.
+// concurrent use: Explore's racing escalations and the parallel experiment
+// drivers emit from many goroutines at once.
 type Sink interface {
 	Emit(e *Event)
 }

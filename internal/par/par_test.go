@@ -171,3 +171,62 @@ func goroutineID() string {
 	buf = buf[:runtime.Stack(buf, false)]
 	return strings.Fields(string(buf))[1]
 }
+
+// TestLadderGateSharedAcrossLadders pins the speculation gate every II
+// ladder enters, whatever its outcome type (the exact engine's verdicts,
+// REGIMap's runs): a ladder's lowest undecided index starts at once, even
+// while other ladders hold every core; an index above it waits while every
+// core is busy (a done context releases it unstarted) and starts once a
+// core is idle, or once it is the lowest undecided index itself; and
+// Decided returns the contiguous outcomes.
+func TestLadderGateSharedAcrossLadders(t *testing.T) {
+	others := make([]Ladder[string], runtime.GOMAXPROCS(0))
+	for i := range others {
+		if !others[i].Enter(context.Background(), 0) {
+			t.Fatal("a lowest undecided index did not start")
+		}
+	}
+	var l Ladder[int]
+	if !l.Enter(context.Background(), 0) {
+		t.Fatal("the lowest undecided index waited for a core")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	if l.Enter(ctx, 1) {
+		t.Fatal("a speculative index started while every core was busy")
+	}
+	cancel()
+	started := make(chan struct{})
+	go func() {
+		if l.Enter(context.Background(), 1) {
+			close(started)
+		}
+	}()
+	select {
+	case <-started:
+		t.Fatal("a speculative index started while every core was busy")
+	case <-time.After(10 * time.Millisecond):
+	}
+	for i := range others {
+		others[i].Leave(0, "done")
+	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		l.Leave(0, 10) // index 1 is now the lowest undecided
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiting index did not start once it could")
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		l.Leave(1, 11)
+		if got := l.Decided(); len(got) != 0 {
+			t.Fatalf("Decided = %v with index 0 undecided", got)
+		}
+		l.Leave(0, 10)
+	} else {
+		l.Leave(1, 11)
+	}
+	if got := l.Decided(); !slices.Equal(got, []int{10, 11}) {
+		t.Fatalf("Decided = %v, want [10 11]", got)
+	}
+}

@@ -61,12 +61,13 @@ import (
 type Config struct {
 	// Workers bounds concurrent mapping computations (default: GOMAXPROCS).
 	Workers int
-	// CliqueWorkers races the placement passes inside each regimap-engine
-	// run across this many goroutines (core.Options.Workers; <=1: inline).
-	// Mappings are byte-identical at any value (DESIGN.md section 8g), so
-	// the result cache never observes a worker-count-dependent answer.
-	// Search arenas belong to each compile's compatibility graph, so
-	// nothing of the clique search outlives a request at any setting.
+	// CliqueWorkers bounds the IIs each REGIMap run (the regimap engine and
+	// the resilient ladder's REGIMap rung) races at once
+	// (core.Options.Workers; default 1: one II at a time on the request's
+	// goroutine, since admission already runs Workers computations and the
+	// async jobs at once). Mappings are byte-identical at any value
+	// (DESIGN.md section 8g), so the result cache never observes a
+	// worker-count-dependent answer.
 	CliqueWorkers int
 	// DRESCRestarts races this many seed-derived annealing chains per II
 	// inside each DRESC run — the dresc engine and the resilient ladder's
@@ -131,6 +132,9 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.CliqueWorkers <= 0 {
+		c.CliqueWorkers = 1
 	}
 	if c.Queue <= 0 {
 		c.Queue = 64
@@ -482,15 +486,17 @@ func (s *Server) resolve(req *MapRequest) (d *dfg.DFG, c *arch.CGRA, eng engine.
 	// configuration keeps the cache coherent the same way the clique
 	// workers do for regimap.
 	drescOpts := dresc.Options{Restarts: s.cfg.DRESCRestarts, Workers: s.cfg.DRESCWorkers}
+	// Hand REGIMap, alone or as the resilient ladder's first rung, the
+	// server's II worker count. Byte-identical results at any worker count
+	// keep the cache coherent.
+	coreOpts := core.Options{Workers: s.cfg.CliqueWorkers}
 	switch mapperName {
 	case "regimap":
-		// Hand the engine the server's pass worker count. Byte-identical
-		// results at any worker count keep the cache coherent.
-		eo.Extra = core.Options{Workers: s.cfg.CliqueWorkers}
+		eo.Extra = coreOpts
 	case "dresc":
 		eo.Extra = drescOpts
 	case "resilient":
-		eo.Extra = resilient.Options{DRESC: drescOpts}
+		eo.Extra = resilient.Options{Core: coreOpts, DRESC: drescOpts}
 	}
 
 	if req.Faults != "" {

@@ -199,7 +199,8 @@ func Map(d *DFG, c *CGRA, opts Options) (*Mapping, *Stats, error) {
 // MapContext is Map with cancellation: the mapper checks ctx before every II
 // escalation and every schedule/place attempt, so a deadline bounds compile
 // time within one attempt even on unmappable kernels. The returned error
-// wraps ctx.Err() when the abort was context-driven.
+// wraps ctx.Err() when the abort was context-driven. Options.Workers bounds
+// the IIs raced at once; the result is the same at any value.
 func MapContext(ctx context.Context, d *DFG, c *CGRA, opts Options) (*Mapping, *Stats, error) {
 	return mapVia[core.Stats](ctx, "regimap", d, c, opts)
 }

@@ -16,6 +16,18 @@
 # perf/loop and compile-µs/loop custom metrics, which are averages over the
 # whole kernel suite and stable after a single pass.
 #
+# Re-measuring a few benches (a change that touches only their code): the
+# box's speed drifts by up to 2x between windows, so a reading is only
+# comparable with one taken in the same window. Build the parent's and the
+# change's bench binaries, run them alternately in one window (five or
+# more rounds at the baseline's -benchtime), and set each re-measured
+# bench's ns/op entry to the parent's entry times the median
+# change/parent ratio of the rounds; take its B/op and allocs/op from the
+# change's own readings, which do not drift. Report the benches the change
+# does not touch (BenchmarkMRRG, BenchmarkBuildAdjacency and
+# BenchmarkArchFingerprint at least) beside the parent's reading in the
+# same rounds, and keep their entries.
+#
 # Failure discipline: the script refuses to write a baseline unless the
 # bench binary compiles, every bench run exits cleanly, and every expected
 # micro bench actually appears in the captured output. A partial baseline is
