@@ -169,7 +169,11 @@ func BenchmarkAblationStrictInterIteration(b *testing.B) {
 }
 
 // Clique-search variants (Appendix D: swap repair and intersection
-// re-seeding).
+// re-seeding). Only the generic clique.Find pass reads these switches: it
+// runs after the three grouped passes, only when none of them places every
+// operation and the compat graph has at most 384 nodes, and the grouped
+// passes' in-group swap always runs. So each ablation changes only the
+// attempts whose placement Find decides.
 func BenchmarkAblationCliqueNoSwap(b *testing.B) {
 	ablationPass(b, core.Options{Clique: clique.Options{DisableSwap: true}})
 }
@@ -278,7 +282,7 @@ func BenchmarkCliqueFind(b *testing.B) {
 	d, cg := benchCompat(b, arch.NewMesh(4, 4, 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clique.Find(cg.G, d.N(), clique.Options{})
+		clique.Find(cg.G, d.N(), clique.Options{}, nil)
 	}
 }
 
@@ -297,7 +301,7 @@ func findGroupedPass(b *testing.B, c *arch.CGRA) {
 	_, cg := benchCompat(b, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clique.FindGrouped(cg.G, cg.Groups(), clique.Options{})
+		clique.FindGrouped(cg.G, cg.Groups(), nil, clique.Options{}, nil)
 	}
 }
 
@@ -317,17 +321,18 @@ func mapREGIMapPass(b *testing.B, c *arch.CGRA) {
 	}
 }
 
-// BenchmarkMapREGIMapParallel is the end-to-end run with the II ladder
-// bounded at w workers (core.Options.Workers), REGIMap's one parallel path
-// inside a Map call.
+// BenchmarkMapREGIMapParallel times the II ladder, REGIMap's one parallel
+// path inside a Map call, bounded at w workers (core.Options.Workers).
+// conv3x3 on torus-8x8 climbs from MII 2 to II 5, so the IIs above the two
+// that map alone race; workers=1 is the sequential twin.
 func BenchmarkMapREGIMapParallel(b *testing.B) {
-	c := arch.NewMesh(4, 4, 4)
-	for _, w := range []int{2, 4, 8} {
+	c := benchTorus(b)
+	k, _ := kernels.ByName("conv3x3")
+	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			opts := core.Options{Workers: w}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Map(context.Background(), benchKernel(), c, opts); err != nil {
+				if _, _, err := core.Map(context.Background(), k.Build(), c, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

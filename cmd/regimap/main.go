@@ -65,7 +65,7 @@ func main() {
 		jsonOut       = flag.Bool("json", false, "emit mapper statistics as JSON (regimap mapper only)")
 		seed          = flag.Int64("seed", 1, "base seed: DRESC annealing / exact solver tie-breaking")
 		timeout       = flag.Duration("timeout", 0, "abort mapping after this long (0: unbounded)")
-		explore       = flag.Int("explore", 0, "also race this many budget-widened scout searches, each a whole II escalation (regimap mapper; may lower the II)")
+		explore       = flag.Int("explore", 0, "also race this many scout searches, scout s with s more grouped-placement rounds, each a whole II escalation (regimap mapper; may lower the II)")
 		cliqueWorkers = flag.Int("clique-workers", 0, "IIs the regimap mapper races at once (0: the lowest undecided II plus one speculative II on an idle core; 1: one II at a time; results are byte-identical at any value)")
 		drescRestarts = flag.Int("dresc-restarts", 0, "race this many seed-derived annealing chains per II (dresc mapper; <=1: one chain; results depend on this, not on -dresc-workers)")
 		drescWorkers  = flag.Int("dresc-workers", 0, "goroutines racing the restart chains (dresc mapper; 0: GOMAXPROCS; results are byte-identical at any value)")

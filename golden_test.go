@@ -214,10 +214,12 @@ const goldenExplore = 3
 // at a lower II than the base search. The explore digests cover them and
 // every paper-4x4 kernel.
 var goldenExplorePairs = []string{
-	"adres-4x4/sobel", "band2-4x4/dct4_row", "band2-4x4/lbm_stream",
-	"hetero-mem-col/dct4_row", "hetero-mem-col/lbm_stream", "hetero-mem-col/milc_su3",
-	"hetero-mem-col/wavelet_lift", "onehop-4x4/dct4_row", "torus-8x8/alpha_blend",
-	"torus-8x8/matmul4_inner", "torus-8x8/sjeng_eval",
+	"adres-4x4/sobel", "band2-4x4/dct4_row", "band2-4x4/fft_radix2", "band2-4x4/lbm_stream",
+	"hetero-mem-col/alpha_blend", "hetero-mem-col/dct4_row", "hetero-mem-col/fft_radix2",
+	"hetero-mem-col/fir8", "hetero-mem-col/h264_sad", "hetero-mem-col/lbm_stream",
+	"hetero-mem-col/milc_su3", "hetero-mem-col/wavelet_lift", "hetero-mem-col/yuv2rgb",
+	"onehop-4x4/dct4_row", "torus-8x8/alpha_blend", "torus-8x8/matmul4_inner",
+	"torus-8x8/sjeng_eval",
 }
 
 // goldenArchPath pins mapping determinism across the named-architecture zoo:

@@ -198,7 +198,6 @@ func TestPanics(t *testing.T) {
 		func() { New(0, 4, 2, Mesh) },
 		func() { New(4, 4, -1, Mesh) },
 		func() { NewMesh(2, 2, 2).PEAt(2, 0) },
-		func() { NewTEC(NewMesh(2, 2, 2), 0) },
 		func() { BuildMRRG(NewMesh(2, 2, 2), 0) },
 	} {
 		func() {
@@ -209,38 +208,6 @@ func TestPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestTECIdentifiers(t *testing.T) {
-	c := NewMesh(2, 2, 2)
-	tec := NewTEC(c, 3)
-	if tec.Nodes() != 12 {
-		t.Fatalf("Nodes = %d, want 12", tec.Nodes())
-	}
-	for slot := 0; slot < 3; slot++ {
-		for p := 0; p < 4; p++ {
-			id := tec.ID(p, slot)
-			if tec.PE(id) != p || tec.Slot(id) != slot {
-				t.Fatalf("round trip failed for pe=%d slot=%d", p, slot)
-			}
-		}
-	}
-}
-
-func TestTECGraphStructure(t *testing.T) {
-	c := NewMesh(1, 2, 2) // the paper's 1x2 example
-	tec := NewTEC(c, 2)
-	g := tec.Graph()
-	// Each node connects to self-next and neighbour-next: out-degree 2.
-	for id := 0; id < tec.Nodes(); id++ {
-		if got := g.OutDegree(id); got != 2 {
-			t.Errorf("node %d out-degree = %d, want 2", id, got)
-		}
-	}
-	// Wrap-around: (p,1) -> (p,0).
-	if !g.HasEdge(tec.ID(0, 1), tec.ID(0, 0)) {
-		t.Error("TEC missing modulo wrap-around edge")
 	}
 }
 

@@ -49,10 +49,10 @@ func TestGraphArenasMatchFresh(t *testing.T) {
 		relate(rng, g, gx, groups, 0)
 		order := rng.Perm(len(groups))
 		passes := []func(h *Graph) []int{
-			func(h *Graph) []int { return FindGrouped(h, gx, Options{GroupOrder: order}) },
-			func(h *Graph) []int { return FindGrouped(h, gx, Options{}) },
-			func(h *Graph) []int { return Find(h, len(groups), Options{}) },
-			func(h *Graph) []int { return Find(h, n, Options{MaxSeeds: 4, DisableIntersect: true}) },
+			func(h *Graph) []int { return FindGrouped(h, gx, order, Options{}, nil) },
+			func(h *Graph) []int { return FindGrouped(h, gx, nil, Options{}, nil) },
+			func(h *Graph) []int { return Find(h, len(groups), Options{}, nil) },
+			func(h *Graph) []int { return Find(h, n, Options{DisableIntersect: true}, nil) },
 		}
 		want := make([][]int, len(passes))
 		for i, pass := range passes {

@@ -617,58 +617,42 @@ func rebuild(ar *arena, members []int) *state {
 	return s
 }
 
-// The search budgets Options' zero values select. Find reads the first
-// two, FindGrouped the third; core.Map's Explore scouts widen all three
-// from here.
+// Find's search budgets: greedy starts, then clique-pair intersections
+// re-seeded from the cliques those starts found.
 const (
-	DefaultMaxSeeds         = 16
-	DefaultMaxIntersections = 32
-	DefaultGroupRounds      = 4
+	maxSeeds         = 16
+	maxIntersections = 32
 )
 
-// Options tunes the heuristic search; zero values select the paper's
+// DefaultGroupRounds is FindGrouped's promote-and-retry round count when
+// Options.GroupRounds is not positive. core.Map's Explore scouts widen it.
+const DefaultGroupRounds = 4
+
+// Options tunes the heuristic search; the zero value is the paper's
 // configuration.
 type Options struct {
-	// MaxSeeds bounds how many greedy starts are attempted (<=0:
-	// DefaultMaxSeeds).
-	MaxSeeds int
-	// MaxIntersections bounds the clique-pair intersection phase (<=0:
-	// DefaultMaxIntersections).
-	MaxIntersections int
-	// DisableSwap turns off the one-out swap repair (ablation).
-	DisableSwap bool
-	// DisableIntersect turns off the intersection re-seeding (ablation).
-	DisableIntersect bool
 	// GroupRounds bounds FindGrouped's promote-and-retry rounds (<=0:
 	// DefaultGroupRounds).
 	GroupRounds int
-	// GroupOrder, when non-nil, fixes FindGrouped's initial placement order
-	// (REGIMap passes schedule order so operations land next to their
-	// already-placed producers). Defaults to most-constrained-first.
-	GroupOrder []int
-	// Trace, when non-nil, receives clique.find / clique.grouped events.
-	// The nil default costs nothing (see internal/obs).
-	Trace *obs.Tracer
+	// DisableSwap turns off Find's one-out swap repair (ablation).
+	// FindGrouped's in-group swap does not read it.
+	DisableSwap bool
+	// DisableIntersect turns off Find's intersection re-seeding
+	// (ablation). FindGrouped does not read it.
+	DisableIntersect bool
 }
 
 // Find runs the paper's constructive heuristic: greedy growth from many
 // seeds, one-out swap repair, then pairwise intersection re-seeding. It
 // returns the best feasible clique found (possibly smaller than target) —
-// never nil, possibly empty.
-func Find(g *Graph, target int, opts Options) (best []int) {
-	maxSeeds := opts.MaxSeeds
-	if maxSeeds <= 0 {
-		maxSeeds = DefaultMaxSeeds
-	}
-	maxInter := opts.MaxIntersections
-	if maxInter <= 0 {
-		maxInter = DefaultMaxIntersections
-	}
+// never nil, possibly empty. tr, when non-nil, receives one clique.find
+// event; the nil default costs nothing (see internal/obs).
+func Find(g *Graph, target int, opts Options, tr *obs.Tracer) (best []int) {
 	if target > g.n {
 		target = g.n
 	}
 
-	sp := opts.Trace.Start("clique.find")
+	sp := tr.Start("clique.find")
 	seeds, pairs := 0, 0
 	defer func() {
 		sp.Field("nodes", int64(g.n))
@@ -722,8 +706,8 @@ func Find(g *Graph, target int, opts Options) (best []int) {
 		// (Appendix D: "the intersect of pairs of cliques is the next
 		// initial clique to be maximized").
 		sort.SliceStable(found, func(i, j int) bool { return len(found[i]) > len(found[j]) })
-		for i := 0; i < len(found) && pairs < maxInter; i++ {
-			for j := i + 1; j < len(found) && pairs < maxInter; j++ {
+		for i := 0; i < len(found) && pairs < maxIntersections; i++ {
+			for j := i + 1; j < len(found) && pairs < maxIntersections; j++ {
 				pairs++
 				seed := intersect(ar, found[i], found[j])
 				// Skip seeds identical to either parent: regrowing a clique

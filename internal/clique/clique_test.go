@@ -25,7 +25,7 @@ func completeGraph(n, regs int) *Graph {
 
 func TestFindCompleteGraph(t *testing.T) {
 	g := completeGraph(6, 0)
-	c := Find(g, 6, Options{})
+	c := Find(g, 6, Options{}, nil)
 	if len(c) != 6 {
 		t.Fatalf("clique size = %d, want 6", len(c))
 	}
@@ -41,7 +41,7 @@ func TestFindTriangleInPath(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(0, 2)
-	c := Find(g, 4, Options{})
+	c := Find(g, 4, Options{}, nil)
 	if len(c) != 3 {
 		t.Fatalf("clique size = %d, want 3 (%v)", len(c), c)
 	}
@@ -58,7 +58,7 @@ func TestWeightBudgetRejects(t *testing.T) {
 	g.SetDemand(0, 2)
 	g.SetDemand(1, 1)
 	g.SetDemand(2, 1)
-	c := Find(g, 3, Options{})
+	c := Find(g, 3, Options{}, nil)
 	if len(c) != 2 {
 		t.Fatalf("clique size = %d, want 2 (the file must bind)", len(c))
 	}
@@ -67,7 +67,7 @@ func TestWeightBudgetRejects(t *testing.T) {
 	}
 	// A larger file admits the triangle.
 	g.SetRegs(0, 4)
-	if c := Find(g, 3, Options{}); len(c) != 3 {
+	if c := Find(g, 3, Options{}, nil); len(c) != 3 {
 		t.Errorf("clique size = %d, want 3 with a 4-register file", len(c))
 	}
 }
@@ -89,7 +89,7 @@ func TestIncomingWeightGuard(t *testing.T) {
 		g.SetDemand(u, d)
 	}
 	g.SetCluster(4, 1)
-	c := Find(g, 5, Options{})
+	c := Find(g, 5, Options{}, nil)
 	if len(c) != 4 || !g.IsFeasibleClique(c) {
 		t.Fatalf("clique = %v, want 4 feasible members", c)
 	}
@@ -152,7 +152,7 @@ func TestExactMatchesKnown(t *testing.T) {
 
 func TestFindStopsEarlyAtTarget(t *testing.T) {
 	g := completeGraph(30, 0)
-	c := Find(g, 5, Options{})
+	c := Find(g, 5, Options{}, nil)
 	if len(c) < 5 {
 		t.Fatalf("clique size = %d, want >= 5", len(c))
 	}
@@ -174,7 +174,7 @@ func TestSwapRecoversFromGreedyTrap(t *testing.T) {
 	for p := 5; p <= 9; p++ {
 		g.AddEdge(0, p)
 	}
-	c := Find(g, 4, Options{})
+	c := Find(g, 4, Options{}, nil)
 	if len(c) != 4 {
 		t.Fatalf("clique size = %d, want 4 (%v)", len(c), c)
 	}
@@ -208,7 +208,7 @@ func TestHeuristicSoundAndBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng)
-		h := Find(g, g.N(), Options{})
+		h := Find(g, g.N(), Options{}, nil)
 		if !g.IsFeasibleClique(h) {
 			return false
 		}
@@ -232,7 +232,7 @@ func TestHeuristicQuality(t *testing.T) {
 	const trials = 60
 	for i := 0; i < trials; i++ {
 		g := randomGraph(rng)
-		h := Find(g, g.N(), Options{})
+		h := Find(g, g.N(), Options{}, nil)
 		exact := refFindExact(g, g.N())
 		if len(h) < len(exact)-1 {
 			worse++
@@ -247,9 +247,9 @@ func TestAblationKnobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 20; i++ {
 		g := randomGraph(rng)
-		full := Find(g, g.N(), Options{})
-		noSwap := Find(g, g.N(), Options{DisableSwap: true})
-		noInter := Find(g, g.N(), Options{DisableIntersect: true})
+		full := Find(g, g.N(), Options{}, nil)
+		noSwap := Find(g, g.N(), Options{DisableSwap: true}, nil)
+		noInter := Find(g, g.N(), Options{DisableIntersect: true}, nil)
 		for _, c := range [][]int{full, noSwap, noInter} {
 			if !g.IsFeasibleClique(c) {
 				t.Fatal("ablated search returned infeasible clique")
@@ -262,8 +262,8 @@ func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 20; i++ {
 		g := randomGraph(rng)
-		a := Find(g, g.N(), Options{})
-		b := Find(g, g.N(), Options{})
+		a := Find(g, g.N(), Options{}, nil)
+		b := Find(g, g.N(), Options{}, nil)
 		if len(a) != len(b) {
 			t.Fatal("Find not deterministic")
 		}
@@ -289,7 +289,7 @@ func TestBaseWeight(t *testing.T) {
 	g.SetDemand(1, 1)
 	g.SetCluster(2, 1)
 	g.SetDemand(2, 2)
-	c := Find(g, 3, Options{})
+	c := Find(g, 3, Options{}, nil)
 	if len(c) != 2 || !g.IsFeasibleClique(c) {
 		t.Fatalf("clique = %v, want 2 feasible members", c)
 	}
@@ -302,7 +302,7 @@ func TestBaseWeight(t *testing.T) {
 	// A demand above its own file excludes the node entirely.
 	g2 := completeGraph(2, 1)
 	g2.SetDemand(0, 5)
-	c2 := Find(g2, 2, Options{})
+	c2 := Find(g2, 2, Options{}, nil)
 	if len(c2) != 1 || c2[0] != 1 {
 		t.Errorf("clique = %v, want [1]", c2)
 	}

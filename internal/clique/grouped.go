@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"regimap/internal/graph"
+	"regimap/internal/obs"
 )
 
 // Groups indexes FindGrouped's groups, a partition of the nodes of one
@@ -101,9 +102,6 @@ func (gx *Groups) Mask(gi int) *graph.Bitset { return gx.masks[gi] }
 // Span returns the half-open word span [lo, hi) of group gi's mask.
 func (gx *Groups) Span(gi int) (lo, hi int) { return gx.spanLo[gi], gx.spanHi[gi] }
 
-// MaxSpan returns the widest group's span in words.
-func (gx *Groups) MaxSpan() int { return gx.maxSpan }
-
 // FindGrouped searches for a feasible clique containing exactly one node per
 // group of gx, an index built for g's node count. Groups are REGIMap's
 // operations and a group's nodes its candidate (operation, PE) bindings;
@@ -119,7 +117,13 @@ func (gx *Groups) MaxSpan() int { return gx.maxSpan }
 // It returns the best clique found across rounds (possibly smaller than the
 // group count). As long as gx's relation keeps its promise (see Groups),
 // the result does not depend on it, only the work spent reaching it.
-func FindGrouped(g *Graph, gx *Groups, opts Options) (best []int) {
+//
+// order, when it lists every group, fixes the initial placement order
+// (REGIMap passes schedule order so operations land next to their
+// already-placed producers) and is only read; otherwise the order is
+// most-constrained-first. tr, when non-nil, receives one clique.grouped
+// event; the nil default costs nothing (see internal/obs).
+func FindGrouped(g *Graph, gx *Groups, order []int, opts Options, tr *obs.Tracer) (best []int) {
 	if gx.n != g.n {
 		panic("clique: group index built for another graph size")
 	}
@@ -133,7 +137,7 @@ func FindGrouped(g *Graph, gx *Groups, opts Options) (best []int) {
 	}
 
 	fc := newForwardChecker(gx)
-	sp := opts.Trace.Start("clique.grouped")
+	sp := tr.Start("clique.grouped")
 	roundsRun, lastFailed := 0, 0
 	defer func() {
 		sp.Field("groups", int64(len(groups)))
@@ -145,10 +149,7 @@ func FindGrouped(g *Graph, gx *Groups, opts Options) (best []int) {
 		sp.End()
 	}()
 
-	var order []int
-	if len(opts.GroupOrder) == len(groups) {
-		order = append([]int(nil), opts.GroupOrder...)
-	} else {
+	if len(order) != len(groups) {
 		// Default order: most-constrained groups first. A group's freedom is
 		// the best-connected candidate it has; ties broken by group index
 		// for determinism.

@@ -40,7 +40,7 @@ func groupedFixture(g, c int, blocked func(gi, ci, gj, cj int) bool) (*Graph, []
 
 func TestFindGroupedComplete(t *testing.T) {
 	g, groups := groupedFixture(6, 3, nil)
-	sol := FindGrouped(g, NewGroups(g.N(), groups), Options{})
+	sol := FindGrouped(g, NewGroups(g.N(), groups), nil, Options{}, nil)
 	if len(sol) != 6 {
 		t.Fatalf("placed %d/6 groups", len(sol))
 	}
@@ -64,7 +64,7 @@ func TestFindGroupedResourceExclusive(t *testing.T) {
 	g, groups := groupedFixture(4, 4, func(gi, ci, gj, cj int) bool {
 		return ci == cj // same PE
 	})
-	sol := FindGrouped(g, NewGroups(g.N(), groups), Options{})
+	sol := FindGrouped(g, NewGroups(g.N(), groups), nil, Options{}, nil)
 	if len(sol) != 4 {
 		t.Fatalf("placed %d/4 groups (a perfect matching exists)", len(sol))
 	}
@@ -95,7 +95,7 @@ func TestFindGroupedSwapRepair(t *testing.T) {
 	addAll(groups[0], groups[1])
 	addAll([]int{1}, groups[2]) // group2 compatible only with candidate 1 of group 0
 	addAll(groups[1], groups[2])
-	sol := FindGrouped(g, NewGroups(g.N(), groups), Options{GroupOrder: []int{0, 1, 2}})
+	sol := FindGrouped(g, NewGroups(g.N(), groups), []int{0, 1, 2}, Options{}, nil)
 	if len(sol) != 3 {
 		t.Fatalf("placed %d/3 groups; swap repair should fix group 2 (%v)", len(sol), sol)
 	}
@@ -109,7 +109,7 @@ func TestFindGroupedWeightBudget(t *testing.T) {
 	g.SetRegs(0, 1)
 	g.SetDemand(0, 1)
 	g.SetDemand(1, 1)
-	sol := FindGrouped(g, NewGroups(2, [][]int{{0}, {1}}), Options{})
+	sol := FindGrouped(g, NewGroups(2, [][]int{{0}, {1}}), nil, Options{}, nil)
 	if len(sol) != 1 {
 		t.Fatalf("placed %d groups, want 1 (budget binds)", len(sol))
 	}
@@ -129,7 +129,7 @@ func TestFindGroupedPromotion(t *testing.T) {
 		}
 		return false
 	})
-	sol := FindGrouped(g, NewGroups(g.N(), groups), Options{GroupOrder: []int{0, 1, 2, 3}, GroupRounds: 4})
+	sol := FindGrouped(g, NewGroups(g.N(), groups), []int{0, 1, 2, 3}, Options{GroupRounds: 4}, nil)
 	if len(sol) != 4 {
 		t.Fatalf("placed %d/4 groups (%v)", len(sol), sol)
 	}
@@ -149,8 +149,8 @@ func TestFindGroupedDeterministic(t *testing.T) {
 		}
 		g1, gr1 := mk()
 		g2, gr2 := mk()
-		a := FindGrouped(g1, NewGroups(g1.N(), gr1), Options{})
-		b := FindGrouped(g2, NewGroups(g2.N(), gr2), Options{})
+		a := FindGrouped(g1, NewGroups(g1.N(), gr1), nil, Options{}, nil)
+		b := FindGrouped(g2, NewGroups(g2.N(), gr2), nil, Options{}, nil)
 		if len(a) != len(b) {
 			t.Fatal("FindGrouped not deterministic")
 		}
@@ -199,7 +199,7 @@ func TestExactAgreesOnGroupedInstances(t *testing.T) {
 		g, groups := groupedFixture(n, c, func(gi, ci, gj, cj int) bool {
 			return rng.Intn(3) == 0
 		})
-		got := FindGrouped(g, NewGroups(g.N(), groups), Options{})
+		got := FindGrouped(g, NewGroups(g.N(), groups), nil, Options{}, nil)
 		exact := refFindExact(g, n*c)
 		if len(got) > len(exact) {
 			t.Fatalf("grouped found %d members, exact maximum is %d", len(got), len(exact))
@@ -225,7 +225,7 @@ func TestFindGroupedTraceFields(t *testing.T) {
 	g, groups := randomProductGraph(rng, 400)
 	effort := func(gx *Groups) (folds, free int64) {
 		sink := &obs.MemSink{}
-		FindGrouped(g, gx, Options{Trace: obs.New(sink)})
+		FindGrouped(g, gx, nil, Options{}, obs.New(sink))
 		evs := sink.Events()
 		if len(evs) != 1 || evs[0].Name != "clique.grouped" {
 			t.Fatalf("want one clique.grouped event, got %v", sink.Names())

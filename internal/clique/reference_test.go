@@ -205,14 +205,6 @@ func refIntersect(a, b []int) []int {
 }
 
 func refFind(g *Graph, target int, opts Options) []int {
-	maxSeeds := opts.MaxSeeds
-	if maxSeeds <= 0 {
-		maxSeeds = DefaultMaxSeeds
-	}
-	maxInter := opts.MaxIntersections
-	if maxInter <= 0 {
-		maxInter = DefaultMaxIntersections
-	}
 	if target > g.N() {
 		target = g.N()
 	}
@@ -248,8 +240,8 @@ func refFind(g *Graph, target int, opts Options) []int {
 	if !opts.DisableIntersect {
 		sort.SliceStable(found, func(i, j int) bool { return len(found[i]) > len(found[j]) })
 		pairs := 0
-		for i := 0; i < len(found) && pairs < maxInter; i++ {
-			for j := i + 1; j < len(found) && pairs < maxInter; j++ {
+		for i := 0; i < len(found) && pairs < maxIntersections; i++ {
+			for j := i + 1; j < len(found) && pairs < maxIntersections; j++ {
 				pairs++
 				seed := refIntersect(found[i], found[j])
 				if len(seed) == 0 || len(seed) == len(found[i]) || len(seed) == len(found[j]) {
@@ -271,14 +263,13 @@ func refFind(g *Graph, target int, opts Options) []int {
 // refFindGrouped is the naive FindGrouped: every swap trial rebuilds the
 // clique without its blocker member by member, and every forward check
 // counts live candidates over whole candidate lists.
-func refFindGrouped(g *Graph, groups [][]int, opts Options) []int {
+func refFindGrouped(g *Graph, groups [][]int, order []int, opts Options) []int {
 	rounds := opts.GroupRounds
 	if rounds <= 0 {
 		rounds = DefaultGroupRounds
 	}
-	var order []int
-	if len(opts.GroupOrder) == len(groups) {
-		order = append([]int(nil), opts.GroupOrder...)
+	if len(order) == len(groups) {
+		order = append([]int(nil), order...)
 	} else {
 		freedom := make([]int, len(groups))
 		for gi, cands := range groups {
@@ -547,7 +538,6 @@ func referenceCases() []struct {
 		{"flat/tight-cap", func(r *rand.Rand) *Graph { return randomRegGraph(r, 8+r.Intn(16), 1, fileOf(0, 1), 0.6, 0.7) }, Options{}},
 		{"flat/no-swap", func(r *rand.Rand) *Graph { return randomRegGraph(r, 8+r.Intn(20), 1, fileOf(3, 3), 0.5, 0.5) }, Options{DisableSwap: true}},
 		{"flat/no-intersect", func(r *rand.Rand) *Graph { return randomRegGraph(r, 8+r.Intn(20), 1, fileOf(3, 3), 0.5, 0.5) }, Options{DisableIntersect: true}},
-		{"flat/few-seeds", func(r *rand.Rand) *Graph { return randomRegGraph(r, 12+r.Intn(16), 1, fileOf(3, 3), 0.5, 0.5) }, Options{MaxSeeds: 4, MaxIntersections: 6}},
 		{"cluster/REGIMap-shape", func(r *rand.Rand) *Graph {
 			return randomRegGraph(r, 10+r.Intn(20), 2+r.Intn(4), fileOf(1, 4), 0.55, 0.5)
 		}, Options{}},
@@ -572,7 +562,7 @@ func TestFindMatchesReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(1000 + trial)))
 				g := tc.gen(rng)
 				target := 1 + rng.Intn(g.N())
-				got := Find(g, target, tc.opts)
+				got := Find(g, target, tc.opts, nil)
 				want := refFind(g, target, tc.opts)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d (n=%d target=%d): Find=%v reference=%v", trial, g.N(), target, got, want)
@@ -582,7 +572,7 @@ func TestFindMatchesReference(t *testing.T) {
 				}
 				// Arena reuse: a second run of the same search, on the states
 				// the first left behind, must be byte-identical to the first.
-				if again := Find(g, target, tc.opts); !reflect.DeepEqual(got, again) {
+				if again := Find(g, target, tc.opts, nil); !reflect.DeepEqual(got, again) {
 					t.Fatalf("trial %d: Find not deterministic: %v then %v", trial, got, again)
 				}
 			}
@@ -861,22 +851,23 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 					}
 				}
 				opts := Options{GroupRounds: rng.Intn(7)}
+				var order []int
 				if trial%2 == 1 {
-					opts.GroupOrder = rng.Perm(len(groups))
+					order = rng.Perm(len(groups))
 				}
-				want := refFindGrouped(g, groups, opts)
+				want := refFindGrouped(g, groups, order, opts)
 				for _, coarsen := range []float64{1, 0, 0.3} {
 					gx := NewGroups(g.N(), groups)
 					relate(rng, g, gx, groups, coarsen)
-					got := FindGrouped(g, gx, opts)
+					got := FindGrouped(g, gx, order, opts, nil)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("trial %d (n=%d groups=%d, coarsen %v): FindGrouped=%v reference=%v", trial, g.N(), len(groups), coarsen, got, want)
 					}
 					if !g.IsFeasibleClique(got) {
 						t.Fatalf("trial %d: FindGrouped returned infeasible clique %v", trial, got)
 					}
-					dense := Find(g, len(groups), Options{})
-					if again := FindGrouped(g, gx, opts); !reflect.DeepEqual(got, again) {
+					dense := Find(g, len(groups), Options{}, nil)
+					if again := FindGrouped(g, gx, order, opts, nil); !reflect.DeepEqual(got, again) {
 						t.Fatalf("trial %d: rerun on reused arenas differs: %v then %v", trial, got, again)
 					}
 					// The same graph with its rows laid out from the relation
@@ -888,10 +879,10 @@ func TestFindGroupedMatchesReference(t *testing.T) {
 						implicit += laid.wpr - len(laid.rows[u])
 					}
 					gaps += gapWords(gx)
-					if got := FindGrouped(laid, gx, opts); !reflect.DeepEqual(got, want) {
+					if got := FindGrouped(laid, gx, order, opts, nil); !reflect.DeepEqual(got, want) {
 						t.Fatalf("trial %d (coarsen %v), laid out: FindGrouped=%v reference=%v", trial, coarsen, got, want)
 					}
-					if got := Find(laid, len(groups), Options{}); !reflect.DeepEqual(got, dense) || !laid.IsFeasibleClique(got) {
+					if got := Find(laid, len(groups), Options{}, nil); !reflect.DeepEqual(got, dense) || !laid.IsFeasibleClique(got) {
 						t.Fatalf("trial %d (coarsen %v), laid out: Find=%v, on the dense graph %v", trial, coarsen, got, dense)
 					}
 				}
@@ -935,7 +926,7 @@ func TestFindGroupedDeterministicAndFeasible(t *testing.T) {
 			}
 		}
 		gx := NewGroups(n, groups)
-		got := FindGrouped(g, gx, Options{})
+		got := FindGrouped(g, gx, nil, Options{}, nil)
 		if !g.IsFeasibleClique(got) {
 			t.Fatalf("trial %d: FindGrouped returned infeasible clique %v", trial, got)
 		}
@@ -946,7 +937,7 @@ func TestFindGroupedDeterministicAndFeasible(t *testing.T) {
 			}
 			seen[groupOf[u]] = true
 		}
-		if again := FindGrouped(g, gx, Options{}); !reflect.DeepEqual(got, again) {
+		if again := FindGrouped(g, gx, nil, Options{}, nil); !reflect.DeepEqual(got, again) {
 			t.Fatalf("trial %d: FindGrouped not deterministic: %v then %v", trial, got, again)
 		}
 	}

@@ -59,35 +59,22 @@ func explore(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapp
 }
 
 // variant returns candidate s's options for explore. Candidate 0 is the
-// caller's search unchanged. Every scout widens the clique search's budgets
-// (more greedy seeds, more intersection re-seedings, more promote-and-retry
-// rounds of the grouped passes) in a mix picked by s % 4 and widened again
-// every four scouts. A wider budget can place a schedule the base budget
-// gives up on, and it feeds learn-from-failure different partial
-// placements, so a scout reschedules along its own path.
+// caller's search unchanged; scout s runs s more promote-and-retry rounds
+// of the grouped placement passes than the caller's search
+// (Clique.GroupRounds, or clique.DefaultGroupRounds when unset). More
+// rounds can place a schedule the base rounds give up on, and they feed
+// learn-from-failure different partial placements, so a scout reschedules
+// along its own path.
 func variant(opts Options, s int) Options {
 	if s <= 0 {
 		return opts
 	}
-	step := 1 + (s-1)/4
-	seeds := defaulted(opts.Clique.MaxSeeds, clique.DefaultMaxSeeds)
-	inter := defaulted(opts.Clique.MaxIntersections, clique.DefaultMaxIntersections)
-	rounds := defaulted(opts.Clique.GroupRounds, clique.DefaultGroupRounds)
-	o := opts
-	switch s % 4 {
-	case 0: // wider greedy seeding
-		o.Clique.MaxSeeds = seeds + 8*step
-	case 1: // narrower seeding, deeper intersection re-seeding
-		o.Clique.MaxSeeds = max(4, seeds/2)
-		o.Clique.MaxIntersections = inter * (1 + step)
-	case 2: // more promote-and-retry rounds
-		o.Clique.GroupRounds = rounds + 2*step
-	case 3: // every budget at once
-		o.Clique.MaxSeeds = seeds + 4*step
-		o.Clique.MaxIntersections = inter + 16*step
-		o.Clique.GroupRounds = rounds + step
+	rounds := opts.Clique.GroupRounds
+	if rounds <= 0 {
+		rounds = clique.DefaultGroupRounds
 	}
-	return o
+	opts.Clique.GroupRounds = rounds + s
+	return opts
 }
 
 // candidateLabel is the engine label of explore candidate s's trace
@@ -98,11 +85,4 @@ func candidateLabel(s int) string {
 		return "regimap"
 	}
 	return "regimap/scout" + strconv.Itoa(s)
-}
-
-func defaulted(v, def int) int {
-	if v <= 0 {
-		return def
-	}
-	return v
 }

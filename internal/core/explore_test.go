@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"regimap/internal/arch"
+	"regimap/internal/clique"
 	"regimap/internal/dfg"
 	"regimap/internal/engine"
 	"regimap/internal/kernels"
@@ -111,24 +112,25 @@ func TestExploreNeverWorseAndRepeats(t *testing.T) {
 }
 
 // TestVariantContract pins the rules the Explore race rests on: candidate
-// 0 is the caller's search, and every scout widens clique budgets only,
-// never the II window, the learning switches or the other options.
+// 0 is the caller's search, and scout s differs from it only in running s
+// more grouped-search rounds, from the caller's rounds or the default.
 func TestVariantContract(t *testing.T) {
-	base := Options{MinII: 3, MaxII: 9, Workers: 2, Explore: 5}
-	if got := variant(base, 0); !reflect.DeepEqual(got, base) {
-		t.Fatalf("candidate 0 perturbed the options: %+v", got)
-	}
-	for s := 1; s < 12; s++ {
-		v := variant(base, s)
-		if reflect.DeepEqual(v, base) {
-			t.Fatalf("scout %d is not diversified", s)
+	for _, rounds := range []int{0, 7} {
+		base := Options{MinII: 3, MaxII: 9, Workers: 2, Explore: 5}
+		base.Clique.GroupRounds = rounds
+		if got := variant(base, 0); !reflect.DeepEqual(got, base) {
+			t.Fatalf("candidate 0 perturbed the options: %+v", got)
 		}
-		if v.Clique.MaxSeeds < 0 || v.Clique.MaxIntersections < 0 || v.Clique.GroupRounds < 0 {
-			t.Fatalf("scout %d has a negative budget: %+v", s, v.Clique)
+		from := rounds
+		if from == 0 {
+			from = clique.DefaultGroupRounds
 		}
-		v.Clique.MaxSeeds, v.Clique.MaxIntersections, v.Clique.GroupRounds = 0, 0, 0
-		if !reflect.DeepEqual(v, base) {
-			t.Fatalf("scout %d changed more than the clique budgets: %+v", s, v)
+		for s := 1; s < 12; s++ {
+			want := base
+			want.Clique.GroupRounds = from + s
+			if v := variant(base, s); !reflect.DeepEqual(v, want) {
+				t.Fatalf("scout %d from %d rounds: %+v, want %+v", s, rounds, v, want)
+			}
 		}
 	}
 }

@@ -171,7 +171,7 @@ func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 // ctx starts no further placement pass.
 func (a *Attempt) PassPlace(ctx context.Context, cg *Compat, res *sched.Result) (*mapping.Mapping, []int) {
 	sp := a.tr.Start("pass.clique")
-	sol := findPlacement(ctx, cg, a.ds.N(), res.Time, a.opts.Clique, a.tr)
+	sol := findPlacement(ctx, cg, res.Time, a.opts.Clique, a.tr)
 	sp.Field("placed", int64(len(sol)))
 	sp.Field("target", int64(a.ds.N()))
 	sp.End()
@@ -342,49 +342,36 @@ func routeBudgetFor(n int) int {
 // findPlacement runs the clique search as an ordered list of placement
 // passes: the group-aware constructive pass under three orders (one
 // candidate per operation), then the paper's generic
-// greedy/swap/intersection heuristic. Each pass builds its own order, and
-// the first pass that places every operation wins; when none does, the
-// largest partial placement wins, the earlier pass breaking ties. A
-// cancelled ctx starts no further pass.
-func findPlacement(ctx context.Context, cg *Compat, target int, times []int, opts clique.Options, tr *obs.Tracer) []int {
-	opts.Trace = tr
-	passes := make([]func(o clique.Options) []int, 0, 4)
-	if len(times) == target {
-		if opts.GroupOrder == nil {
-			// Schedule order, so each operation lands next to its already-
-			// placed producers (cluster growth); the promote-on-failure
-			// rounds still reorder the stragglers.
-			passes = append(passes, func(o clique.Options) []int {
-				o.GroupOrder = scheduleOrder(times)
-				return clique.FindGrouped(cg.G, cg.gx, o)
-			})
-		}
+// greedy/swap/intersection heuristic. times is the schedule of every
+// operation. The first pass that places every operation wins; when none
+// does, the largest partial placement wins, the earlier pass breaking ties.
+// A cancelled ctx starts no further pass.
+func findPlacement(ctx context.Context, cg *Compat, times []int, opts clique.Options, tr *obs.Tracer) []int {
+	target := len(times)
+	passes := []func() []int{
+		// Schedule order, so each operation lands next to its already-
+		// placed producers (cluster growth); the promote-on-failure
+		// rounds still reorder the stragglers.
+		func() []int { return clique.FindGrouped(cg.G, cg.gx, scheduleOrder(times), opts, tr) },
 		// Depth-first dataflow order, so chains (address streams, reduction
 		// spines) are placed contiguously and can fold onto one PE across
 		// consecutive slots.
-		passes = append(passes, func(o clique.Options) []int {
-			o.GroupOrder = dfsOrder(cg.d)
-			return clique.FindGrouped(cg.G, cg.gx, o)
-		})
+		func() []int { return clique.FindGrouped(cg.G, cg.gx, dfsOrder(cg.d), opts, tr) },
+		// Most-constrained-first order (FindGrouped's default).
+		func() []int { return clique.FindGrouped(cg.G, cg.gx, nil, opts, tr) },
 	}
-	// Most-constrained-first order (FindGrouped's default).
-	passes = append(passes, func(o clique.Options) []int {
-		return clique.FindGrouped(cg.G, cg.gx, o)
-	})
 	// The generic greedy/swap/intersection heuristic explores more of the
 	// graph but scales with its square; beyond a few hundred nodes the
 	// grouped passes plus the outer learning loop are the better use of time.
 	if cg.Nodes() <= 384 {
-		passes = append(passes, func(o clique.Options) []int {
-			return clique.Find(cg.G, target, o)
-		})
+		passes = append(passes, func() []int { return clique.Find(cg.G, target, opts, tr) })
 	}
 	var sol []int
 	for _, pass := range passes {
 		if ctx.Err() != nil {
 			break
 		}
-		alt := pass(opts)
+		alt := pass()
 		if len(alt) >= target {
 			return alt
 		}

@@ -65,12 +65,14 @@ type Options struct {
 	// caller's goroutine, as a traced compile always runs. Mappings and
 	// Stats are byte-identical at any value.
 	Workers int
-	// Explore > 0 races the base search against this many budget-widened
-	// scouts (see variant), each a whole II escalation, on GOMAXPROCS
-	// goroutines, and keeps the lowest II, the lowest index breaking ties.
-	// A scout can unlock an II the base budget misses, so the result may
-	// beat the base search but never trail it; it repeats exactly for a
-	// fixed Explore.
+	// Explore > 0 races the base search against this many scouts, each a
+	// whole II escalation, on GOMAXPROCS goroutines, and keeps the lowest
+	// II, the lowest index breaking ties. Scout s runs s more
+	// promote-and-retry rounds of the grouped placement search than the
+	// base (see variant); every other option is the caller's. A scout can
+	// place a schedule the base rounds miss, so the result may beat the
+	// base search but never trail it; it repeats exactly for a fixed
+	// Explore.
 	Explore int
 }
 
@@ -129,8 +131,8 @@ func (s *Stats) Perf() float64 {
 // without one, the instrumentation is free (see internal/obs). A traced
 // compile runs its IIs one at a time, so its spans nest.
 //
-// Options.Explore > 0 races budget-widened scouts against this search, each
-// a whole escalation (see explore).
+// Options.Explore > 0 races scouts with more grouped-search rounds against
+// this search, each a whole escalation (see explore).
 func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.Mapping, *Stats, error) {
 	if opts.Explore > 0 {
 		return explore(ctx, d, c, opts)

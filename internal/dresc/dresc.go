@@ -52,6 +52,13 @@ var (
 // that fails its own verification.
 type InvalidMappingError = maperr.InvalidMappingError
 
+// One annealing run starts at initialTemperature for the Metropolis
+// criterion and ends once the temperature falls to minTemperature.
+const (
+	initialTemperature = 4.0
+	minTemperature     = 0.05
+)
+
 // Options configures the annealer. Zero values select the defaults used in
 // the experiments.
 type Options struct {
@@ -64,12 +71,8 @@ type Options struct {
 	MaxII int
 	// MovesPerTemperature scales the Metropolis sweeps (0: 24|V|).
 	MovesPerTemperature int
-	// InitialTemperature for the Metropolis criterion (0: 4).
-	InitialTemperature float64
 	// Cooling is the geometric temperature factor (0: 0.92).
 	Cooling float64
-	// MinTemperature ends one annealing run (0: 0.05).
-	MinTemperature float64
 	// Restarts is the number of independent annealing chains raced per II
 	// (0 or 1: a single chain threading one RNG across the II escalation —
 	// the legacy behaviour). Each chain's RNG is derived from (Seed, II,
@@ -335,22 +338,14 @@ func annealAtII(ctx context.Context, s *state, ii int, opts Options, rng *rand.R
 	if movesPerT <= 0 {
 		movesPerT = 24 * s.d.N()
 	}
-	temp := opts.InitialTemperature
-	if temp <= 0 {
-		temp = 4
-	}
 	cooling := opts.Cooling
 	if cooling <= 0 {
 		cooling = 0.92
 	}
-	minTemp := opts.MinTemperature
-	if minTemp <= 0 {
-		minTemp = 0.05
-	}
 
 	bestCost := s.totalCost()
 	stale := 0
-	for ; temp > minTemp; temp *= cooling {
+	for temp := initialTemperature; temp > minTemperature; temp *= cooling {
 		if ctx.Err() != nil {
 			return nil // abort at the epoch boundary; Map reports the cause
 		}

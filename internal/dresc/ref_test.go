@@ -62,18 +62,12 @@ func refAnnealAtII(ctx context.Context, d *dfg.DFG, c *arch.CGRA, ii int, opts O
 	if movesPerT <= 0 {
 		movesPerT = 24 * d.N()
 	}
-	temp := opts.InitialTemperature
-	if temp <= 0 {
-		temp = 4
-	}
+	temp := 4.0
 	cooling := opts.Cooling
 	if cooling <= 0 {
 		cooling = 0.92
 	}
-	minTemp := opts.MinTemperature
-	if minTemp <= 0 {
-		minTemp = 0.05
-	}
+	minTemp := 0.05
 
 	bestCost := s.totalCost()
 	stale := 0

@@ -1,15 +1,14 @@
 // Package engine defines the one interface every mapper in this repository
-// is reached through, plus the process-wide registry binding names to
-// implementations.
+// is reached through when the caller picks the mapper by name, plus the
+// process-wide registry binding names to implementations.
 //
-// Before this package, each engine (REGIMap, EMS, DRESC, the resilient
-// ladder) exposed a bespoke entry point, and every caller — the root
-// package's public wrappers, the degradation ladder, both CLIs —
-// hard-coded which concrete function to call. The registry inverts that: engines register themselves at init time
-// (each internal mapper package carries an `engine.Register` call), and
-// callers dispatch by name, so racing, degrading, or exposing a new backend
-// is a registry lookup instead of another switch arm. SAT-MapIt-style
-// backend swapping (see PAPERS.md) falls out for free.
+// Engines register themselves at init time (each internal mapper package
+// carries an `engine.Register` call). regimapd, the resilient degradation
+// ladder, the CLI listings and the benchmark dispatch by name, so racing,
+// degrading, or exposing a new backend is a registry lookup instead of
+// another switch arm; SAT-MapIt-style backend swapping (see PAPERS.md)
+// falls out for free. The root package's typed Map* functions call their
+// engine directly, since each already names the one engine it wants.
 //
 // The package is a leaf: it imports only the shared data model (dfg, arch,
 // mapping), never a concrete engine, so any engine package may import it.

@@ -45,9 +45,6 @@ type Options struct {
 	// whose formula would exceed it gets an "unknown" verdict, never a
 	// wrong one.
 	MaxPoints int
-	// SimIters is how many iterations the simulator certifies decoded
-	// models for (0: 4).
-	SimIters int
 }
 
 func (o Options) routeHops() int {
@@ -77,12 +74,9 @@ func (o Options) maxPoints() int {
 	return o.MaxPoints
 }
 
-func (o Options) simIters() int {
-	if o.SimIters <= 0 {
-		return 4
-	}
-	return o.SimIters
-}
+// simIters is how many iterations the simulator certifies a decoded model
+// for.
+const simIters = 4
 
 // Lower-bound classes: "mii" bounds are absolute (they hold for any legal
 // mapping of any engine); "chain" bounds were raised by UNSAT proofs and
@@ -397,7 +391,7 @@ func solveAtII(ctx context.Context, s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii 
 			if verr := m.Validate(); verr != nil {
 				return v, nil, &maperr.InvalidMappingError{Mapper: "exact", What: "mapping", Err: verr}
 			}
-			if serr := sim.Check(m, opts.simIters()); serr != nil {
+			if serr := sim.Check(m, simIters); serr != nil {
 				return v, nil, &maperr.InvalidMappingError{Mapper: "exact", What: "mapping", Err: fmt.Errorf("simulation: %w", serr)}
 			}
 			v.Status = "sat"

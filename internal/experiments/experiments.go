@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"regimap/internal/arch"
@@ -25,6 +23,7 @@ import (
 	"regimap/internal/ems"
 	"regimap/internal/kernels"
 	"regimap/internal/obs"
+	"regimap/internal/par"
 )
 
 // Mapper selects one of the three mappers under comparison.
@@ -99,33 +98,15 @@ func (c Config) workerCount() int {
 
 // runIndexed evaluates fn(0..n-1) with up to workers goroutines and returns
 // the results in index order, so parallel suite execution is deterministic.
+// It runs on par.First with a try that never succeeds, so every index runs;
+// a panicking fn reaches the caller as a *maperr.WorkerPanicError when
+// workers > 1, and unchanged when fn runs inline.
 func runIndexed[T any](workers, n int, fn func(int) T) []T {
 	out := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range out {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	par.First(context.Background(), n, workers, func(_ context.Context, _, i int) bool {
+		out[i] = fn(i)
+		return false
+	})
 	return out
 }
 

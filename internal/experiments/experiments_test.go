@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"regimap/internal/kernels"
+	"regimap/internal/maperr"
 )
 
 func quickCfg(regs int) Config {
@@ -186,6 +189,25 @@ func TestRunIndexed(t *testing.T) {
 	if got := runIndexed(4, 0, square); len(got) != 0 {
 		t.Errorf("runIndexed with n=0 returned %v", got)
 	}
+}
+
+// TestRunIndexedPanic: a panicking fn on a worker goroutine reaches the
+// caller as a *maperr.WorkerPanicError instead of killing the process.
+func TestRunIndexedPanic(t *testing.T) {
+	defer func() {
+		var wp *maperr.WorkerPanicError
+		err, _ := recover().(error)
+		if !errors.As(err, &wp) || wp.Value != "boom 3" {
+			t.Fatalf("recovered %v, want a *maperr.WorkerPanicError with value \"boom 3\"", err)
+		}
+	}()
+	runIndexed(2, 10, func(i int) int {
+		if i == 3 {
+			panic(fmt.Sprintf("boom %d", i))
+		}
+		return i
+	})
+	t.Fatal("runIndexed returned despite a panicking fn")
 }
 
 // TestWorkersDeterministic pins the Workers contract: the concurrency knob

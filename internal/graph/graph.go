@@ -1,7 +1,7 @@
-// Package graph provides a small generic directed-graph toolkit used by the
-// DFG, architecture, and mapping layers: adjacency storage, depth-first
-// traversal, Tarjan strongly-connected components, topological ordering,
-// longest paths on DAGs, and DOT export.
+// Package graph provides the small directed-graph toolkit the DFG layer
+// uses for its distance-0 dependence structure: adjacency storage, a
+// deterministic topological order and cycle detection. It also holds the
+// word bitsets of the clique engine (bitset.go).
 //
 // Nodes are dense integer identifiers 0..N-1; higher layers keep their own
 // rich node records and use this package for pure structure queries.
@@ -10,7 +10,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Digraph is a directed graph over nodes 0..N-1 with parallel edges allowed.
@@ -32,9 +31,6 @@ func New(n int) *Digraph {
 	}
 }
 
-// N returns the number of nodes.
-func (g *Digraph) N() int { return g.n }
-
 // AddEdge inserts a directed edge u -> v. Parallel edges are kept.
 func (g *Digraph) AddEdge(u, v int) {
 	g.check(u)
@@ -43,45 +39,11 @@ func (g *Digraph) AddEdge(u, v int) {
 	g.in[v] = append(g.in[v], u)
 }
 
-// HasEdge reports whether at least one edge u -> v exists.
-func (g *Digraph) HasEdge(u, v int) bool {
-	g.check(u)
-	g.check(v)
-	for _, w := range g.out[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Out returns the successors of u. The slice is shared; callers must not
 // modify it.
 func (g *Digraph) Out(u int) []int {
 	g.check(u)
 	return g.out[u]
-}
-
-// In returns the predecessors of u. The slice is shared; callers must not
-// modify it.
-func (g *Digraph) In(u int) []int {
-	g.check(u)
-	return g.in[u]
-}
-
-// OutDegree returns the number of outgoing edges of u.
-func (g *Digraph) OutDegree(u int) int { return len(g.Out(u)) }
-
-// InDegree returns the number of incoming edges of u.
-func (g *Digraph) InDegree(u int) int { return len(g.In(u)) }
-
-// EdgeCount returns the total number of directed edges.
-func (g *Digraph) EdgeCount() int {
-	total := 0
-	for _, succ := range g.out {
-		total += len(succ)
-	}
-	return total
 }
 
 func (g *Digraph) check(u int) {
@@ -133,155 +95,4 @@ func (g *Digraph) TopoSort() (order []int, ok bool) {
 func (g *Digraph) HasCycle() bool {
 	_, ok := g.TopoSort()
 	return !ok
-}
-
-// SCC computes strongly connected components using Tarjan's algorithm. It
-// returns the components (each a sorted node list) in reverse topological
-// order of the condensation, and comp[v] = index of v's component.
-func (g *Digraph) SCC() (components [][]int, comp []int) {
-	const unvisited = -1
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
-	comp = make([]int, g.n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
-	var stack []int
-	next := 0
-
-	// Iterative Tarjan to avoid deep recursion on long chains.
-	type frame struct {
-		v, i int
-	}
-	for root := 0; root < g.n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		frames := []frame{{root, 0}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(g.out[f.v]) {
-				w := g.out[f.v][f.i]
-				f.i++
-				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := frames[len(frames)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var members []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = len(components)
-					members = append(members, w)
-					if w == v {
-						break
-					}
-				}
-				sort.Ints(members)
-				components = append(components, members)
-			}
-		}
-	}
-	return components, comp
-}
-
-// LongestPathFrom returns, for a DAG, dist[v] = maximum number of edges on any
-// path from a zero-in-degree node to v using the supplied edge weight
-// function. It returns ok=false if the graph has a cycle.
-func (g *Digraph) LongestPathFrom(weight func(u, v int) int) (dist []int, ok bool) {
-	order, ok := g.TopoSort()
-	if !ok {
-		return nil, false
-	}
-	dist = make([]int, g.n)
-	for _, u := range order {
-		for _, v := range g.out[u] {
-			if d := dist[u] + weight(u, v); d > dist[v] {
-				dist[v] = d
-			}
-		}
-	}
-	return dist, true
-}
-
-// Reverse returns a new digraph with all edges flipped.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.out[u] {
-			r.AddEdge(v, u)
-		}
-	}
-	return r
-}
-
-// ReachableFrom returns the set of nodes reachable from any of the roots
-// (including the roots themselves) as a boolean mask.
-func (g *Digraph) ReachableFrom(roots ...int) []bool {
-	seen := make([]bool, g.n)
-	var stack []int
-	for _, r := range roots {
-		g.check(r)
-		if !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.out[v] {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
-// DOT renders the graph in Graphviz DOT syntax. label may be nil, in which
-// case node identifiers are used.
-func (g *Digraph) DOT(name string, label func(v int) string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	for v := 0; v < g.n; v++ {
-		if label != nil {
-			fmt.Fprintf(&b, "  n%d [label=%q];\n", v, label(v))
-		} else {
-			fmt.Fprintf(&b, "  n%d;\n", v)
-		}
-	}
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.out[u] {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", u, v)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

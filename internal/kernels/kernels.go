@@ -103,12 +103,6 @@ func adderTree(b *dfg.Builder, name string, vals []int) int {
 	return vals[0]
 }
 
-// loadAt materializes an address computation base+k and the load through it.
-func loadAt(b *dfg.Builder, name string, base int, offset int64) int {
-	addr := b.Op(dfg.Add, name+"_addr", base, b.Const(name+"_off", offset))
-	return b.Op(dfg.Load, name, addr)
-}
-
 // clamp limits v into [lo, hi] with a max-then-min pair.
 func clamp(b *dfg.Builder, name string, v int, lo, hi int64) int {
 	lowered := b.Op(dfg.Max, name+"_lo", v, b.Const(name+"_cl", lo))

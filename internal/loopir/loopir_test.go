@@ -302,9 +302,3 @@ func TestCompiledKernelsMapAndExecute(t *testing.T) {
 		}
 	}
 }
-
-func TestDescribeSrcHelper(t *testing.T) {
-	if describeSrc("  x  ") != "x" {
-		t.Error("describeSrc broken")
-	}
-}

@@ -2,7 +2,6 @@ package loopir
 
 import (
 	"strconv"
-	"strings"
 	"unicode"
 )
 
@@ -469,6 +468,3 @@ func (p *parser) parseCall(name token) (expr, error) {
 	}
 	return &call{fn: name.text, args: args, line: name.line, col: name.col}, nil
 }
-
-// describeSrc is a debug helper used in tests.
-func describeSrc(src string) string { return strings.TrimSpace(src) }

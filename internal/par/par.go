@@ -3,8 +3,9 @@
 // REGIMap's II ladder and its Explore race, DRESC's restart chains and the
 // exact engine's II ladder all reduce this way, which is what keeps each of
 // them byte-identical to its sequential loop at any worker count (DESIGN.md
-// section 8b). The two II ladders also share one speculation gate
-// (Ladder).
+// section 8b); the experiment drivers fan their kernels out through it with
+// a try that never succeeds. The two II ladders also share one speculation
+// gate (Ladder).
 package par
 
 import (

@@ -111,17 +111,9 @@ type Options struct {
 	EMS ems.Options
 	// DRESC configures the DRESC rung.
 	DRESC dresc.Options
-	// MaxRetries caps transient-fault retry rounds beyond the first attempt
-	// (0: just enough rounds for every transient fault to clear; negative:
-	// no retries).
-	MaxRetries int
 	// Backoff is the wait before the first retry, doubling each round
 	// (0: 10ms). The wait is cut short by ctx cancellation.
 	Backoff time.Duration
-	// CheckIters is how many iterations the simulator certifies a successful
-	// Mapping for (0: 3; negative: skip certification). DRESC placements are
-	// verified structurally by dresc itself.
-	CheckIters int
 }
 
 // Attempt records one rung execution for post-mortem analysis.
@@ -168,13 +160,8 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*Outcome,
 	if len(ladder) == 0 {
 		return nil, fmt.Errorf("resilient: empty ladder")
 	}
-	maxRetries := opts.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = opts.Faults.MaxClearAfter()
-	}
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
+	// Just enough retry rounds for every transient fault to clear.
+	maxRetries := opts.Faults.MaxClearAfter()
 	backoff := opts.Backoff
 	if backoff <= 0 {
 		backoff = 10 * time.Millisecond
@@ -303,7 +290,7 @@ func runRung(ctx context.Context, d *dfg.DFG, fabric *arch.CGRA, spec RungSpec, 
 	}
 	out = &Outcome{Rung: spec.Rung, MII: res.MII, II: res.II, Fabric: fabric}
 	if res.Mapping != nil {
-		if err := certify(res.Mapping, opts.CheckIters, spec.Rung.String()); err != nil {
+		if err := certify(res.Mapping, spec.Rung.String()); err != nil {
 			return nil, err
 		}
 		out.Mapping = res.Mapping
@@ -314,17 +301,15 @@ func runRung(ctx context.Context, d *dfg.DFG, fabric *arch.CGRA, spec RungSpec, 
 	return out, nil
 }
 
+// checkIters is how many iterations certify simulates a mapping for.
+const checkIters = 3
+
 // certify runs the cycle-accurate simulator against the reference interpreter
 // on the freshly produced mapping; a mismatch is an internal error of the
-// producing mapper, not an honest mapping failure.
-func certify(m *mapping.Mapping, iters int, mapper string) error {
-	if iters < 0 {
-		return nil
-	}
-	if iters == 0 {
-		iters = 3
-	}
-	if err := sim.Check(m, iters); err != nil {
+// producing mapper, not an honest mapping failure. DRESC placements are
+// verified structurally by dresc itself.
+func certify(m *mapping.Mapping, mapper string) error {
+	if err := sim.Check(m, checkIters); err != nil {
 		return &maperr.InvalidMappingError{Mapper: mapper, What: "mapping", Err: err}
 	}
 	return nil

@@ -23,19 +23,17 @@ import (
 	"regimap/internal/obs"
 )
 
-// Options configures one scheduling attempt.
+// budgetFactor scales the operation-scheduling budget: an attempt aborts
+// after budgetFactor*|V| placements.
+const budgetFactor = 16
+
+// Options configures one scheduling attempt. The memory operations of one
+// modulo slot are capped by the memory issue slots New was given (see
+// arch.MemSlotCapacity).
 type Options struct {
 	// MaxPEs caps how many operations may share one modulo slot (the
 	// schedule "width"). Zero means the full array.
 	MaxPEs int
-	// MaxMemPerSlot caps memory operations per modulo slot. Zero means the
-	// fabric's full per-cycle memory issue capacity (one op per row bus in
-	// the paper's scheme, the summed group capacities on described fabrics —
-	// see arch.MemSlotCapacity).
-	MaxMemPerSlot int
-	// BudgetFactor scales the operation-scheduling budget: the scheduler
-	// aborts after BudgetFactor*|V| placements. Zero means 16.
-	BudgetFactor int
 	// Prefer lists operations whose priority is raised above everything
 	// else, changing the node order of the next attempt.
 	Prefer []int
@@ -155,14 +153,7 @@ func (s *Scheduler) schedule(ii int, opts Options) (*Result, error) {
 	if maxPerSlot <= 0 || maxPerSlot > s.numPEs {
 		maxPerSlot = s.numPEs
 	}
-	maxMem := opts.MaxMemPerSlot
-	if maxMem <= 0 || maxMem > s.memSlots {
-		maxMem = s.memSlots
-	}
-	budgetFactor := opts.BudgetFactor
-	if budgetFactor <= 0 {
-		budgetFactor = 16
-	}
+	maxMem := s.memSlots
 	n := s.d.N()
 
 	// Quick infeasibility checks.

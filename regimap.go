@@ -163,28 +163,10 @@ type (
 	Stats = core.Stats
 )
 
-// Every Map* entry point below is a thin shim over the unified engine
-// registry (regimap/internal/engine): the wrapper looks its engine up by name
-// ("regimap", "ems", "dresc", "exact", "resilient"),
-// dispatches through the common Mapper interface, and narrows the result back
-// to the concrete types this package's API promises. Mapper packages register
-// themselves at init time via engine.Register — adding a backend means
-// registering it, not growing this file — and callers that want dynamic
-// dispatch over every backend (racing, degrading, CLI listing) use the
-// registry directly; see MapperNames.
-
-// mapVia dispatches a Mapping-producing engine and narrows its stats.
-func mapVia[S any](ctx context.Context, name string, d *DFG, c *CGRA, extra any) (*Mapping, *S, error) {
-	res, err := engine.MustLookup(name).Map(ctx, d, c, engine.Options{Extra: extra})
-	if res == nil {
-		return nil, nil, err
-	}
-	st, _ := res.Stats.(*S)
-	return res.Mapping, st, err
-}
-
-// MapperNames lists every registered mapping engine, sorted — the names the
-// shims below dispatch on (also surfaced by `regimap -list-mappers`).
+// MapperNames lists every registered mapping engine, sorted: the names
+// regimapd, the resilient ladder and `regimap -list-mappers` dispatch on
+// through the engine registry (regimap/internal/engine). The Map* entry
+// points below call their engine directly.
 func MapperNames() []string { return engine.Names() }
 
 // Map runs REGIMap: modulo scheduling plus clique-based integrated placement
@@ -202,7 +184,7 @@ func Map(d *DFG, c *CGRA, opts Options) (*Mapping, *Stats, error) {
 // wraps ctx.Err() when the abort was context-driven. Options.Workers bounds
 // the IIs raced at once; the result is the same at any value.
 func MapContext(ctx context.Context, d *DFG, c *CGRA, opts Options) (*Mapping, *Stats, error) {
-	return mapVia[core.Stats](ctx, "regimap", d, c, opts)
+	return core.Map(ctx, d, c, opts)
 }
 
 // Baseline mapper types.
@@ -230,13 +212,7 @@ func MapDRESC(d *DFG, c *CGRA, opts DRESCOptions) (*DRESCPlacement, *DRESCStats,
 // and II-escalation boundaries. DRESCOptions.Restarts races that many
 // seed-derived annealing chains per II.
 func MapDRESCContext(ctx context.Context, d *DFG, c *CGRA, opts DRESCOptions) (*DRESCPlacement, *DRESCStats, error) {
-	res, err := engine.MustLookup("dresc").Map(ctx, d, c, engine.Options{Extra: opts})
-	if res == nil {
-		return nil, nil, err
-	}
-	p, _ := res.Artifact.(*DRESCPlacement)
-	st, _ := res.Stats.(*DRESCStats)
-	return p, st, err
+	return dresc.Map(ctx, d, c, opts)
 }
 
 // Exact mapper types.
@@ -271,7 +247,7 @@ func MapExact(d *DFG, c *CGRA, opts ExactOptions) (*Mapping, *ExactStats, error)
 // MapExactContext is MapExact with cancellation, honored within a bounded
 // number of solver conflicts at any moment.
 func MapExactContext(ctx context.Context, d *DFG, c *CGRA, opts ExactOptions) (*Mapping, *ExactStats, error) {
-	return mapVia[exact.Stats](ctx, "exact", d, c, opts)
+	return exact.Map(ctx, d, c, opts)
 }
 
 // MapEMS runs the EMS-style baseline: edge-centric greedy placement with
@@ -283,7 +259,7 @@ func MapEMS(d *DFG, c *CGRA, opts EMSOptions) (*Mapping, *EMSStats, error) {
 // MapEMSContext is MapEMS with cancellation, honored at II-escalation
 // boundaries.
 func MapEMSContext(ctx context.Context, d *DFG, c *CGRA, opts EMSOptions) (*Mapping, *EMSStats, error) {
-	return mapVia[ems.Stats](ctx, "ems", d, c, opts)
+	return ems.Map(ctx, d, c, opts)
 }
 
 // Error taxonomy shared by every mapper: classify failures with errors.Is
@@ -336,7 +312,7 @@ func ParseFaults(text string) (*FaultSet, error) { return fault.Parse(text) }
 // Resilient-pipeline types.
 type (
 	// ResilientOptions configures MapResilient (fault set, degradation
-	// ladder, retry policy, certification depth).
+	// ladder, per-rung options, retry backoff).
 	ResilientOptions = resilient.Options
 	// ResilientOutcome reports which rung produced the mapping, on which
 	// faulted fabric, after how many retry rounds.
@@ -361,12 +337,7 @@ const (
 // when the hardware may be imperfect: a fault degrades the result (a worse II
 // or a slower mapper) instead of failing the compile.
 func MapResilient(ctx context.Context, d *DFG, c *CGRA, opts ResilientOptions) (*ResilientOutcome, error) {
-	res, err := engine.MustLookup("resilient").Map(ctx, d, c, engine.Options{Extra: opts})
-	if res == nil {
-		return nil, err
-	}
-	out, _ := res.Stats.(*resilient.Outcome)
-	return out, err
+	return resilient.Map(ctx, d, c, opts)
 }
 
 // Kernel is one benchmark loop of the suite.
