@@ -58,10 +58,10 @@ func main() {
 		faults        = flag.String("faults", "", `hardware fault set, e.g. "pe 1,1; link 0,0-0,1; regs 2,2=1; row 3"`)
 		simN          = flag.Int("sim", 8, "functionally simulate this many iterations (0 to skip)")
 		dot           = flag.Bool("dot", false, "print the kernel DFG in Graphviz DOT and exit")
-		cfg           = flag.Bool("config", false, "lower the mapping to instruction words and print them (regimap mapper only)")
+		cfg           = flag.Bool("config", false, "lower the mapping to instruction words and print them")
 		srcPath       = flag.String("src", "", "compile this loop-body source file instead of a named kernel")
-		svgPath       = flag.String("svg", "", "write the mapping as an SVG picture to this file (regimap mapper only)")
-		vcdPath       = flag.String("vcd", "", "write a VCD waveform of the execution to this file (regimap mapper only)")
+		svgPath       = flag.String("svg", "", "write the mapping as an SVG picture to this file")
+		vcdPath       = flag.String("vcd", "", "write a VCD waveform of the execution to this file")
 		jsonOut       = flag.Bool("json", false, "emit mapper statistics as JSON (regimap mapper only)")
 		seed          = flag.Int64("seed", 1, "base seed: DRESC annealing / exact solver tie-breaking")
 		timeout       = flag.Duration("timeout", 0, "abort mapping after this long (0: unbounded)")
@@ -172,9 +172,13 @@ func main() {
 	}
 	fmt.Printf("kernel %s (%s) on %s\n", title, description, c)
 
+	// m is the mapping an engine returned, if any: every engine but DRESC
+	// (and the resilient ladder's DRESC rung) reports it through one tail.
+	var m *regimap.Mapping
 	switch *mapper {
 	case "regimap":
-		m, stats, err := regimap.MapContext(ctx, d, c, regimap.Options{Workers: *cliqueWorkers, Explore: *explore})
+		var stats *regimap.Stats
+		m, stats, err = regimap.MapContext(ctx, d, c, regimap.Options{Workers: *cliqueWorkers, Explore: *explore})
 		exitOn(err)
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
@@ -192,36 +196,6 @@ func main() {
 		fmt.Printf("REGIMap: II=%d (MII=%d, perf %.2f) in %v — %d attempts, %d reschedules, %d routing nodes, %d thinnings\n",
 			stats.II, stats.MII, stats.Perf(), stats.Elapsed,
 			stats.Attempts, stats.Reschedules, stats.RouteInserts, stats.Thinnings)
-		fmt.Print(m)
-		fmt.Printf("register pressure per PE: %v\n", m.RegisterPressure())
-		if *svgPath != "" {
-			svg, err := regimap.RenderMapping(m)
-			exitOn(err)
-			exitOn(os.WriteFile(*svgPath, []byte(svg), 0o644))
-			fmt.Printf("mapping picture written to %s\n", *svgPath)
-		}
-		if *vcdPath != "" {
-			f, err := os.Create(*vcdPath)
-			exitOn(err)
-			iters := *simN
-			if iters <= 0 {
-				iters = 8
-			}
-			exitOn(regimap.WriteVCD(f, m, iters))
-			exitOn(f.Close())
-			fmt.Printf("waveform written to %s\n", *vcdPath)
-		}
-		if *cfg {
-			prog, err := regimap.Emit(m)
-			exitOn(err)
-			fmt.Print(prog)
-			exitOn(regimap.CheckProgram(m, 8))
-			fmt.Println("configuration executed bit-identically to the reference")
-		}
-		if *simN > 0 {
-			exitOn(regimap.Simulate(m, *simN))
-			fmt.Printf("functional simulation: %d iterations bit-identical to the reference\n", *simN)
-		}
 	case "dresc":
 		p, stats, err := regimap.MapDRESCContext(ctx, d, c, regimap.DRESCOptions{Seed: *seed, Restarts: *drescRestarts, Workers: *drescWorkers})
 		exitOn(err)
@@ -243,29 +217,20 @@ func main() {
 			}
 			fmt.Printf("  round %d  %-8s %s\n", a.Round, a.Rung, status)
 		}
-		if out.Mapping != nil {
-			fmt.Print(out.Mapping)
-			fmt.Printf("register pressure per PE: %v\n", out.Mapping.RegisterPressure())
-			if *simN > 0 {
-				exitOn(regimap.Simulate(out.Mapping, *simN))
-				fmt.Printf("functional simulation: %d iterations bit-identical to the reference\n", *simN)
-			}
-		} else {
+		if out.Placement != nil {
 			fmt.Printf("placement: %d operations, %d routed edges (DRESC rung)\n",
 				len(out.Placement.PE), len(out.Placement.Paths))
 		}
+		m = out.Mapping
 	case "ems":
-		m, stats, err := regimap.MapEMSContext(ctx, d, c, regimap.EMSOptions{})
+		var stats *regimap.EMSStats
+		m, stats, err = regimap.MapEMSContext(ctx, d, c, regimap.EMSOptions{})
 		exitOn(err)
 		fmt.Printf("EMS: II=%d (MII=%d, perf %.2f) in %v — %d placements, %d routing nodes\n",
 			stats.II, stats.MII, stats.Perf(), stats.Elapsed, stats.Placements, stats.Routes)
-		fmt.Print(m)
-		if *simN > 0 {
-			exitOn(regimap.Simulate(m, *simN))
-			fmt.Printf("functional simulation: %d iterations bit-identical to the reference\n", *simN)
-		}
 	case "exact":
-		m, stats, err := regimap.MapExactContext(ctx, d, c, regimap.ExactOptions{Seed: *seed})
+		var stats *regimap.ExactStats
+		m, stats, err = regimap.MapExactContext(ctx, d, c, regimap.ExactOptions{Seed: *seed})
 		if stats != nil {
 			printCertificate(&stats.Cert)
 		}
@@ -278,16 +243,50 @@ func main() {
 		fmt.Printf("exact: II=%d %s (MII=%d, perf %.2f) in %v — %d conflicts, %d decisions, %d restarts\n",
 			ii, verdict, mii, float64(mii)/float64(ii), stats.Elapsed,
 			stats.Cert.Conflicts, stats.Cert.Decisions, stats.Cert.Restarts)
-		fmt.Print(m)
-		fmt.Printf("register pressure per PE: %v\n", m.RegisterPressure())
-		if *simN > 0 {
-			exitOn(regimap.Simulate(m, *simN))
-			fmt.Printf("functional simulation: %d iterations bit-identical to the reference\n", *simN)
-		}
 	default:
 		fmt.Fprint(os.Stderr, unknownMapperMessage(*mapper))
 		stopProfiles()
 		os.Exit(2)
+	}
+	if m != nil {
+		report(m, *simN, *svgPath, *vcdPath, *cfg)
+	}
+}
+
+// report prints a mapping and its register pressure, writes the -svg and
+// -vcd files, lowers it to instruction words under -config and checks that
+// they execute like the mapping, and runs the -sim check: the same output
+// whichever engine made the mapping.
+func report(m *regimap.Mapping, simN int, svgPath, vcdPath string, cfg bool) {
+	fmt.Print(m)
+	fmt.Printf("register pressure per PE: %v\n", m.RegisterPressure())
+	if svgPath != "" {
+		svg, err := regimap.RenderMapping(m)
+		exitOn(err)
+		exitOn(os.WriteFile(svgPath, []byte(svg), 0o644))
+		fmt.Printf("mapping picture written to %s\n", svgPath)
+	}
+	if vcdPath != "" {
+		f, err := os.Create(vcdPath)
+		exitOn(err)
+		iters := simN
+		if iters <= 0 {
+			iters = 8
+		}
+		exitOn(regimap.WriteVCD(f, m, iters))
+		exitOn(f.Close())
+		fmt.Printf("waveform written to %s\n", vcdPath)
+	}
+	if cfg {
+		prog, err := regimap.Emit(m)
+		exitOn(err)
+		fmt.Print(prog)
+		exitOn(regimap.CheckProgram(m, 8))
+		fmt.Println("configuration executed bit-identically to the reference")
+	}
+	if simN > 0 {
+		exitOn(regimap.Simulate(m, simN))
+		fmt.Printf("functional simulation: %d iterations bit-identical to the reference\n", simN)
 	}
 }
 

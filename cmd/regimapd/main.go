@@ -51,7 +51,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8090", "listen address")
 		workers     = flag.Int("workers", 0, "max concurrent mapping computations (0: GOMAXPROCS)")
-		cliqueWork  = flag.Int("clique-workers", 0, "IIs each REGIMap run (regimap engine and resilient ladder) races at once (<=0: 1, one II at a time, since requests already run concurrently; results are byte-identical at any value)")
 		drescRetry  = flag.Int("dresc-restarts", 0, "seed-derived annealing chains raced per II inside each dresc run (<=1: one chain; changes served placements, so part of the cache identity)")
 		drescWork   = flag.Int("dresc-workers", 0, "goroutines racing the dresc restart chains (0: GOMAXPROCS; results are byte-identical at any value)")
 		queue       = flag.Int("queue", 64, "max computations waiting for a worker; beyond this, requests are shed with 429")
@@ -89,7 +88,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		Workers:          *workers,
-		CliqueWorkers:    *cliqueWork,
 		DRESCRestarts:    *drescRetry,
 		DRESCWorkers:     *drescWork,
 		Queue:            *queue,

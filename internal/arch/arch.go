@@ -284,9 +284,6 @@ func (c *CGRA) Supports(p int, k dfg.OpKind) bool {
 	return c.caps[p][k]
 }
 
-// Homogeneous reports whether every PE supports every operation.
-func (c *CGRA) Homogeneous() bool { return c.caps == nil && c.broken == nil }
-
 // DisablePE marks PE p permanently broken: its ALU executes nothing and its
 // output register and register file are unusable, so it is also severed from
 // the mesh (no neighbour can read it, it can read no neighbour).
@@ -442,9 +439,6 @@ func (c *CGRA) MemPEOk(p int) bool {
 // byte-identically. A described fabric with heterogeneous capabilities or
 // bandwidth is still healthy; health tracks faults only.
 func (c *CGRA) Healthy() bool { return c.faults == 0 }
-
-// FaultCount returns the number of fault primitives applied to the array.
-func (c *CGRA) FaultCount() int { return c.faults }
 
 // UsablePEs returns the number of PEs whose ALU is alive.
 func (c *CGRA) UsablePEs() int {

@@ -161,13 +161,7 @@ func TestConnectedSymmetricEverywhere(t *testing.T) {
 
 func TestHeterogeneousCaps(t *testing.T) {
 	c := NewMesh(2, 2, 2)
-	if !c.Homogeneous() {
-		t.Fatal("fresh mesh should be homogeneous")
-	}
 	c.RestrictPE(0, dfg.Add, dfg.Sub)
-	if c.Homogeneous() {
-		t.Error("restricted array should not report homogeneous")
-	}
 	if !c.Supports(0, dfg.Add) || c.Supports(0, dfg.Mul) {
 		t.Error("capability restriction not enforced")
 	}

@@ -3,7 +3,6 @@ package arch
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash"
 	"io"
@@ -81,12 +80,6 @@ func (c *CGRA) Fingerprint() [sha256.Size]byte {
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
-}
-
-// FingerprintHex returns the fingerprint as a lowercase hex string.
-func (c *CGRA) FingerprintHex() string {
-	fp := c.Fingerprint()
-	return hex.EncodeToString(fp[:])
 }
 
 type archHashWriter struct {

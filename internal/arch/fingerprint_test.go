@@ -19,9 +19,9 @@ func TestArchFingerprintDeterministic(t *testing.T) {
 
 func TestArchFingerprintSeparatesConfig(t *testing.T) {
 	base := NewMesh(4, 4, 4)
-	seen := map[string]string{"base": base.FingerprintHex()}
+	seen := map[string][32]byte{"base": base.Fingerprint()}
 	add := func(label string, c *CGRA) {
-		fp := c.FingerprintHex()
+		fp := c.Fingerprint()
 		for prev, pfp := range seen {
 			if pfp == fp {
 				t.Errorf("%s collides with %s", label, prev)

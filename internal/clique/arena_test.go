@@ -3,7 +3,6 @@ package clique
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -29,13 +28,13 @@ func copyGraph(dst, src *Graph, gx *Groups) {
 
 // TestGraphArenasMatchFresh: one long-lived graph, reset in place to every
 // trial's graph as the compat builder's graph is, serves each search from
-// the arenas its earlier searches left behind. Node and cluster counts
-// repeat across trials, so some Resets must keep the idle arenas and the
-// others must drop them. Odd trials lay the rows out from the trial's
-// group index, as the compat builder does, and even trials keep them dense.
-// Each trial runs Find and FindGrouped passes concurrently on the reused
-// graph, then once more in turn on the arenas they dirtied. Every search
-// must return what it returns on a fresh dense copy of the graph.
+// the arena its earlier searches left behind. Node and cluster counts
+// repeat across trials, so some Resets must keep the arena and the others
+// must drop it. Odd trials lay the rows out from the trial's group index,
+// as the compat builder does, and even trials keep them dense. Each trial
+// runs Find and FindGrouped passes in turn on the reused graph, then once
+// more on the arena they dirtied. Every search must return what it returns
+// on a fresh dense copy of the graph.
 func TestGraphArenasMatchFresh(t *testing.T) {
 	reused := NewGraph(0, 0)
 	sizes := []int{24, 40, 70}
@@ -62,14 +61,14 @@ func TestGraphArenasMatchFresh(t *testing.T) {
 		}
 
 		sameShape := reused.N() == n && reused.Clusters() == clusters
-		before := len(reused.idle)
+		before := reused.ar
 		var laid *Groups
 		if trial%2 == 1 {
 			laid = gx
 		}
 		copyGraph(reused, g, laid)
-		if after := len(reused.idle); sameShape && after != before || !sameShape && after != 0 {
-			t.Fatalf("trial %d: Reset to %d nodes, %d clusters (same shape %v) left %d of %d idle arenas",
+		if after := reused.ar; sameShape && after != before || !sameShape && after != nil {
+			t.Fatalf("trial %d: Reset to %d nodes, %d clusters (same shape %v) left arena %p, had %p",
 				trial, n, clusters, sameShape, after, before)
 		}
 		if sameShape {
@@ -77,31 +76,18 @@ func TestGraphArenasMatchFresh(t *testing.T) {
 		} else {
 			dropped++
 		}
-		// Concurrent searches read the lazily cached degrees: fill them.
-		reused.DegreeOrder()
-		got := make([][]int, len(passes))
-		var wg sync.WaitGroup
-		for i, pass := range passes {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got[i] = pass(reused)
-			}()
-		}
-		wg.Wait()
-		for i, pass := range passes {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("trial %d pass %d, concurrent on reused arenas: %v, fresh graph %v", trial, i, got[i], want[i])
-			}
-			if again := pass(reused); !reflect.DeepEqual(again, want[i]) {
-				t.Fatalf("trial %d pass %d, rerun on reused arenas: %v, fresh graph %v", trial, i, again, want[i])
+		for round := 0; round < 2; round++ {
+			for i, pass := range passes {
+				if got := pass(reused); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("trial %d pass %d round %d on the reused arena: %v, fresh graph %v", trial, i, round, got, want[i])
+				}
 			}
 		}
-		if len(reused.idle) == 0 {
-			t.Fatalf("trial %d: the searches left no idle arena", trial)
+		if reused.ar == nil {
+			t.Fatalf("trial %d: the searches left no arena", trial)
 		}
 	}
 	if kept == 0 || dropped == 0 {
-		t.Fatalf("%d Resets kept the arenas and %d dropped them; want both", kept, dropped)
+		t.Fatalf("%d Resets kept the arena and %d dropped it; want both", kept, dropped)
 	}
 }

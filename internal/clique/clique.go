@@ -19,10 +19,10 @@
 // heuristic against a naive exhaustive search that sums the directed
 // weights (reference_test.go).
 //
-// The engine is allocation-free on its hot path: every search draws an
-// arena of clique states and bitsets from its graph, reuses the states
-// across seeds, swap-repair rounds and grouped swaps, and hands the arena
-// back for the graph's next search (see DESIGN.md's hot-path memory model).
+// The engine is allocation-free on its hot path: every search runs in its
+// graph's one arena of clique states and bitsets, reuses the states across
+// seeds, swap-repair rounds and grouped swaps, and leaves them to the
+// graph's next search (see DESIGN.md's hot-path memory model).
 // Reuse is deterministic — states are fully reset on reuse, so results are
 // byte-identical to fresh allocation (enforced by the reference property
 // tests in reference_test.go).
@@ -31,15 +31,14 @@ package clique
 import (
 	"math/bits"
 	"sort"
-	"sync"
 
 	"regimap/internal/graph"
 	"regimap/internal/obs"
 )
 
 // Graph is a compatibility graph whose nodes carry register demand in the
-// register file of their cluster. Adjacency is symmetric. A graph holds its
-// idle search arenas behind a mutex, so it must not be copied.
+// register file of their cluster. Adjacency is symmetric. A graph owns one
+// search arena, so it serves one search at a time.
 //
 // Each adjacency row stores only its explicit words (see Layout). A dense
 // graph stores every word; a graph laid out from a group index stores, for
@@ -67,8 +66,7 @@ type Graph struct {
 	initSlab []uint64 // init's storage and Layout's scratch
 	laySlab  []int32  // expl's and slot's storage
 
-	mu   sync.Mutex
-	idle []*arena // search arenas sized for this node and cluster count
+	ar *arena // the search arena, sized for this node and cluster count
 }
 
 // NewGraph returns an empty dense graph of n nodes and the given number of
@@ -84,14 +82,11 @@ func NewGraph(n, clusters int) *Graph {
 // Reset makes g a graph of n nodes and the given number of clusters, every
 // node in cluster 0 with no demand and every file empty, reusing its
 // storage. It lays out no rows: the caller lays them out (Layout) before
-// adding edges or searching. The idle search arenas are dropped when the
-// node or cluster count changes, since they are sized for both. No search
-// may run during a Reset.
+// adding edges or searching. The search arena is dropped when the node or
+// cluster count changes, since it is sized for both.
 func (g *Graph) Reset(n, clusters int) {
 	if n != g.n || clusters != len(g.regs) {
-		g.mu.Lock()
-		g.idle = nil
-		g.mu.Unlock()
+		g.ar = nil
 	}
 	g.n, g.wpr = n, (n+63)/64
 	g.rows, g.lay, g.from = g.rows[:0], g.lay[:0], nil
@@ -352,9 +347,7 @@ func (g *Graph) dropDegrees() {
 // it), computed in one popcount sweep over the explicit words plus the
 // nodes of the implicit ones, and cached until the next adjacency mutation;
 // Degree, DegreeOrder and the grouped search's default order all read this
-// one vector. Callers must not modify it. The caches fill lazily, so a
-// caller about to search one graph from several goroutines fills them
-// first: Degrees for FindGrouped, DegreeOrder for Find.
+// one vector. Callers must not modify it.
 func (g *Graph) Degrees() []int {
 	if len(g.deg) != g.n {
 		if cap(g.deg) < g.n {
@@ -427,12 +420,11 @@ func (g *Graph) IsFeasibleClique(members []int) bool {
 	return true
 }
 
-// arena pools clique states for one search invocation. A search takes it
-// from its graph and hands it back when done, and no two searches hold one
-// arena at once, so reuse is fully deterministic: get() returns either a
-// brand-new state or a recycled one reset to exactly the fresh-state
-// contents. recycleAll() returns every state ever created to the free list;
-// callers must copy any member slice they intend to keep before invoking it.
+// arena pools clique states for its graph's searches, which run one at a
+// time, so reuse is fully deterministic: get() returns either a brand-new
+// state or a recycled one reset to exactly the fresh-state contents.
+// recycleAll() returns every state ever created to the free list; callers
+// must copy any member slice they intend to keep before invoking it.
 type arena struct {
 	g       *Graph
 	all     []*state
@@ -440,25 +432,14 @@ type arena struct {
 	scratch *graph.Bitset // intersection-phase scratch (lazily allocated)
 }
 
-// acquire returns one of g's idle arenas, or a new one.
+// acquire returns g's search arena with every state free, making it on
+// first use.
 func (g *Graph) acquire() *arena {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	k := len(g.idle)
-	if k == 0 {
-		return &arena{g: g}
+	if g.ar == nil {
+		g.ar = &arena{g: g}
 	}
-	ar := g.idle[k-1]
-	g.idle = g.idle[:k-1]
-	return ar
-}
-
-// release hands an arena back to g with every state free.
-func (g *Graph) release(ar *arena) {
-	ar.recycleAll()
-	g.mu.Lock()
-	g.idle = append(g.idle, ar)
-	g.mu.Unlock()
+	g.ar.recycleAll()
+	return g.ar
 }
 
 func (a *arena) get() *state {
@@ -671,7 +652,6 @@ func Find(g *Graph, target int, opts Options, tr *obs.Tracer) (best []int) {
 	}
 
 	ar := g.acquire()
-	defer g.release(ar)
 	var found [][]int
 	consider := func(s *state) bool {
 		c := append([]int(nil), s.members...)

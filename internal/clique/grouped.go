@@ -178,7 +178,6 @@ func FindGrouped(g *Graph, gx *Groups, order []int, opts Options, tr *obs.Tracer
 
 	var sw swapTrial
 	ar := g.acquire()
-	defer g.release(ar)
 	flags := make([]bool, 2*len(groups))
 	pending, inFailed := flags[:len(groups)], flags[len(groups):]
 	for round := 0; round < rounds; round++ {

@@ -86,9 +86,6 @@ type Instr struct {
 	Start int
 }
 
-// NOP reports whether the slot is empty.
-func (in *Instr) NOP() bool { return in == nil }
-
 // PEConfig is one PE's program: II instruction slots plus its register-file
 // rotation phase.
 type PEConfig struct {

@@ -194,8 +194,4 @@ func TestSrcKindString(t *testing.T) {
 	if !strings.Contains(SrcKind(9).String(), "9") {
 		t.Error("unknown kind should print its number")
 	}
-	var nop *Instr
-	if !nop.NOP() {
-		t.Error("nil instruction must be a NOP")
-	}
 }

@@ -8,43 +8,17 @@ import (
 	"regimap/internal/engine"
 )
 
-// engineMapper adapts Map to the unified engine contract under the name
-// "regimap". Options.Extra, when set, must be a core.Options.
-type engineMapper struct{}
-
-func init() { engine.Register(engineMapper{}) }
-
-func (engineMapper) Name() string { return "regimap" }
-
-func (engineMapper) Describe() string {
-	return "REGIMap: modulo scheduling + register-constrained maximal clique, learning from placement failures (the paper's algorithm)"
-}
-
-func (engineMapper) Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, eo engine.Options) (*engine.Result, error) {
-	var opts Options
-	switch extra := eo.Extra.(type) {
-	case nil:
-	case Options:
-		opts = extra
-	default:
-		return nil, &engine.BadOptionsError{Engine: "regimap", Want: "core.Options", Got: eo.Extra}
-	}
-	if eo.MinII > 0 {
-		opts.MinII = eo.MinII
-	}
-	if eo.MaxII > 0 {
-		opts.MaxII = eo.MaxII
-	}
-	m, st, err := Map(ctx, d, c, opts)
-	if st == nil {
-		return nil, err
-	}
-	return &engine.Result{
-		Mapping: m,
-		MII:     st.MII,
-		II:      st.II,
-		Rounds:  st.Attempts,
-		Stats:   st,
-		Elapsed: st.Elapsed,
-	}, err
+func init() {
+	engine.Register(engine.Typed[Options]{
+		Key:   "regimap",
+		Blurb: "REGIMap: modulo scheduling + register-constrained maximal clique, learning from placement failures (the paper's algorithm)",
+		Run: func(ctx context.Context, d *dfg.DFG, c *arch.CGRA, o Options, eo engine.Options) (*engine.Result, error) {
+			eo.Window(&o.MinII, &o.MaxII)
+			m, st, err := Map(ctx, d, c, o)
+			if st == nil {
+				return nil, err
+			}
+			return &engine.Result{Mapping: m, MII: st.MII, II: st.II, Rounds: st.Attempts, Stats: st, Elapsed: st.Elapsed}, err
+		},
+	})
 }

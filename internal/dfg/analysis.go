@@ -119,40 +119,6 @@ func (d *DFG) ASAP(ii int) ([]int, error) {
 	return asap, nil
 }
 
-// ALAP computes the latest slot of every operation such that the overall
-// schedule length (max ASAP) is preserved at the given II.
-func (d *DFG) ALAP(ii int) ([]int, error) {
-	asap, err := d.ASAP(ii)
-	if err != nil {
-		return nil, err
-	}
-	length := 0
-	for _, t := range asap {
-		if t > length {
-			length = t
-		}
-	}
-	n := d.N()
-	alap := make([]int, n)
-	for i := range alap {
-		alap[i] = length
-	}
-	for round := 0; round < n; round++ {
-		changed := false
-		for _, e := range d.Edges {
-			w := d.Nodes[e.From].Kind.Latency() - ii*e.Dist
-			if t := alap[e.To] - w; t < alap[e.From] {
-				alap[e.From] = t
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return alap, nil
-}
-
 // Heights returns the scheduling priority of each node: the length of the
 // longest intra-iteration dependence path from the node to any sink. Higher
 // means more urgent; this is the classic height-based ordering the paper

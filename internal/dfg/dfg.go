@@ -12,7 +12,6 @@ package dfg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"regimap/internal/graph"
@@ -541,16 +540,4 @@ func (b *Builder) Build() *DFG {
 		panic("dfg: " + err.Error())
 	}
 	return b.d
-}
-
-// Sinks returns the IDs of nodes with no outgoing edges, sorted.
-func (d *DFG) Sinks() []int {
-	var s []int
-	for v := range d.Nodes {
-		if len(d.out[v]) == 0 {
-			s = append(s, v)
-		}
-	}
-	sort.Ints(s)
-	return s
 }

@@ -198,7 +198,7 @@ func TestMIIAndBoundedness(t *testing.T) {
 	}
 }
 
-func TestASAPALAP(t *testing.T) {
+func TestASAPChain(t *testing.T) {
 	d := chain4()
 	asap, err := d.ASAP(2)
 	if err != nil {
@@ -209,19 +209,6 @@ func TestASAPALAP(t *testing.T) {
 		if asap[i] != want[i] {
 			t.Fatalf("ASAP = %v, want %v", asap, want)
 		}
-	}
-	alap, err := d.ALAP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On the critical path ASAP == ALAP.
-	for i := range asap {
-		if alap[i] < asap[i] {
-			t.Errorf("node %d: ALAP %d < ASAP %d", i, alap[i], asap[i])
-		}
-	}
-	if alap[0] != 0 || alap[3] != 3 {
-		t.Errorf("ALAP = %v: critical path endpoints should be pinned", alap)
 	}
 }
 
@@ -343,14 +330,6 @@ func TestBuilderDoubleFedPortPanics(t *testing.T) {
 	a := b.Op(Add, "a", x, x)
 	b.EdgeDist(a, a, 0, 1) // port 0 already fed
 	b.Build()
-}
-
-func TestSinks(t *testing.T) {
-	d := chain4()
-	s := d.Sinks()
-	if len(s) != 1 || s[0] != 3 {
-		t.Errorf("Sinks = %v, want [3]", s)
-	}
 }
 
 func TestEvalKinds(t *testing.T) {
@@ -488,15 +467,6 @@ func TestASAPProperty(t *testing.T) {
 		}
 		for _, e := range d.Edges {
 			if asap[e.To] < asap[e.From]+1-ii*e.Dist {
-				return false
-			}
-		}
-		alap, err := d.ALAP(ii)
-		if err != nil {
-			return false
-		}
-		for i := range asap {
-			if alap[i] < asap[i] {
 				return false
 			}
 		}

@@ -3,7 +3,6 @@ package dfg
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash"
 	"io"
@@ -42,12 +41,6 @@ func (d *DFG) Fingerprint() [sha256.Size]byte {
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
-}
-
-// FingerprintHex returns the fingerprint as a lowercase hex string.
-func (d *DFG) FingerprintHex() string {
-	fp := d.Fingerprint()
-	return hex.EncodeToString(fp[:])
 }
 
 // hashWriter streams length-prefixed primitives into a hash.

@@ -20,12 +20,6 @@ func TestFingerprintDeterministic(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("identical builds produced different fingerprints")
 	}
-	if a.FingerprintHex() != b.FingerprintHex() {
-		t.Fatal("hex forms differ")
-	}
-	if len(a.FingerprintHex()) != 64 {
-		t.Fatalf("hex fingerprint has length %d, want 64", len(a.FingerprintHex()))
-	}
 }
 
 func TestFingerprintSeparatesStructure(t *testing.T) {
@@ -33,9 +27,9 @@ func TestFingerprintSeparatesStructure(t *testing.T) {
 	distinct := map[string]*DFG{"base": base}
 
 	add := func(label string, d *DFG) {
-		fp := d.FingerprintHex()
+		fp := d.Fingerprint()
 		for prev, pd := range distinct {
-			if pd.FingerprintHex() == fp {
+			if pd.Fingerprint() == fp {
 				t.Errorf("%s collides with %s", label, prev)
 			}
 		}

@@ -8,48 +8,24 @@ import (
 	"regimap/internal/engine"
 )
 
-// engineMapper adapts Map to the unified engine contract under the name
-// "dresc". Options.Extra, when set, must be a dresc.Options. DRESC's solution
-// is a routed MRRG placement with no mapping.Mapping representation, so the
-// Result carries it in Artifact (a *dresc.Placement) and leaves Mapping nil.
-type engineMapper struct{}
-
-func init() { engine.Register(engineMapper{}) }
-
-func (engineMapper) Name() string { return "dresc" }
-
-func (engineMapper) Describe() string {
-	return "DRESC-style baseline: simulated annealing over the modulo routing resource graph (register-aware, untuned exploration)"
-}
-
-func (engineMapper) Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, eo engine.Options) (*engine.Result, error) {
-	var opts Options
-	switch extra := eo.Extra.(type) {
-	case nil:
-	case Options:
-		opts = extra
-	default:
-		return nil, &engine.BadOptionsError{Engine: "dresc", Want: "dresc.Options", Got: eo.Extra}
-	}
-	if eo.MinII > 0 {
-		opts.MinII = eo.MinII
-	}
-	if eo.MaxII > 0 {
-		opts.MaxII = eo.MaxII
-	}
-	p, st, err := Map(ctx, d, c, opts)
-	if st == nil {
-		return nil, err
-	}
-	res := &engine.Result{
-		MII:     st.MII,
-		II:      st.II,
-		Rounds:  st.Moves,
-		Stats:   st,
-		Elapsed: st.Elapsed,
-	}
-	if p != nil {
-		res.Artifact = p
-	}
-	return res, err
+// DRESC's solution is a routed MRRG placement with no mapping.Mapping
+// representation, so its Result carries it in Artifact (a *Placement) and
+// leaves Mapping nil.
+func init() {
+	engine.Register(engine.Typed[Options]{
+		Key:   "dresc",
+		Blurb: "DRESC-style baseline: simulated annealing over the modulo routing resource graph (register-aware, untuned exploration)",
+		Run: func(ctx context.Context, d *dfg.DFG, c *arch.CGRA, o Options, eo engine.Options) (*engine.Result, error) {
+			eo.Window(&o.MinII, &o.MaxII)
+			p, st, err := Map(ctx, d, c, o)
+			if st == nil {
+				return nil, err
+			}
+			res := &engine.Result{MII: st.MII, II: st.II, Rounds: st.Moves, Stats: st, Elapsed: st.Elapsed}
+			if p != nil {
+				res.Artifact = p
+			}
+			return res, err
+		},
+	})
 }

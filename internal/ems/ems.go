@@ -49,6 +49,8 @@ type InvalidMappingError = maperr.InvalidMappingError
 
 // Options configures the mapper.
 type Options struct {
+	// MinII raises the II the escalation starts from (0: MII).
+	MinII int
 	// MaxII caps II escalation (0: MII + 16).
 	MaxII int
 }
@@ -97,7 +99,7 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 		maxII = stats.MII + 16
 	}
 	p := newPlacer(d, c)
-	for ii := stats.MII; ii <= maxII; ii++ {
+	for ii := max(stats.MII, opts.MinII); ii <= maxII; ii++ {
 		if err := ctx.Err(); err != nil {
 			done()
 			return nil, stats, maperr.Aborted(err, "ems: mapping %s aborted: %v", d.Name, err)

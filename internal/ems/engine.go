@@ -8,41 +8,17 @@ import (
 	"regimap/internal/engine"
 )
 
-// engineMapper adapts Map to the unified engine contract under the name
-// "ems". Options.Extra, when set, must be an ems.Options.
-type engineMapper struct{}
-
-func init() { engine.Register(engineMapper{}) }
-
-func (engineMapper) Name() string { return "ems" }
-
-func (engineMapper) Describe() string {
-	return "EMS-style edge-centric greedy baseline: immediate routing, no learning, II escalation on any failure"
-}
-
-func (engineMapper) Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, eo engine.Options) (*engine.Result, error) {
-	var opts Options
-	switch extra := eo.Extra.(type) {
-	case nil:
-	case Options:
-		opts = extra
-	default:
-		return nil, &engine.BadOptionsError{Engine: "ems", Want: "ems.Options", Got: eo.Extra}
-	}
-	// EMS has no MinII knob: the greedy pass always starts at MII.
-	if eo.MaxII > 0 {
-		opts.MaxII = eo.MaxII
-	}
-	m, st, err := Map(ctx, d, c, opts)
-	if st == nil {
-		return nil, err
-	}
-	return &engine.Result{
-		Mapping: m,
-		MII:     st.MII,
-		II:      st.II,
-		Rounds:  st.Placements,
-		Stats:   st,
-		Elapsed: st.Elapsed,
-	}, err
+func init() {
+	engine.Register(engine.Typed[Options]{
+		Key:   "ems",
+		Blurb: "EMS-style edge-centric greedy baseline: immediate routing, no learning, II escalation on any failure",
+		Run: func(ctx context.Context, d *dfg.DFG, c *arch.CGRA, o Options, eo engine.Options) (*engine.Result, error) {
+			eo.Window(&o.MinII, &o.MaxII)
+			m, st, err := Map(ctx, d, c, o)
+			if st == nil {
+				return nil, err
+			}
+			return &engine.Result{Mapping: m, MII: st.MII, II: st.II, Rounds: st.Placements, Stats: st, Elapsed: st.Elapsed}, err
+		},
+	})
 }

@@ -2,13 +2,18 @@
 // is reached through when the caller picks the mapper by name, plus the
 // process-wide registry binding names to implementations.
 //
-// Engines register themselves at init time (each internal mapper package
-// carries an `engine.Register` call). regimapd, the resilient degradation
-// ladder, the CLI listings and the benchmark dispatch by name, so racing,
-// degrading, or exposing a new backend is a registry lookup instead of
-// another switch arm; SAT-MapIt-style backend swapping (see PAPERS.md)
-// falls out for free. The root package's typed Map* functions call their
-// engine directly, since each already names the one engine it wants.
+// Engines register themselves at init time: each mapper package makes one
+// `engine.Register(engine.Typed[O]{...})` call, where O is its own options
+// type and Typed decodes Options.Extra into it, so no engine repeats the
+// decoding. regimapd, the job path's degradation, the CLI listings and the
+// benchmark dispatch by name, so racing, degrading, or exposing a new
+// backend is a registry lookup instead of another switch arm;
+// SAT-MapIt-style backend swapping (see PAPERS.md) falls out for free. The
+// root package's typed Map* functions and the resilient ladder's rungs call
+// their engine directly, since each already names the one engine it wants.
+//
+// The II window has one meaning on every engine: a positive MinII or MaxII
+// of a request replaces the engine's own bound (Options.Window).
 //
 // The package is a leaf: it imports only the shared data model (dfg, arch,
 // mapping), never a concrete engine, so any engine package may import it.
@@ -34,10 +39,22 @@ type Options struct {
 	MinII int
 	// MaxII, when positive, caps II escalation.
 	MaxII int
-	// Extra is the engine-specific options value; each adapter documents the
-	// concrete type it accepts. Wrong types are an error, not a silent
-	// default — a caller passing ems.Options to "dresc" has a bug.
+	// Extra is the engine-specific options value: the options type the
+	// engine registered with (Typed's O). Wrong types are an error, not a
+	// silent default — a caller passing ems.Options to "dresc" has a bug.
 	Extra any
+}
+
+// Window applies the request's II window to an engine's own bounds: a
+// positive MinII or MaxII replaces *minII or *maxII, and a zero one leaves
+// the engine's bound as it is.
+func (o Options) Window(minII, maxII *int) {
+	if o.MinII > 0 {
+		*minII = o.MinII
+	}
+	if o.MaxII > 0 {
+		*maxII = o.MaxII
+	}
 }
 
 // Result is what any engine hands back. Exactly one of Mapping and Artifact
@@ -149,6 +166,40 @@ func Describe(m Mapper) string {
 		return d.Describe()
 	}
 	return ""
+}
+
+// Typed adapts an engine whose options are of type O to Mapper and
+// Describer. Its Map decodes Options.Extra once — nil gives the zero O, an O
+// is used as given, anything else is a *BadOptionsError — and calls Run,
+// which applies the II window to its options (Options.Window) and packs the
+// engine's answer into a Result.
+type Typed[O any] struct {
+	// Key is the registry name, e.g. "regimap".
+	Key string
+	// Blurb is the one-line description `regimap -list-mappers` and
+	// /v1/engines show.
+	Blurb string
+	// Run maps with the decoded options o; eo is the whole request.
+	Run func(ctx context.Context, d *dfg.DFG, c *arch.CGRA, o O, eo Options) (*Result, error)
+}
+
+// Name returns the registry key.
+func (t Typed[O]) Name() string { return t.Key }
+
+// Describe returns the engine's one-line description.
+func (t Typed[O]) Describe() string { return t.Blurb }
+
+// Map decodes eo.Extra into an O and runs the engine.
+func (t Typed[O]) Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, eo Options) (*Result, error) {
+	var o O
+	switch extra := eo.Extra.(type) {
+	case nil:
+	case O:
+		o = extra
+	default:
+		return nil, &BadOptionsError{Engine: t.Key, Want: fmt.Sprintf("%T", o), Got: eo.Extra}
+	}
+	return t.Run(ctx, d, c, o, eo)
 }
 
 // BadOptionsError reports an Options.Extra value of the wrong concrete type

@@ -99,3 +99,37 @@ func TestBadOptionsError(t *testing.T) {
 		t.Fatalf("message %q", err)
 	}
 }
+
+type fakeOptions struct{ MinII, MaxII, Knob int }
+
+// TestTypedDecodesExtraAndWindow: Typed hands Run the zero options for a nil
+// Extra and the caller's options as given, and Window lets only a positive
+// request bound replace the engine's own.
+func TestTypedDecodesExtraAndWindow(t *testing.T) {
+	var got fakeOptions
+	typed := Typed[fakeOptions]{Key: "fake-typed", Blurb: "typed", Run: func(ctx context.Context, d *dfg.DFG, c *arch.CGRA, o fakeOptions, eo Options) (*Result, error) {
+		eo.Window(&o.MinII, &o.MaxII)
+		got = o
+		return &Result{}, nil
+	}}
+	if typed.Name() != "fake-typed" || Describe(typed) != "typed" {
+		t.Fatalf("Name %q, Describe %q", typed.Name(), Describe(typed))
+	}
+	for _, tc := range []struct {
+		eo   Options
+		want fakeOptions
+	}{
+		{Options{}, fakeOptions{}},
+		{Options{MinII: 3}, fakeOptions{MinII: 3}},
+		{Options{Extra: fakeOptions{MinII: 2, MaxII: 9, Knob: 7}}, fakeOptions{MinII: 2, MaxII: 9, Knob: 7}},
+		{Options{MaxII: 5, Extra: fakeOptions{MinII: 2, MaxII: 9, Knob: 7}}, fakeOptions{MinII: 2, MaxII: 5, Knob: 7}},
+	} {
+		if _, err := typed.Map(context.Background(), nil, nil, tc.eo); err != nil || got != tc.want {
+			t.Fatalf("Map(%+v): Run saw %+v (err %v), want %+v", tc.eo, got, err, tc.want)
+		}
+	}
+	_, err := typed.Map(context.Background(), nil, nil, Options{Extra: &fakeOptions{}})
+	if bad, ok := err.(*BadOptionsError); !ok || bad.Engine != "fake-typed" || bad.Want != "engine.fakeOptions" {
+		t.Fatalf("pointer Extra: err = %v, want a BadOptionsError wanting engine.fakeOptions", err)
+	}
+}

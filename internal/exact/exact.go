@@ -413,43 +413,17 @@ func solveAtII(ctx context.Context, s *sat.Solver, d *dfg.DFG, c *arch.CGRA, ii 
 	return v, nil, nil
 }
 
-// engineMapper adapts Map to the unified engine contract under the name
-// "exact". Options.Extra, when set, must be an exact.Options.
-type engineMapper struct{}
-
-func init() { engine.Register(engineMapper{}) }
-
-func (engineMapper) Name() string { return "exact" }
-
-func (engineMapper) Describe() string {
-	return "exact: CDCL SAT reduction with optimality certificates — proves II == MII or a certified lower bound (DESIGN.md 8k)"
-}
-
-func (engineMapper) Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, eo engine.Options) (*engine.Result, error) {
-	var opts Options
-	switch extra := eo.Extra.(type) {
-	case nil:
-	case Options:
-		opts = extra
-	default:
-		return nil, &engine.BadOptionsError{Engine: "exact", Want: "exact.Options", Got: eo.Extra}
-	}
-	if eo.MinII > 0 {
-		opts.MinII = eo.MinII
-	}
-	if eo.MaxII > 0 {
-		opts.MaxII = eo.MaxII
-	}
-	m, st, err := Map(ctx, d, c, opts)
-	if st == nil {
-		return nil, err
-	}
-	return &engine.Result{
-		Mapping: m,
-		MII:     st.Cert.MII,
-		II:      st.Cert.BestII,
-		Rounds:  int(st.Cert.Conflicts),
-		Stats:   st,
-		Elapsed: st.Elapsed,
-	}, err
+func init() {
+	engine.Register(engine.Typed[Options]{
+		Key:   "exact",
+		Blurb: "exact: CDCL SAT reduction with optimality certificates — proves II == MII or a certified lower bound (DESIGN.md 8k)",
+		Run: func(ctx context.Context, d *dfg.DFG, c *arch.CGRA, o Options, eo engine.Options) (*engine.Result, error) {
+			eo.Window(&o.MinII, &o.MaxII)
+			m, st, err := Map(ctx, d, c, o)
+			if st == nil {
+				return nil, err
+			}
+			return &engine.Result{Mapping: m, MII: st.Cert.MII, II: st.Cert.BestII, Rounds: int(st.Cert.Conflicts), Stats: st, Elapsed: st.Elapsed}, err
+		},
+	})
 }

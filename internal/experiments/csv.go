@@ -37,34 +37,3 @@ func WriteCSV(w io.Writer, rows []LoopRow) error {
 	}
 	return nil
 }
-
-// WriteSweepCSV streams sweep points as CSV: rows, cols, regs, group,
-// mapper, mean_perf, total_ms, mapped, total.
-func WriteSweepCSV(w io.Writer, points []SweepPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"rows", "cols", "regs", "group", "mapper", "mean_perf", "total_ms", "mapped", "total"}); err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
-	for _, p := range points {
-		c := p.Config.CGRA()
-		rec := []string{
-			strconv.Itoa(c.Rows),
-			strconv.Itoa(c.Cols),
-			strconv.Itoa(p.Config.Regs),
-			p.Group.String(),
-			string(p.Mapper),
-			strconv.FormatFloat(p.MeanPerf, 'f', 4, 64),
-			strconv.FormatInt(p.TotalTime.Milliseconds(), 10),
-			strconv.Itoa(p.Mapped),
-			strconv.Itoa(p.Total),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
-	return nil
-}

@@ -329,17 +329,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestWriteSweepCSV(t *testing.T) {
-	pt := sweepPoint(quickCfg(4), REGIMap, kernels.RecBounded)
-	var buf strings.Builder
-	if err := WriteSweepCSV(&buf, []SweepPoint{pt}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "4,4,4,rec-bounded,REGIMap") {
-		t.Errorf("sweep CSV malformed: %q", buf.String())
-	}
-}
-
 func TestOptGapShape(t *testing.T) {
 	cfg := quickCfg(4)
 	cfg.Workers = 4

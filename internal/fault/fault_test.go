@@ -123,11 +123,11 @@ func TestApplyFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.FaultCount() != 0 || c.UsablePEs() != 16 {
+	if !c.Healthy() || c.UsablePEs() != 16 {
 		t.Fatal("Apply mutated the input array")
 	}
-	if fc.Healthy() || fc.FaultCount() != 4 {
-		t.Fatalf("faulted view reports %d faults, want 4", fc.FaultCount())
+	if fc.Healthy() {
+		t.Fatal("faulted view reports healthy")
 	}
 	if fc.PEOk(c.PEAt(1, 1)) {
 		t.Error("PE (1,1) should be broken")

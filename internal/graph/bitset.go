@@ -63,9 +63,6 @@ func (s *Slab) Carve(n, count int) []*Bitset {
 	return s.ptrs
 }
 
-// Cap returns the capacity of the bitset.
-func (b *Bitset) Cap() int { return b.n }
-
 // Grow resizes the bitset to hold values 0..n-1 and clears it, reusing the
 // word storage whenever it is large enough. Arena-style callers (the EMS
 // placer's per-II occupancy masks, whose size is NumPEs*ii) call it instead
@@ -214,19 +211,6 @@ func (b *Bitset) First() int {
 		}
 	}
 	return -1
-}
-
-// ContainsAll reports whether every member of other is also in b.
-func (b *Bitset) ContainsAll(other *Bitset) bool {
-	if b.n != other.n {
-		panic("graph: bitset capacity mismatch")
-	}
-	for i := range b.words {
-		if other.words[i]&^b.words[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Empty reports whether the set has no members.

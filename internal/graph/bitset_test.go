@@ -9,8 +9,8 @@ import (
 
 func TestBitsetBasics(t *testing.T) {
 	b := NewBitset(130)
-	if b.Cap() != 130 {
-		t.Fatalf("Cap = %d, want 130", b.Cap())
+	if b.n != 130 {
+		t.Fatalf("capacity = %d, want 130", b.n)
 	}
 	for _, i := range []int{0, 63, 64, 127, 129} {
 		b.Set(i)
@@ -85,9 +85,6 @@ func TestBitsetSetOps(t *testing.T) {
 	diff.AndNotAt(at, b.Words())
 	if got := diff.Count(); got != 50-17 {
 		t.Errorf("difference count = %d, want 33", got)
-	}
-	if !union.ContainsAll(a) || inter.ContainsAll(a) {
-		t.Error("ContainsAll gave wrong answers")
 	}
 }
 
@@ -248,16 +245,16 @@ func TestBitsetGrow(t *testing.T) {
 	b.Set(3)
 	b.Set(9)
 	b.Grow(5) // shrink within existing words: must clear, keep capacity
-	if b.Cap() != 5 {
-		t.Fatalf("Cap after Grow(5) = %d", b.Cap())
+	if b.n != 5 {
+		t.Fatalf("capacity after Grow(5) = %d", b.n)
 	}
 	if !b.Empty() {
 		t.Fatal("Grow did not clear the set")
 	}
 	b.Set(4)
 	b.Grow(200) // grow past the backing array
-	if b.Cap() != 200 || !b.Empty() {
-		t.Fatalf("Grow(200): cap=%d empty=%v", b.Cap(), b.Empty())
+	if b.n != 200 || !b.Empty() {
+		t.Fatalf("Grow(200): cap=%d empty=%v", b.n, b.Empty())
 	}
 	b.Set(199)
 	if !b.Has(199) || b.Count() != 1 {

@@ -4,34 +4,6 @@ import (
 	"testing"
 )
 
-func TestSumByName(t *testing.T) {
-	sink := &MemSink{}
-	tr := New(sink)
-	tr.Point1("memo.hit", "n", 1)
-	tr.Point1("memo.hit", "n", 1)
-	tr.Point1("memo.miss", "n", 1)
-	tr.Point("ii.attempt", "ii", 4, "round", 1, "", 0) // no "n" field
-	sp := tr.Start("server.request")
-	sp.Field("code", 200)
-	sp.End()
-
-	sums := sink.SumByName("n")
-	if sums["memo.hit"] != 2 || sums["memo.miss"] != 1 {
-		t.Fatalf("SumByName(n) = %v, want memo.hit=2 memo.miss=1", sums)
-	}
-	if _, ok := sums["ii.attempt"]; ok {
-		t.Fatalf("event without the field appeared in the sums: %v", sums)
-	}
-	codes := sink.SumByName("code")
-	if codes["server.request"] != 200 {
-		t.Fatalf("SumByName(code) = %v", codes)
-	}
-	iis := sink.SumByName("ii")
-	if iis["ii.attempt"] != 4 {
-		t.Fatalf("SumByName(ii) = %v", iis)
-	}
-}
-
 func TestCountByName(t *testing.T) {
 	sink := &MemSink{}
 	tr := New(sink)
@@ -53,10 +25,10 @@ func TestTee(t *testing.T) {
 	a, b := &MemSink{}, &MemSink{}
 	tr := New(Tee(a, nil, b))
 	tr.Point1("memo.hit", "n", 1)
-	if got := a.SumByName("n")["memo.hit"]; got != 1 {
+	if got := a.CountByName()["memo.hit"]; got != 1 {
 		t.Fatalf("first sink saw %d", got)
 	}
-	if got := b.SumByName("n")["memo.hit"]; got != 1 {
+	if got := b.CountByName()["memo.hit"]; got != 1 {
 		t.Fatalf("second sink saw %d", got)
 	}
 	if Tee() != nil {

@@ -47,7 +47,7 @@
 //	wal.compact_error   WAL compaction failed  fields: n
 //
 // Counter events (the `n` family) carry their increment in the field, so a
-// sink can total them with MemSink.SumByName instead of hand-looping.
+// sink totals a counter by summing that field per event name.
 //
 // Every event carries the engine and kernel labels of the tracer that emitted
 // it, a start offset relative to the tracer epoch, and a duration (zero for
@@ -265,22 +265,6 @@ func (m *MemSink) DurByName() map[string]time.Duration {
 	out := map[string]time.Duration{}
 	for i := range m.events {
 		out[m.events[i].Name] += m.events[i].Dur
-	}
-	return out
-}
-
-// SumByName sums the named integer field across all recorded events, grouped
-// by event name — the counter aggregation the experiments harness totals
-// Point events with. Events lacking the field contribute nothing (and
-// create no entry on their own).
-func (m *MemSink) SumByName(key string) map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := map[string]int64{}
-	for i := range m.events {
-		if v, ok := m.events[i].FieldVal(key); ok {
-			out[m.events[i].Name] += v
-		}
 	}
 	return out
 }

@@ -8,55 +8,25 @@ import (
 	"regimap/internal/engine"
 )
 
-// engineMapper adapts the degradation ladder to the unified engine contract
-// under the name "resilient". Options.Extra, when set, must be a
-// resilient.Options. engine.Options.MinII is ignored (each rung owns its own
-// escalation start); MaxII, when positive, caps every rung of the ladder.
-type engineMapper struct{}
-
-func init() { engine.Register(engineMapper{}) }
-
-func (engineMapper) Name() string { return "resilient" }
-
-func (engineMapper) Describe() string {
-	return "degradation ladder regimap→ems→dresc on a possibly-faulted fabric, with transient-fault retry and simulator certification"
-}
-
-func (engineMapper) Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, eo engine.Options) (*engine.Result, error) {
-	var opts Options
-	switch extra := eo.Extra.(type) {
-	case nil:
-	case Options:
-		opts = extra
-	default:
-		return nil, &engine.BadOptionsError{Engine: "resilient", Want: "resilient.Options", Got: eo.Extra}
-	}
-	if eo.MaxII > 0 {
-		ladder := opts.Ladder
-		if ladder == nil {
-			ladder = DefaultLadder()
-		}
-		capped := make([]RungSpec, len(ladder))
-		copy(capped, ladder)
-		for i := range capped {
-			capped[i].MaxII = eo.MaxII
-		}
-		opts.Ladder = capped
-	}
-	out, err := Map(ctx, d, c, opts)
-	if err != nil || out == nil {
-		return nil, err
-	}
-	res := &engine.Result{
-		Mapping: out.Mapping,
-		MII:     out.MII,
-		II:      out.II,
-		Rounds:  len(out.Reports),
-		Stats:   out,
-		Elapsed: out.Elapsed,
-	}
-	if out.Mapping == nil && out.Placement != nil {
-		res.Artifact = out.Placement
-	}
-	return res, err
+// The request's II window reaches every rung: a positive MinII or MaxII
+// replaces the bound of each rung's options.
+func init() {
+	engine.Register(engine.Typed[Options]{
+		Key:   "resilient",
+		Blurb: "degradation ladder regimap→ems→dresc on a possibly-faulted fabric, with transient-fault retry and simulator certification",
+		Run: func(ctx context.Context, d *dfg.DFG, c *arch.CGRA, o Options, eo engine.Options) (*engine.Result, error) {
+			eo.Window(&o.Core.MinII, &o.Core.MaxII)
+			eo.Window(&o.EMS.MinII, &o.EMS.MaxII)
+			eo.Window(&o.DRESC.MinII, &o.DRESC.MaxII)
+			out, err := Map(ctx, d, c, o)
+			if err != nil {
+				return nil, err
+			}
+			res := &engine.Result{Mapping: out.Mapping, MII: out.MII, II: out.II, Rounds: len(out.Reports), Stats: out, Elapsed: out.Elapsed}
+			if out.Mapping == nil && out.Placement != nil {
+				res.Artifact = out.Placement
+			}
+			return res, nil
+		},
+	})
 }

@@ -7,14 +7,14 @@
 //  3. DRESC (internal/dresc) — annealing over the MRRG, the slowest but most
 //     elastic fallback (capacity-zero nodes simply price faults out).
 //
-// Each rung runs with its own II budget on a faulted view of the array
-// (internal/fault), is isolated against panics (a crashing rung surfaces as
-// a *maperr.WorkerPanicError and the ladder steps down), and successful
-// mappings are certified against the cycle-accurate simulator before being
-// returned. When the fault set contains transient faults, the whole ladder
-// retries with exponential backoff as faults clear, honouring the caller's
-// context deadline — so an intermittent defect degrades service (a worse II
-// or a slower mapper) instead of failing the compile.
+// Each rung runs with its own options, II window included, on a faulted
+// view of the array (internal/fault), is isolated against panics (a crashing
+// rung surfaces as a *maperr.WorkerPanicError and the ladder steps down), and
+// successful mappings are certified against the cycle-accurate simulator
+// before being returned. When the fault set contains transient faults, the
+// whole ladder retries with exponential backoff as faults clear, honouring
+// the caller's context deadline — so an intermittent defect degrades service
+// (a worse II or a slower mapper) instead of failing the compile.
 package resilient
 
 import (
@@ -29,7 +29,6 @@ import (
 	"regimap/internal/dfg"
 	"regimap/internal/dresc"
 	"regimap/internal/ems"
-	"regimap/internal/engine"
 	"regimap/internal/fault"
 	"regimap/internal/maperr"
 	"regimap/internal/mapping"
@@ -60,18 +59,8 @@ func (r Rung) String() string {
 	}
 }
 
-// RungSpec is one step of the ladder with its own II budget.
-type RungSpec struct {
-	Rung Rung
-	// MaxII caps the rung's II escalation (0: the rung's own default,
-	// MII+16 for REGIMap and EMS, MII+8 for DRESC).
-	MaxII int
-}
-
-// DefaultLadder is the full degradation sequence with default II budgets.
-func DefaultLadder() []RungSpec {
-	return []RungSpec{{Rung: RungREGIMap}, {Rung: RungEMS}, {Rung: RungDRESC}}
-}
+// ladder is the degradation sequence, best first.
+var ladder = [...]Rung{RungREGIMap, RungEMS, RungDRESC}
 
 // Downgrades returns the engines to fall back to, in order, when the named
 // engine is unavailable (its circuit breaker is open, say). Ladder members
@@ -80,36 +69,31 @@ func DefaultLadder() []RungSpec {
 // resilient because it already wraps the rungs itself. The last rung
 // has nowhere to go: an empty slice means "no fallback exists".
 func Downgrades(name string) []string {
-	ladder := DefaultLadder()
 	start := 0
-	for i, spec := range ladder {
-		if spec.Rung.String() == name {
+	for i, r := range ladder {
+		if r.String() == name {
 			start = i + 1
 			break
 		}
 	}
 	out := make([]string, 0, len(ladder)-start)
-	for _, spec := range ladder[start:] {
-		out = append(out, spec.Rung.String())
+	for _, r := range ladder[start:] {
+		out = append(out, r.String())
 	}
 	return out
 }
 
 // Options configures the resilient pipeline. The zero value maps on the
-// healthy array with the default ladder.
+// healthy array, every rung with its own default II budget.
 type Options struct {
 	// Faults is the declarative fault set applied to the array (nil or empty:
 	// healthy). Transient faults (ClearAfter > 0) arm the retry loop.
 	Faults *fault.Set
-	// Ladder overrides the rung sequence and per-rung II budgets (nil:
-	// DefaultLadder). An empty non-nil ladder is rejected.
-	Ladder []RungSpec
-	// Core configures the REGIMap rung (its MinII/MaxII are owned by the
-	// ladder spec).
+	// Core configures the REGIMap rung, its II window included.
 	Core core.Options
-	// EMS configures the EMS rung.
+	// EMS configures the EMS rung, its II window included.
 	EMS ems.Options
-	// DRESC configures the DRESC rung.
+	// DRESC configures the DRESC rung, its II window included.
 	DRESC dresc.Options
 	// Backoff is the wait before the first retry, doubling each round
 	// (0: 10ms). The wait is cut short by ctx cancellation.
@@ -153,13 +137,6 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*Outcome,
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	ladder := opts.Ladder
-	if ladder == nil {
-		ladder = DefaultLadder()
-	}
-	if len(ladder) == 0 {
-		return nil, fmt.Errorf("resilient: empty ladder")
-	}
 	// Just enough retry rounds for every transient fault to clear.
 	maxRetries := opts.Faults.MaxClearAfter()
 	backoff := opts.Backoff
@@ -174,7 +151,7 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*Outcome,
 		if err != nil {
 			return nil, err
 		}
-		out, roundReports, err := runLadder(ctx, d, fabric, ladder, opts)
+		out, roundReports, err := runLadder(ctx, d, fabric, opts)
 		reports = append(reports, stamp(roundReports, round, active)...)
 		if err == nil {
 			out.Attempt = round
@@ -224,19 +201,19 @@ func stamp(reports []Attempt, round int, active *fault.Set) []Attempt {
 // runLadder walks the rungs on one fabric until a rung succeeds. Each rung
 // runs under a panic guard so a crashing mapper degrades instead of killing
 // the pipeline.
-func runLadder(ctx context.Context, d *dfg.DFG, fabric *arch.CGRA, ladder []RungSpec, opts Options) (*Outcome, []Attempt, error) {
+func runLadder(ctx context.Context, d *dfg.DFG, fabric *arch.CGRA, opts Options) (*Outcome, []Attempt, error) {
 	tr := obs.From(ctx).Named("resilient", d.Name)
 	var reports []Attempt
-	for _, spec := range ladder {
+	for _, rung := range ladder {
 		sp := tr.Start("resilient.rung")
-		out, err := runRung(ctx, d, fabric, spec, opts)
-		sp.Field("rung", int64(spec.Rung))
+		out, err := runRung(ctx, d, fabric, rung, opts)
+		sp.Field("rung", int64(rung))
 		if out != nil {
 			sp.Field("ii", int64(out.II))
 		}
 		sp.FieldBool("ok", err == nil)
 		sp.End()
-		reports = append(reports, Attempt{Rung: spec.Rung, Err: err})
+		reports = append(reports, Attempt{Rung: rung, Err: err})
 		if err == nil {
 			return out, reports, nil
 		}
@@ -247,56 +224,46 @@ func runLadder(ctx context.Context, d *dfg.DFG, fabric *arch.CGRA, ladder []Rung
 	return nil, reports, maperr.NoMapping("resilient: every rung failed")
 }
 
-// runRung executes one engine under a panic guard and certifies its result.
-// Rungs dispatch through the engine registry — Rung.String() is the registry
-// key — with the rung's II budget pre-folded into the engine-specific options
-// (the spec's zero MaxII must *reset* the engine's ceiling to its default,
-// which engine.Options' positive-only override cannot express).
-func runRung(ctx context.Context, d *dfg.DFG, fabric *arch.CGRA, spec RungSpec, opts Options) (out *Outcome, err error) {
+// runRung runs one rung's engine with the rung's own options under a panic
+// guard, and certifies a produced mapping.
+func runRung(ctx context.Context, d *dfg.DFG, fabric *arch.CGRA, rung Rung, opts Options) (out *Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			out = nil
 			err = &maperr.WorkerPanicError{
-				Worker: fmt.Sprintf("resilient rung %s", spec.Rung),
+				Worker: fmt.Sprintf("resilient rung %s", rung),
 				Value:  v,
 				Stack:  debug.Stack(),
 			}
 		}
 	}()
-	var extra any
-	switch spec.Rung {
+	out = &Outcome{Rung: rung, Fabric: fabric}
+	var m *mapping.Mapping
+	switch rung {
 	case RungREGIMap:
-		o := opts.Core
-		o.MinII, o.MaxII = 0, spec.MaxII
-		extra = o
+		var st *core.Stats
+		if m, st, err = core.Map(ctx, d, fabric, opts.Core); err == nil {
+			out.MII, out.II = st.MII, st.II
+		}
 	case RungEMS:
-		o := opts.EMS
-		o.MaxII = spec.MaxII
-		extra = o
+		var st *ems.Stats
+		if m, st, err = ems.Map(ctx, d, fabric, opts.EMS); err == nil {
+			out.MII, out.II = st.MII, st.II
+		}
 	case RungDRESC:
-		o := opts.DRESC
-		o.MinII, o.MaxII = 0, spec.MaxII
-		extra = o
-	default:
-		return nil, fmt.Errorf("resilient: unknown rung %d", int(spec.Rung))
+		var st *dresc.Stats
+		if out.Placement, st, err = dresc.Map(ctx, d, fabric, opts.DRESC); err == nil {
+			out.MII, out.II = st.MII, st.II
+		}
 	}
-	eng, ok := engine.Lookup(spec.Rung.String())
-	if !ok {
-		return nil, fmt.Errorf("resilient: rung %s has no registered engine", spec.Rung)
-	}
-	res, err := eng.Map(ctx, d, fabric, engine.Options{Extra: extra})
 	if err != nil {
 		return nil, err
 	}
-	out = &Outcome{Rung: spec.Rung, MII: res.MII, II: res.II, Fabric: fabric}
-	if res.Mapping != nil {
-		if err := certify(res.Mapping, spec.Rung.String()); err != nil {
+	if m != nil {
+		if err := certify(m, rung.String()); err != nil {
 			return nil, err
 		}
-		out.Mapping = res.Mapping
-	}
-	if p, ok := res.Artifact.(*dresc.Placement); ok {
-		out.Placement = p
+		out.Mapping = m
 	}
 	return out, nil
 }

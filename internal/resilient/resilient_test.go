@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"regimap/internal/arch"
+	"regimap/internal/core"
+	"regimap/internal/ems"
 	"regimap/internal/fault"
 	"regimap/internal/kernels"
 	"regimap/internal/maperr"
@@ -87,9 +89,7 @@ func TestLadderFallsThroughOnTightBudget(t *testing.T) {
 	c := arch.NewMesh(4, 4, 4)
 	// An II budget of 1 starves REGIMap (no kernel of the suite maps at
 	// II=1 on 4x4); the ladder must step down instead of failing.
-	out, err := Map(context.Background(), k.Build(), c, Options{
-		Ladder: []RungSpec{{Rung: RungREGIMap, MaxII: 1}, {Rung: RungEMS}, {Rung: RungDRESC}},
-	})
+	out, err := Map(context.Background(), k.Build(), c, Options{Core: core.Options{MaxII: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +107,19 @@ func TestLadderFallsThroughOnTightBudget(t *testing.T) {
 func TestDRESCOnlyLadderReturnsPlacement(t *testing.T) {
 	k := kernel(t, "fir8")
 	c := arch.NewMesh(4, 4, 4)
+	// Budgets of II 1 starve the REGIMap and EMS rungs.
 	out, err := Map(context.Background(), k.Build(), c, Options{
-		Ladder: []RungSpec{{Rung: RungDRESC}},
+		Core: core.Options{MaxII: 1},
+		EMS:  ems.Options{MaxII: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Rung != RungDRESC || out.Placement == nil || out.Mapping != nil {
 		t.Fatalf("outcome = %+v", out)
+	}
+	if len(out.Reports) != 3 {
+		t.Fatalf("reports = %+v", out.Reports)
 	}
 }
 
@@ -191,13 +196,5 @@ func TestDeadlineAbortsBackoff(t *testing.T) {
 	}
 	if !errors.Is(err, maperr.ErrAborted) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrAborted wrapping DeadlineExceeded, got %v", err)
-	}
-}
-
-func TestEmptyLadderRejected(t *testing.T) {
-	k := kernel(t, "fir8")
-	c := arch.NewMesh(4, 4, 4)
-	if _, err := Map(context.Background(), k.Build(), c, Options{Ladder: []RungSpec{}}); err == nil {
-		t.Fatal("want error for empty ladder")
 	}
 }

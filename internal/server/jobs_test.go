@@ -210,6 +210,35 @@ func TestJobWatermarkDegrade(t *testing.T) {
 	}
 }
 
+// TestMinIIHoldsOnEMS: a request's min_ii binds ems and the resilient
+// ladder on /v1/map, and a regimap job the watermark reroutes to ems keeps
+// its floor. dotprod_sat maps at II 3 without one.
+func TestMinIIHoldsOnEMS(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, JobWorkers: 1, JobQueue: 8, DegradeWatermark: 1})
+	for _, mapper := range []string{"ems", "resilient"} {
+		code, blob, _ := postMap(t, ts, `{"kernel":"dotprod_sat","mapper":"`+mapper+`","min_ii":5}`)
+		var r MapResponse
+		if code != http.StatusOK || json.Unmarshal(blob, &r) != nil || r.II < 5 {
+			t.Fatalf("%s with min_ii 5: %d %s", mapper, code, blob)
+		}
+	}
+
+	gate, started := blocker.arm()
+	submitJob(t, ts, `{"kernel":"fir8","mapper":"blocktest"}`, http.StatusAccepted)
+	<-started // job worker busy inside blocktest
+	submitJob(t, ts, `{"kernel":"fir8","mapper":"blocktest","max_ii":9}`, http.StatusAccepted)
+	ack := submitJob(t, ts, `{"kernel":"dotprod_sat","mapper":"regimap","min_ii":5}`, http.StatusAccepted)
+	close(gate)
+	if !ack.Degraded || ack.Mapper != "ems" {
+		t.Fatalf("watermark ack = %+v, want degraded onto ems", ack)
+	}
+	job := pollJob(t, ts, ack.ID)
+	var r MapResponse
+	if job.State != "done" || json.Unmarshal(job.Result, &r) != nil || r.Mapper != "ems" || r.II < 5 {
+		t.Fatalf("degraded job with min_ii 5 = %+v", job)
+	}
+}
+
 // TestJobBreakerReroute: an engine that trips its breaker has its jobs
 // rerouted down the resilient ladder and still answered.
 func TestJobBreakerReroute(t *testing.T) {

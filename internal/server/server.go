@@ -50,7 +50,7 @@ import (
 	// Importing the mapper packages is what populates the engine registry
 	// the server dispatches through (resilient above registers itself too).
 	// core is also imported by name: resolve hands the regimap engine a
-	// core.Options carrying the pass worker count.
+	// core.Options carrying the II worker count.
 	"regimap/internal/core"
 	"regimap/internal/dresc"
 	_ "regimap/internal/ems"
@@ -61,17 +61,9 @@ import (
 type Config struct {
 	// Workers bounds concurrent mapping computations (default: GOMAXPROCS).
 	Workers int
-	// CliqueWorkers bounds the IIs each REGIMap run (the regimap engine and
-	// the resilient ladder's REGIMap rung) races at once
-	// (core.Options.Workers; default 1: one II at a time on the request's
-	// goroutine, since admission already runs Workers computations and the
-	// async jobs at once). Mappings are byte-identical at any value
-	// (DESIGN.md section 8g), so the result cache never observes a
-	// worker-count-dependent answer.
-	CliqueWorkers int
 	// DRESCRestarts races this many seed-derived annealing chains per II
 	// inside each DRESC run — the dresc engine and the resilient ladder's
-	// DRESC rung (<=1: single chain). Unlike the worker knobs it changes
+	// DRESC rung (<=1: single chain). Unlike DRESCWorkers it changes
 	// which placement is produced, so it is part of the server's
 	// configuration identity: all cached results were computed under it.
 	DRESCRestarts int
@@ -132,9 +124,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.CliqueWorkers <= 0 {
-		c.CliqueWorkers = 1
 	}
 	if c.Queue <= 0 {
 		c.Queue = 64
@@ -483,13 +472,13 @@ func (s *Server) resolve(req *MapRequest) (d *dfg.DFG, c *arch.CGRA, eng engine.
 	eo = engine.Options{MinII: req.MinII, MaxII: req.MaxII}
 	// Restart racing is deterministic per (seed, restarts), so handing DRESC
 	// — alone or as the resilient ladder's last rung — the server's chain
-	// configuration keeps the cache coherent the same way the clique
-	// workers do for regimap.
+	// configuration keeps the cache coherent.
 	drescOpts := dresc.Options{Restarts: s.cfg.DRESCRestarts, Workers: s.cfg.DRESCWorkers}
-	// Hand REGIMap, alone or as the resilient ladder's first rung, the
-	// server's II worker count. Byte-identical results at any worker count
-	// keep the cache coherent.
-	coreOpts := core.Options{Workers: s.cfg.CliqueWorkers}
+	// REGIMap, alone or as the resilient ladder's first rung, maps one II at
+	// a time: admission already runs Workers computations and the async jobs
+	// at once, and a speculative II that starts on a core which looks idle
+	// competes with them (measured slower, DESIGN.md section 8g).
+	coreOpts := core.Options{Workers: 1}
 	switch mapperName {
 	case "regimap":
 		eo.Extra = coreOpts

@@ -755,30 +755,27 @@ func TestResolveResilientGetsDRESCConfig(t *testing.T) {
 }
 
 // TestResolveREGIMapRunsOneII: admission already runs Workers computations
-// and the async jobs at once, so by default every REGIMap run a request
-// starts — the regimap engine's and the resilient ladder's REGIMap rung's —
-// maps one II at a time (core.Options.Workers 1), and an explicit
-// CliqueWorkers reaches both.
+// and the async jobs at once, so every REGIMap run a request starts — the
+// regimap engine's and the resilient ladder's REGIMap rung's — maps one II
+// at a time (core.Options.Workers 1).
 func TestResolveREGIMapRunsOneII(t *testing.T) {
-	for _, tc := range []struct{ set, want int }{{0, 1}, {-3, 1}, {1, 1}, {2, 2}} {
-		s, _ := newTestServer(t, Config{Workers: 1, CliqueWorkers: tc.set})
-		for _, mapper := range []string{"regimap", "resilient"} {
-			_, _, _, eo, _, err := s.resolve(&MapRequest{Kernel: "fir8", Mapper: mapper})
-			if err != nil {
-				t.Fatalf("%s: resolve: %v", mapper, err)
-			}
-			var got int
-			switch extra := eo.Extra.(type) {
-			case core.Options:
-				got = extra.Workers
-			case resilient.Options:
-				got = extra.Core.Workers
-			default:
-				t.Fatalf("%s: Extra = %T", mapper, eo.Extra)
-			}
-			if got != tc.want {
-				t.Errorf("CliqueWorkers %d, %s: REGIMap Workers %d, want %d", tc.set, mapper, got, tc.want)
-			}
+	s, _ := newTestServer(t, Config{Workers: 1})
+	for _, mapper := range []string{"regimap", "resilient"} {
+		_, _, _, eo, _, err := s.resolve(&MapRequest{Kernel: "fir8", Mapper: mapper})
+		if err != nil {
+			t.Fatalf("%s: resolve: %v", mapper, err)
+		}
+		var got int
+		switch extra := eo.Extra.(type) {
+		case core.Options:
+			got = extra.Workers
+		case resilient.Options:
+			got = extra.Core.Workers
+		default:
+			t.Fatalf("%s: Extra = %T", mapper, eo.Extra)
+		}
+		if got != 1 {
+			t.Errorf("%s: REGIMap Workers %d, want 1", mapper, got)
 		}
 	}
 }

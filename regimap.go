@@ -164,9 +164,9 @@ type (
 )
 
 // MapperNames lists every registered mapping engine, sorted: the names
-// regimapd, the resilient ladder and `regimap -list-mappers` dispatch on
-// through the engine registry (regimap/internal/engine). The Map* entry
-// points below call their engine directly.
+// regimapd, its job path and `regimap -list-mappers` dispatch on through the
+// engine registry (regimap/internal/engine). The Map* entry points below
+// call their engine directly.
 func MapperNames() []string { return engine.Names() }
 
 // Map runs REGIMap: modulo scheduling plus clique-based integrated placement
@@ -311,16 +311,14 @@ func ParseFaults(text string) (*FaultSet, error) { return fault.Parse(text) }
 
 // Resilient-pipeline types.
 type (
-	// ResilientOptions configures MapResilient (fault set, degradation
-	// ladder, per-rung options, retry backoff).
+	// ResilientOptions configures MapResilient (fault set, per-rung
+	// options with their II windows, retry backoff).
 	ResilientOptions = resilient.Options
 	// ResilientOutcome reports which rung produced the mapping, on which
 	// faulted fabric, after how many retry rounds.
 	ResilientOutcome = resilient.Outcome
 	// Rung identifies one mapper of the degradation ladder.
 	Rung = resilient.Rung
-	// RungSpec is one ladder step with its own II budget.
-	RungSpec = resilient.RungSpec
 )
 
 // Degradation-ladder rungs, best first.

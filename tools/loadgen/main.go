@@ -12,10 +12,12 @@
 //
 //	loadgen -addr localhost:8090 -verify acked.jsonl
 //
-// Verify polls every acknowledged job to a terminal state, then re-submits
-// each idempotency key and asserts the daemon acks the same job ID with the
-// same terminal content — proving no acknowledged job was lost or re-run into
-// a different answer by the crash. Exit status is non-zero on any violation.
+// Verify polls every acknowledged job to a terminal state and checks that
+// each done job mapped at an II no lower than the min_ii its body asked
+// for, whichever engine the daemon ran it on. It then re-submits each
+// idempotency key and asserts the daemon acks the same job ID with the same
+// terminal content — proving no acknowledged job was lost or re-run into a
+// different answer by the crash. Exit status is non-zero on any violation.
 package main
 
 import (
@@ -199,6 +201,10 @@ func runVerify(base, path string, deadline time.Time) int {
 			continue
 		}
 		terminal[a.Key] = v
+		if err := checkFloor(a.Body, v); err != nil {
+			fmt.Fprintf(os.Stderr, "loadgen: FLOOR %s (%s): %v\n", a.ID, a.Key, err)
+			violations++
+		}
 	}
 	// Exactly-once at the API surface: the same key acks the same job with
 	// the same terminal content, not a rerun with a fresh ID.
@@ -234,6 +240,30 @@ func runVerify(base, path string, deadline time.Time) int {
 	}
 	fmt.Printf("loadgen: verified %d acknowledged jobs: none lost, none duplicated\n", len(acks))
 	return 0
+}
+
+// checkFloor reports a done job whose II is below the min_ii of its
+// acknowledged body.
+func checkFloor(body string, v jobView) error {
+	if v.State != "done" || body == "" {
+		return nil
+	}
+	var req struct {
+		MinII int `json:"min_ii"`
+	}
+	var res struct {
+		II int `json:"ii"`
+	}
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		return fmt.Errorf("acked body: %v", err)
+	}
+	if err := json.Unmarshal(v.Result, &res); err != nil {
+		return fmt.Errorf("result: %v", err)
+	}
+	if res.II < req.MinII {
+		return fmt.Errorf("%s mapped at II %d, below min_ii %d", v.Mapper, res.II, req.MinII)
+	}
+	return nil
 }
 
 // pollTerminal polls one job until it is done or failed.
